@@ -9,16 +9,16 @@ timing and rank-order codes degrade under device variability.
 """
 
 from .device import (AMP_A_DEFAULT, DeviceParams, DeviceState, apply_pulse,
-                     calibrate_amp, initialize_on, programming_rate,
-                     pulse_energy, resistance_of)
+                     calibrate_amp, programming_rate, pulse_energy,
+                     resistance_of)
 from .wavefront import (RankOrder, Wavefront, effective_bits, kendall_tau,
                         normalize, rank_of, read_wavefront_csv, timing_error,
                         write_wavefront_csv)
 from .crossbar import (ArrayConfig, ArrayState, EnergyReport, dynamic_range,
                        ln_factor, new_array, read_grid_csv, recall,
-                       recall_scaled, reset_lines, write_grid_csv)
+                       reset_lines, write_grid_csv)
 from .recording import (CaptureResult, QuantizedWavefront, QuantizerSpec,
-                        RoundTripResult, capture_digital, capture_native,
+                        RoundTripResult, capture, capture_digital, capture_native,
                         matched_capacitance, program_closed_loop, quantize,
                         round_trip)
 from .variability import (SweepSettings, TrialReport, TrialRow, VariationSpec,
@@ -35,12 +35,12 @@ __all__ = [
     "QuantizedWavefront", "QuantizerSpec", "RankOrder", "RoundTripResult",
     "RunSettings", "Scenario", "ScenarioError", "SweepSettings", "TrialReport",
     "TrialRow", "VariationSpec", "Wavefront", "apply_pulse", "calibrate_amp",
-    "capture_digital", "capture_native", "dynamic_range", "effective_bits",
-    "initialize_on", "kendall_tau", "ln_factor", "load_scenario",
+    "capture", "capture_digital", "capture_native", "dynamic_range",
+    "effective_bits", "kendall_tau", "ln_factor", "load_scenario",
     "matched_capacitance", "monte_carlo", "new_array", "normalize",
     "parse_scenario_text", "program_closed_loop", "programming_rate",
     "pulse_energy", "quantize", "random_wavefront", "rank_of",
-    "read_grid_csv", "read_wavefront_csv", "recall", "recall_scaled",
-    "reset_lines", "resistance_of", "round_trip", "sample_array",
-    "timing_error", "perturb_pulse", "write_grid_csv", "write_wavefront_csv",
+    "read_grid_csv", "read_wavefront_csv", "recall", "reset_lines",
+    "resistance_of", "round_trip", "sample_array", "timing_error",
+    "perturb_pulse", "write_grid_csv", "write_wavefront_csv",
 ]

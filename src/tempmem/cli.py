@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import crossbar, recording, variability
+from . import crossbar, device, recording, variability
 from .scenario import Scenario, ScenarioError, load_scenario
 from .wavefront import read_wavefront_csv, write_wavefront_csv
 
@@ -69,7 +69,7 @@ def _load(args) -> Scenario:
                            variation=replace(scenario.variation, seed=args.seed))
     if getattr(args, "path", None):
         scenario = replace(scenario, run=replace(scenario.run, path=args.path))
-    if getattr(args, "trials", None):
+    if getattr(args, "trials", None) is not None:
         scenario = replace(scenario, run=replace(scenario.run, trials=args.trials))
     return scenario
 
@@ -101,26 +101,18 @@ def _cmd_recall(args, scenario: Scenario, outdir: Path) -> int:
     return 0
 
 
-def _capture(scenario: Scenario, w) -> tuple:
-    cfg = scenario.array
-    run = scenario.run
-    state = crossbar.new_array(cfg, scenario.device)
-    if run.path == "native":
-        return recording.capture_native(
-            state, cfg, scenario.device, run.column, w, run.v_write,
-            window_ns=run.window_ns)
-    return recording.capture_digital(
-        state, cfg, scenario.device, run.column, w, scenario.quantizer,
-        tol=run.tol, v_write=run.v_write, step=run.step_ns,
-        max_iters=run.max_iters, window_ns=run.window_ns)
-
-
 def _cmd_capture(args, scenario: Scenario, outdir: Path) -> int:
     w = read_wavefront_csv(args.input)
     if len(w) != scenario.array.rows:
         scenario = replace(scenario,
                            array=replace(scenario.array, rows=len(w)))
-    state, result = _capture(scenario, w)
+    cfg = scenario.array
+    run = scenario.run
+    state, result = recording.capture(
+        crossbar.new_array(cfg, scenario.device), cfg, scenario.device,
+        run.column, w, path=run.path, v_write=run.v_write,
+        quantizer=scenario.quantizer, tol=run.tol, step=run.step_ns,
+        max_iters=run.max_iters, window_ns=run.window_ns)
     recording.write_capture_csv(outdir / "capture.csv", result)
     crossbar.write_grid_csv(outdir / "grid.csv", state)
     report = [
@@ -181,7 +173,7 @@ def _cmd_calibrate(args, scenario: Scenario, outdir: Path) -> int:
     cal = scenario.calibrate
     dev = scenario.device
     cfg = scenario.array
-    amp_a = cal.r_span_ohm / math.log1p(cal.span_ns / dev.tau_w)
+    amp_a = device.calibrate_amp(cal.r_span_ohm, cal.span_ns, dev).amp_a
     lnf = cal.span_ns * 1e-9 / (cal.r_span_ohm * cfg.c_line)
     theta = 1.0 - math.exp(-lnf)
     v_read = math.sqrt(cal.energy_fj * 1e-15 / cfg.c_line)

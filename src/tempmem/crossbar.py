@@ -18,16 +18,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState
+from .device import DeviceParams
 from .wavefront import Wavefront
-
-# A whole array either shares one DeviceParams or carries one per device
-# (row-major grid), e.g. from variability sampling.
-ParamsLike = Union[DeviceParams, Sequence[Sequence[DeviceParams]]]
 
 
 @dataclass(frozen=True)
@@ -43,16 +38,17 @@ class ArrayConfig:
     t_shifter: float = 0.0    # ns, fixed level-shifter delay per edge
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+        # Checks are written so that nan fails them.
+        if not (self.rows >= 1 and self.cols >= 1):
             raise ValueError("array needs at least 1 row and 1 column")
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie strictly between 0 and 1")
-        if self.c_line <= 0:
-            raise ValueError("c_line must be positive")
+        if not 0 < self.c_line < math.inf:
+            raise ValueError("c_line must be positive and finite")
         if not 0 < self.v_read < self.v_dd:
             raise ValueError("need 0 < v_read < v_dd")
-        if self.t_shifter < 0:
-            raise ValueError("t_shifter must be non-negative")
+        if not 0 <= self.t_shifter < math.inf:
+            raise ValueError("t_shifter must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -66,40 +62,34 @@ class EnergyReport:
 
 @dataclass(frozen=True)
 class ArrayState:
-    """Grid of device states plus transient line voltages."""
+    """Stress (ns) and resistance (ohm) of every device, each rows x cols,
+    and whether a capture has left the bit lines charged."""
 
-    devices: tuple[tuple[DeviceState, ...], ...]  # rows x cols
-    line_v: tuple[float, ...]                     # V per bit line
-    enabled_col: int | None = None
+    stress: np.ndarray
+    resistance: np.ndarray
+    lines_charged: bool = False
 
     @property
     def rows(self) -> int:
-        return len(self.devices)
+        return self.stress.shape[0]
 
     @property
     def cols(self) -> int:
-        return len(self.devices[0])
+        return self.stress.shape[1]
 
 
-def params_at(params: ParamsLike, row: int, col: int) -> DeviceParams:
-    """Device params for one cross point, shared or per-device."""
-    if isinstance(params, DeviceParams):
-        return params
-    return params[row][col]
+def base_params(params: DeviceParams) -> DeviceParams:
+    """Scalar params of device (0, 0)."""
+    return params.at(0, 0)
 
 
-def base_params(params: ParamsLike) -> DeviceParams:
-    return params if isinstance(params, DeviceParams) else params[0][0]
-
-
-def new_array(cfg: ArrayConfig, params: ParamsLike) -> ArrayState:
+def new_array(cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     """Fresh array: every device in its ON state, all lines discharged."""
-    devices = tuple(
-        tuple(DeviceState(stress=0.0, resistance=params_at(params, i, j).r_on)
-              for j in range(cfg.cols))
-        for i in range(cfg.rows)
-    )
-    return ArrayState(devices=devices, line_v=(0.0,) * cfg.rows)
+    shape = (cfg.rows, cfg.cols)
+    if np.ndim(params.r_on) and np.shape(params.r_on) != shape:
+        raise ValueError("r_on grid does not match the array dimensions")
+    return ArrayState(stress=np.zeros(shape),
+                      resistance=np.full(shape, params.r_on, dtype=float))
 
 
 def ln_factor(theta: float) -> float:
@@ -114,10 +104,6 @@ def _check_col(state: ArrayState, cfg: ArrayConfig, col: int) -> None:
         raise ValueError(f"column {col} out of range 0..{cfg.cols - 1}")
 
 
-def column_resistances(state: ArrayState, col: int) -> np.ndarray:
-    return np.array([state.devices[i][col].resistance for i in range(state.rows)])
-
-
 def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, EnergyReport]:
     """Read one stored column back out as a wavefront of edge times.
 
@@ -127,9 +113,9 @@ def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, En
     first; reset_lines clears them after a capture.
     """
     _check_col(state, cfg, col)
-    if any(v != 0.0 for v in state.line_v):
+    if state.lines_charged:
         raise ValueError("bit lines are charged; call reset_lines before recall")
-    r = column_resistances(state, col)
+    r = state.resistance[:, col]
     times = r * (cfg.c_line * ln_factor(cfg.theta) * 1e9) + cfg.t_shifter
     per_line = cfg.c_line * cfg.v_read ** 2
     half = cfg.rows * per_line / 2.0
@@ -137,18 +123,9 @@ def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, En
                                                  dissipated=half)
 
 
-def recall_scaled(state: ArrayState, cfg: ArrayConfig, col: int,
-                  c_new: float) -> tuple[Wavefront, EnergyReport]:
-    """Recall with the programmable line capacitance set to c_new (F),
-    rescaling every edge time (minus the shifter delay) by c_new/c_line."""
-    if c_new <= 0:
-        raise ValueError("c_new must be positive")
-    return recall(state, replace(cfg, c_line=c_new), col)
-
-
 def reset_lines(state: ArrayState) -> ArrayState:
     """Discharge every bit line; device states are returned bit-identical."""
-    return replace(state, line_v=(0.0,) * state.rows)
+    return replace(state, lines_charged=False)
 
 
 def dynamic_range(cfg: ArrayConfig, params: DeviceParams, r_max: float) -> float:
@@ -163,9 +140,9 @@ def write_grid_csv(path, state: ArrayState) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["row", "col", "resistance_ohm"])
-        for i, row in enumerate(state.devices):
-            for j, dev in enumerate(row):
-                writer.writerow([i, j, repr(dev.resistance)])
+        for i, row in enumerate(state.resistance.tolist()):
+            for j, r in enumerate(row):
+                writer.writerow([i, j, repr(r)])
 
 
 def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
@@ -199,15 +176,13 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     missing = cfg.rows * cfg.cols - len(cells)
     if missing:
         raise ValueError(f"{path}: {missing} cells missing from the grid")
-    devices = []
-    for i in range(cfg.rows):
-        row = []
-        for j in range(cfg.cols):
-            r = cells[(i, j)]
-            if not params.r_on <= r <= params.r_off_max:
-                raise ValueError(f"cell ({i},{j}): resistance {r} outside "
-                                 f"[r_on, r_off_max]")
-            stress = params.tau_w * math.expm1((r - params.r_on) / params.amp_a)
-            row.append(DeviceState(stress=stress, resistance=r))
-        devices.append(tuple(row))
-    return ArrayState(devices=tuple(devices), line_v=(0.0,) * cfg.rows)
+    stress = np.empty((cfg.rows, cfg.cols))
+    resistance = np.empty_like(stress)
+    for (i, j), r in sorted(cells.items()):
+        p = params.at(i, j)
+        if not p.r_on <= r <= p.r_off_max:
+            raise ValueError(f"cell ({i},{j}): resistance {r} outside "
+                             f"[r_on, r_off_max]")
+        stress[i, j] = p.tau_w * math.expm1((r - p.r_on) / p.amp_a)
+        resistance[i, j] = r
+    return ArrayState(stress=stress, resistance=resistance)

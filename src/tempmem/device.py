@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy.special import expi
 
 R_ON_DEFAULT = 10e3       # ohm, ON state
@@ -38,9 +39,10 @@ AMP_A_DEFAULT = R_SPAN_DEFAULT / math.log1p(T_SPAN_DEFAULT / TAU_W_DEFAULT)
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Programming-dynamics constants of one memristor."""
+    """Programming-dynamics constants of one memristor, or of a whole array
+    whose devices differ only in r_on, given then as a rows x cols array."""
 
-    r_on: float = R_ON_DEFAULT
+    r_on: float | np.ndarray = R_ON_DEFAULT
     r_off_max: float = R_OFF_MAX_DEFAULT
     amp_a: float = AMP_A_DEFAULT
     tau_w: float = TAU_W_DEFAULT
@@ -49,21 +51,39 @@ class DeviceParams:
     v_write_nominal: float = V_WRITE_DEFAULT
 
     def __post_init__(self):
-        if not 0 < self.r_on < self.r_off_max:
+        # Checks are written so that nan fails them.
+        r_on = self.r_on
+        if isinstance(r_on, np.ndarray):
+            if r_on.ndim != 2:
+                raise ValueError("an r_on array must be rows x cols")
+            lo, hi = r_on.min(), r_on.max()
+        else:
+            lo = hi = r_on
+        if not (0 < lo and hi < self.r_off_max):
             raise ValueError("need 0 < r_on < r_off_max")
-        if self.amp_a <= 0:
+        if not self.amp_a > 0:
             raise ValueError("amp_a must be positive")
-        if self.tau_w <= 0:
+        if not self.tau_w > 0:
             raise ValueError("tau_w must be positive")
         if not 0 < self.v_prog_threshold < self.v_write_nominal:
             raise ValueError("need 0 < v_prog_threshold < v_write_nominal")
-        if self.v_zero <= 0:
+        if not self.v_zero > 0:
             raise ValueError("v_zero must be positive")
+
+    def at(self, row: int, col: int) -> DeviceParams:
+        """The scalar params of device (row, col)."""
+        if not isinstance(self.r_on, np.ndarray):
+            return self
+        return replace(self, r_on=float(self.r_on[row, col]))
 
 
 @dataclass(frozen=True)
 class DeviceState:
-    """One memristor's state: stress in ns and the resistance derived from it."""
+    """One memristor's state: stress in ns and the resistance derived from it.
+
+    The device law passes this scalar value around; an array keeps its
+    devices' states as stress and resistance arrays (crossbar.ArrayState).
+    """
 
     stress: float = 0.0
     resistance: float = R_ON_DEFAULT
@@ -105,11 +125,6 @@ def apply_pulse(state: DeviceState, v: float, duration: float,
         return DeviceState(stress=0.0, resistance=params.r_on)
     stress = state.stress + duration * programming_rate(v, params)
     return DeviceState(stress=stress, resistance=resistance_of(stress, params))
-
-
-def initialize_on(state: DeviceState, params: DeviceParams) -> DeviceState:
-    """Ideal SET: return the device to the ON state (stress 0, R = r_on)."""
-    return DeviceState(stress=0.0, resistance=params.r_on)
 
 
 def calibrate_amp(r_span: float, t_span: float, params: DeviceParams) -> DeviceParams:

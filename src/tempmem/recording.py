@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 from . import device
-from .crossbar import (ArrayConfig, ArrayState, EnergyReport, ParamsLike,
-                       base_params, new_array, params_at, ln_factor, recall_scaled,
-                       reset_lines, _check_col)
+from .crossbar import (ArrayConfig, ArrayState, EnergyReport, base_params,
+                       new_array, ln_factor, recall, reset_lines, _check_col)
+from .device import DeviceParams, DeviceState
 from .wavefront import (Wavefront, effective_bits, kendall_tau, normalize,
                         rank_of, timing_error, EFFECTIVE_BITS_CAP)
 
@@ -101,24 +101,26 @@ def quantize(w: Wavefront, q: QuantizerSpec) -> QuantizedWavefront:
     return QuantizedWavefront(coarse=tuple(coarse), fine=tuple(fine))
 
 
-def _require_on_column(state: ArrayState, col: int) -> None:
-    if any(state.devices[i][col].stress != 0.0 for i in range(state.rows)):
+def _read_on_column(state: ArrayState, col: int) -> list[DeviceState]:
+    """The devices of column `col`, which must all be in the ON state."""
+    stress = state.stress[:, col].tolist()
+    if any(s != 0.0 for s in stress):
         raise ValueError(f"column {col} is not initialized to the ON state")
+    return [DeviceState(s, r)
+            for s, r in zip(stress, state.resistance[:, col].tolist())]
 
 
-def _replace_column(state: ArrayState, col: int,
-                    new_devs: Sequence, cfg: ArrayConfig) -> ArrayState:
-    devices = tuple(
-        tuple(new_devs[i] if j == col else state.devices[i][j]
-              for j in range(state.cols))
-        for i in range(state.rows)
-    )
+def _write_column(state: ArrayState, col: int,
+                  devs: Sequence[DeviceState]) -> ArrayState:
+    stress = state.stress.copy()
+    resistance = state.resistance.copy()
+    stress[:, col] = [d.stress for d in devs]
+    resistance[:, col] = [d.resistance for d in devs]
     # Capture leaves the bit lines driven high; reset_lines discharges them.
-    return ArrayState(devices=devices, line_v=(cfg.v_dd,) * state.rows,
-                      enabled_col=col)
+    return ArrayState(stress=stress, resistance=resistance, lines_charged=True)
 
 
-def capture_native(state: ArrayState, cfg: ArrayConfig, params: ParamsLike,
+def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
                    col: int, w: Wavefront, v_write: float | None = None, *,
                    window_ns: float = DEFAULT_WINDOW_NS,
                    pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
@@ -131,21 +133,20 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: ParamsLike,
     _check_col(state, cfg, col)
     if len(w) != cfg.rows:
         raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
-    _require_on_column(state, col)
+    devs = _read_on_column(state, col)
     if v_write is None:
-        v_write = base_params(params).v_write_nominal
-    if v_write < base_params(params).v_prog_threshold:
+        v_write = params.v_write_nominal
+    if v_write < params.v_prog_threshold:
         raise ValueError("v_write must be at least the programming threshold")
     t0 = min(w.times)
     pulses = []
     new_devs = []
     energy = 0.0
-    for i in range(cfg.rows):
-        p = params_at(params, i, col)
+    for i, dev in enumerate(devs):
+        p = params.at(i, col)
         dur = w.times[i] - t0
         if pulse_noise is not None:
             dur = pulse_noise(dur)
-        dev = state.devices[i][col]
         energy += device.pulse_energy(dev, -v_write, dur, p)
         new_devs.append(device.apply_pulse(dev, -v_write, dur, p))
         pulses.append(dur)
@@ -157,10 +158,10 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: ParamsLike,
         converged=(True,) * cfg.rows,
         window_exceeded=w.span > window_ns,
     )
-    return _replace_column(state, col, new_devs, cfg), result
+    return _write_column(state, col, new_devs), result
 
 
-def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: ParamsLike,
+def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
                         col: int, targets: Sequence[float], *,
                         tol: float = 0.01, v_write: float | None = None,
                         step: float = 1.0, max_iters: int = 500,
@@ -177,24 +178,23 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: ParamsLike,
         raise ValueError(f"{len(targets)} targets for {cfg.rows} rows")
     if any(not math.isfinite(t) or t <= 0 for t in targets):
         raise ValueError("targets must be positive and finite")
-    _require_on_column(state, col)
+    devs = _read_on_column(state, col)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if step <= 0:
         raise ValueError("step must be positive")
     if v_write is None:
-        v_write = base_params(params).v_write_nominal
-    if v_write < base_params(params).v_prog_threshold:
+        v_write = params.v_write_nominal
+    if v_write < params.v_prog_threshold:
         raise ValueError("v_write must be at least the programming threshold")
     pulses = []
     new_devs = []
     iterations = []
     converged = []
     energy = 0.0
-    for i in range(cfg.rows):
-        p = params_at(params, i, col)
+    for i, dev in enumerate(devs):
+        p = params.at(i, col)
         target = float(targets[i])
-        dev = state.devices[i][col]
         applied = 0.0
         iters = 0
         while abs(dev.resistance - target) / target > tol:
@@ -218,7 +218,7 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: ParamsLike,
         iterations=tuple(iterations),
         converged=tuple(converged),
     )
-    return _replace_column(state, col, new_devs, cfg), result
+    return _write_column(state, col, new_devs), result
 
 
 def default_slope(t_clk: float) -> float:
@@ -226,7 +226,7 @@ def default_slope(t_clk: float) -> float:
     return device.R_SPAN_DEFAULT / (device.T_SPAN_DEFAULT / t_clk)
 
 
-def capture_digital(state: ArrayState, cfg: ArrayConfig, params: ParamsLike,
+def capture_digital(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
                     col: int, w: Wavefront, q: QuantizerSpec, *,
                     slope: float | None = None, tol: float = 0.01,
                     v_write: float | None = None, step: float = 1.0,
@@ -273,7 +273,29 @@ def matched_capacitance(span_ns: float, delta_r: float, cfg: ArrayConfig) -> flo
     return span_ns * 1e-9 / (delta_r * ln_factor(cfg.theta))
 
 
-def round_trip(w: Wavefront, cfg: ArrayConfig, params: ParamsLike, *,
+def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+            col: int, w: Wavefront, *, path: str = "native",
+            v_write: float | None = None,
+            quantizer: QuantizerSpec | None = None,
+            slope: float | None = None, tol: float = 1e-3,
+            step: float = 1.0, max_iters: int = 500,
+            window_ns: float = DEFAULT_WINDOW_NS,
+            pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
+    """Record a wavefront into column `col` by the native or the digital
+    route; the digital route defaults to a 1 ns counter."""
+    if path == "native":
+        return capture_native(state, cfg, params, col, w, v_write,
+                              window_ns=window_ns, pulse_noise=pulse_noise)
+    if path == "digital":
+        q = quantizer if quantizer is not None else QuantizerSpec()
+        return capture_digital(state, cfg, params, col, w, q, slope=slope,
+                               tol=tol, v_write=v_write, step=step,
+                               max_iters=max_iters, window_ns=window_ns,
+                               pulse_noise=pulse_noise)
+    raise ValueError("path must be 'native' or 'digital'")
+
+
+def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams, *,
                path: str = "native", col: int = 0,
                v_write: float | None = None,
                quantizer: QuantizerSpec | None = None,
@@ -289,18 +311,10 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: ParamsLike, *,
     recorded one, None (or "none") keeps the configured c_line, and a
     float is used directly (F).
     """
-    if path not in ("native", "digital"):
-        raise ValueError("path must be 'native' or 'digital'")
-    state = new_array(cfg, params)
-    if path == "native":
-        state, cap = capture_native(state, cfg, params, col, w, v_write,
-                                    window_ns=window_ns, pulse_noise=pulse_noise)
-    else:
-        q = quantizer if quantizer is not None else QuantizerSpec()
-        state, cap = capture_digital(state, cfg, params, col, w, q, slope=slope,
-                                     tol=tol, v_write=v_write, step=step,
-                                     max_iters=max_iters, window_ns=window_ns,
-                                     pulse_noise=pulse_noise)
+    state, cap = capture(new_array(cfg, params), cfg, params, col, w,
+                         path=path, v_write=v_write, quantizer=quantizer,
+                         slope=slope, tol=tol, step=step, max_iters=max_iters,
+                         window_ns=window_ns, pulse_noise=pulse_noise)
     state = reset_lines(state)
     if scale_cap == "matched":
         delta_r = max(cap.final_resistances) - min(cap.final_resistances)
@@ -309,7 +323,7 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: ParamsLike, *,
         c_used = cfg.c_line
     else:
         c_used = float(scale_cap)
-    recalled, energy = recall_scaled(state, cfg, col, c_used)
+    recalled, energy = recall(state, replace(cfg, c_line=c_used), col)
     in_n = normalize(w)
     out_n = normalize(recalled)
     tau = kendall_tau(rank_of(in_n), rank_of(out_n))
@@ -331,24 +345,3 @@ def write_capture_csv(path, result: CaptureResult) -> None:
             writer.writerow([ch, repr(result.pulses[ch]),
                              repr(result.final_resistances[ch]),
                              result.iterations[ch]])
-
-
-def read_capture_csv(path) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
-    """Parse a capture CSV back into (pulses, resistances, iterations)."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["channel", "pulse_ns", "resistance_ohm", "iterations"]:
-            raise ValueError(f"{path}: unexpected capture CSV header")
-        pulses, res, iters = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields")
-            if int(row[0]) != len(pulses):
-                raise ValueError(f"{path}: line {lineno}: channels out of order")
-            pulses.append(float(row[1]))
-            res.append(float(row[2]))
-            iters.append(int(row[3]))
-    return tuple(pulses), tuple(res), tuple(iters)

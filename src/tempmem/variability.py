@@ -76,27 +76,29 @@ class TrialRow:
     window_exceeded: bool
 
 
-def _lognormal_factor(rng: np.random.Generator, sigma_rel: float) -> float:
-    """Mean-one lognormal multiplier with the given relative std-dev.
+def _lognormal_factor(rng: np.random.Generator, sigma_rel: float, shape=None):
+    """Mean-one lognormal multiplier with the given relative std-dev, or an
+    array of them when a shape is given.
 
-    Always consumes one draw so the stream position is independent of
-    sigma; sigma 0 yields exactly 1.0.
+    Always consumes one draw per factor so the stream position is
+    independent of sigma; sigma 0 yields exactly 1.0.
     """
-    z = rng.standard_normal()
+    z = rng.standard_normal(shape)
     s2 = math.log1p(sigma_rel * sigma_rel)
-    return math.exp(-0.5 * s2 + math.sqrt(s2) * z)
+    x = -0.5 * s2 + math.sqrt(s2) * z
+    if shape is None:
+        return math.exp(x)
+    # math.exp, not np.exp: numpy's SIMD exp differs in the last bit.
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(shape)
 
 
 def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
-                 rng: np.random.Generator | None = None):
-    """Per-device params grid with lognormally spread r_on (row-major)."""
+                 rng: np.random.Generator | None = None) -> DeviceParams:
+    """`base` with a rows x cols r_on grid, lognormally spread per device."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    return tuple(
-        tuple(replace(base, r_on=base.r_on * _lognormal_factor(rng, spec.d2d_sigma))
-              for _ in range(cols))
-        for _ in range(rows)
-    )
+    return replace(base, r_on=base.r_on * _lognormal_factor(
+        rng, spec.d2d_sigma, (rows, cols)))
 
 
 def perturb_pulse(duration: float, spec: VariationSpec,
@@ -202,19 +204,6 @@ def write_trial_report_csv(path, report: TrialReport) -> None:
         writer.writerow(_REPORT_FIELDS)
         writer.writerow([report.n_trials] +
                         [repr(getattr(report, k)) for k in _REPORT_FIELDS[1:]])
-
-
-def read_trial_report_csv(path) -> TrialReport:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _REPORT_FIELDS:
-            raise ValueError(f"{path}: unexpected trial report header")
-        row = next(reader, None)
-        if row is None or len(row) != len(_REPORT_FIELDS):
-            raise ValueError(f"{path}: malformed trial report row")
-    return TrialReport(n_trials=int(row[0]),
-                       **{k: float(v) for k, v in zip(_REPORT_FIELDS[1:], row[1:])})
 
 
 def write_trials_csv(path, rows) -> None:

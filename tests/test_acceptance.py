@@ -12,17 +12,15 @@ import pytest
 
 import tempmem as tm
 from tempmem.crossbar import ArrayState
-from tempmem.device import DeviceState, resistance_of
+from tempmem.device import resistance_of
 
 P = tm.DeviceParams()
 
 
 def column_state(resistances):
-    devs = []
-    for r in resistances:
-        stress = P.tau_w * math.expm1((r - P.r_on) / P.amp_a)
-        devs.append((DeviceState(stress=stress, resistance=r),))
-    return ArrayState(devices=tuple(devs), line_v=(0.0,) * len(devs))
+    stress = [P.tau_w * math.expm1((r - P.r_on) / P.amp_a) for r in resistances]
+    return ArrayState(stress=np.array(stress).reshape(-1, 1),
+                      resistance=np.array(resistances, dtype=float).reshape(-1, 1))
 
 
 def report(num, name, t0, budget):
@@ -84,7 +82,7 @@ def test_criterion_4_first_edge_invariance():
         state, result = tm.capture_native(tm.new_array(cfg, P), cfg, P, 0, w)
         first = int(np.argmin(w.times))
         assert result.final_resistances[first] == P.r_on
-        assert state.devices[first][0].stress == 0.0
+        assert state.stress[first, 0] == 0.0
     report(4, "first-arriving channel stays exactly at r_on, 1000/1000", t0, 5.0)
 
 

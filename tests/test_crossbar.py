@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tempmem.crossbar import (ArrayConfig, ArrayState, column_resistances,
-                              dynamic_range, new_array, read_grid_csv, recall,
-                              recall_scaled, reset_lines, write_grid_csv)
-from tempmem.device import DeviceParams, DeviceState, resistance_of
+from tempmem.crossbar import (ArrayConfig, ArrayState, dynamic_range,
+                              new_array, read_grid_csv, recall, reset_lines,
+                              write_grid_csv)
+from tempmem.device import DeviceParams, resistance_of
 from tempmem.wavefront import rank_of
 
 P = DeviceParams()
@@ -15,11 +16,10 @@ P = DeviceParams()
 
 def column_state(resistances, params=P):
     """Single-column array with the given resistances, coherent stress."""
-    devs = []
-    for r in resistances:
-        stress = params.tau_w * math.expm1((r - params.r_on) / params.amp_a)
-        devs.append((DeviceState(stress=stress, resistance=r),))
-    return ArrayState(devices=tuple(devs), line_v=(0.0,) * len(devs))
+    stress = [params.tau_w * math.expm1((r - params.r_on) / params.amp_a)
+              for r in resistances]
+    return ArrayState(stress=np.array(stress).reshape(-1, 1),
+                      resistance=np.array(resistances, dtype=float).reshape(-1, 1))
 
 
 def rc_threshold_oracle(r, c, theta, dt=1e-4):
@@ -82,7 +82,7 @@ class TestRecall:
 
     def test_rejects_charged_lines(self):
         state = column_state([10e3, 20e3])
-        charged = ArrayState(devices=state.devices, line_v=(1.8, 0.0))
+        charged = replace(state, lines_charged=True)
         with pytest.raises(ValueError, match="discharged|reset"):
             recall(charged, ArrayConfig(rows=2, cols=1), 0)
 
@@ -127,7 +127,7 @@ class TestRecallScaled:
         cfg = ArrayConfig(rows=3, cols=1, t_shifter=1.0)
         state = column_state([10e3, 25e3, 40e3])
         base, _ = recall(state, cfg, 0)
-        doubled, _ = recall_scaled(state, cfg, 0, 2.0 * cfg.c_line)
+        doubled, _ = recall(state, replace(cfg, c_line=2.0 * cfg.c_line), 0)
         for t0, t1 in zip(base.times, doubled.times):
             assert t1 - cfg.t_shifter == pytest.approx(2.0 * (t0 - cfg.t_shifter),
                                                        rel=1e-12)
@@ -135,27 +135,29 @@ class TestRecallScaled:
     def test_identity_at_configured_capacitance(self):
         cfg = ArrayConfig(rows=2, cols=1)
         state = column_state([11e3, 29e3])
-        assert recall_scaled(state, cfg, 0, cfg.c_line) == recall(state, cfg, 0)
+        assert recall(state, replace(cfg, c_line=cfg.c_line), 0) == \
+            recall(state, cfg, 0)
 
     def test_energy_scales_with_capacitance(self):
         cfg = ArrayConfig(rows=2, cols=1)
         state = column_state([11e3, 29e3])
-        _, e = recall_scaled(state, cfg, 0, 2e-12)
+        _, e = recall(state, replace(cfg, c_line=2e-12), 0)
         assert e.per_line == pytest.approx(2e-12 * cfg.v_read ** 2, rel=1e-12)
 
     def test_rejects_nonpositive_capacitance(self):
         state = column_state([10e3])
         with pytest.raises(ValueError):
-            recall_scaled(state, ArrayConfig(rows=1, cols=1), 0, 0.0)
+            recall(state, replace(ArrayConfig(rows=1, cols=1), c_line=0.0), 0)
 
 
 class TestResetLines:
     def test_devices_bit_identical(self):
         state = column_state([10e3, 20e3])
-        charged = ArrayState(devices=state.devices, line_v=(1.8, 1.8))
+        charged = replace(state, lines_charged=True)
         cleared = reset_lines(charged)
-        assert cleared.devices is charged.devices
-        assert cleared.line_v == (0.0, 0.0)
+        assert cleared.stress is charged.stress
+        assert cleared.resistance is charged.resistance
+        assert not cleared.lines_charged
 
     def test_recall_reset_recall_repeats(self):
         cfg = ArrayConfig(rows=3, cols=1)
@@ -167,7 +169,9 @@ class TestResetLines:
 
     def test_noop_on_fresh_array(self):
         state = new_array(ArrayConfig(rows=2, cols=2), P)
-        assert reset_lines(state).devices is state.devices
+        cleared = reset_lines(state)
+        assert cleared.stress is state.stress
+        assert cleared.resistance is state.resistance
 
 
 class TestDynamicRange:
@@ -212,32 +216,34 @@ class TestNewArray:
     def test_all_devices_on(self):
         cfg = ArrayConfig(rows=3, cols=2)
         state = new_array(cfg, P)
-        assert all(d.stress == 0.0 and d.resistance == P.r_on
-                   for row in state.devices for d in row)
-        assert state.line_v == (0.0, 0.0, 0.0)
+        assert np.all(state.stress == 0.0) and np.all(state.resistance == P.r_on)
+        assert state.stress.shape == state.resistance.shape == (3, 2)
+        assert not state.lines_charged
 
     def test_per_device_params_grid(self):
         cfg = ArrayConfig(rows=2, cols=1)
-        from dataclasses import replace
-        grid = ((replace(P, r_on=10.1e3),), (replace(P, r_on=9.9e3),))
+        grid = replace(P, r_on=np.array([[10.1e3], [9.9e3]]))
         state = new_array(cfg, grid)
-        assert column_resistances(state, 0).tolist() == [10.1e3, 9.9e3]
+        assert state.resistance[:, 0].tolist() == [10.1e3, 9.9e3]
+
+    def test_rejects_mismatched_params_grid(self):
+        grid = replace(P, r_on=np.full((2, 2), 1e4))
+        with pytest.raises(ValueError, match="dimensions"):
+            new_array(ArrayConfig(rows=2, cols=1), grid)
 
 
 class TestGridCsv:
     def test_round_trip(self, tmp_path):
         cfg = ArrayConfig(rows=2, cols=2)
-        state = new_array(cfg, P)
+        stress = np.array([[float(i + j) for j in range(2)] for i in range(2)])
         state = ArrayState(
-            devices=tuple(
-                tuple(DeviceState(stress=float(i + j), resistance=resistance_of(float(i + j), P))
-                      for j in range(2)) for i in range(2)),
-            line_v=(0.0, 0.0))
+            stress=stress,
+            resistance=np.array([[resistance_of(s, P) for s in row]
+                                 for row in stress.tolist()]))
         path = tmp_path / "grid.csv"
         write_grid_csv(path, state)
         loaded = read_grid_csv(path, cfg, P)
-        assert np.allclose([[d.resistance for d in row] for row in loaded.devices],
-                           [[d.resistance for d in row] for row in state.devices])
+        assert np.allclose(loaded.resistance, state.resistance)
 
     def test_rejects_missing_cells(self, tmp_path):
         path = tmp_path / "grid.csv"

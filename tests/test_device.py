@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from tempmem.device import (AMP_A_DEFAULT, DeviceParams, DeviceState,
-                            apply_pulse, calibrate_amp, initialize_on,
+                            apply_pulse, calibrate_amp,
                             programming_rate, pulse_energy, resistance_of)
 
 P = DeviceParams()
@@ -100,18 +101,24 @@ class TestApplyPulse:
         assert apply_pulse(dev, v, duration, P) is dev
 
 
+def initialize_on(state, params=P):
+    """Ideal SET: a positive pulse at the write level returns the device
+    to the ON state."""
+    return apply_pulse(state, params.v_write_nominal, 1.0, params)
+
+
 class TestInitializeOn:
     def test_erases_accumulated_stress(self):
-        out = initialize_on(stressed(500.0), P)
+        out = initialize_on(stressed(500.0))
         assert out.stress == 0.0
         assert out.resistance == P.r_on
 
     def test_idempotent(self):
-        once = initialize_on(stressed(0.0), P)
-        assert initialize_on(once, P) == once
+        once = initialize_on(stressed(0.0))
+        assert initialize_on(once) == once
 
     def test_resistance_is_on_state(self):
-        assert resistance_of(initialize_on(stressed(42.0), P).stress, P) == 10e3
+        assert resistance_of(initialize_on(stressed(42.0)).stress, P) == 10e3
 
 
 class TestCalibrateAmp:
@@ -165,6 +172,13 @@ class TestParamsValidation:
             DeviceParams(tau_w=-1.0)
         with pytest.raises(ValueError):
             DeviceParams(v_zero=0.0)
+
+    def test_r_on_grid_checked_per_device(self):
+        assert DeviceParams(r_on=np.full((2, 3), 9e3)).at(1, 2).r_on == 9e3
+        for bad in (np.array([[1e4, np.nan]]), np.array([[1e4, 2e6]]),
+                    np.full(4, 1e4)):
+            with pytest.raises(ValueError):
+                DeviceParams(r_on=bad)
 
 
 class TestPulseEnergy:

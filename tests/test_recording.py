@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +10,7 @@ from tempmem.device import DeviceParams, resistance_of
 from tempmem.recording import (CaptureResult, QuantizerSpec, capture_digital,
                                capture_native, default_slope,
                                matched_capacitance, program_closed_loop,
-                               quantize, read_capture_csv, round_trip,
-                               write_capture_csv)
+                               quantize, round_trip, write_capture_csv)
 from tempmem.wavefront import Wavefront, rank_of
 
 P = DeviceParams()
@@ -72,7 +73,8 @@ class TestCaptureNative:
         cfg = cfg_for(3)
         fresh = new_array(cfg, P)
         state, _ = capture_native(fresh, cfg, P, 0, Wavefront((5.0, 25.0, 45.0)))
-        assert state.devices[0][0] is fresh.devices[0][0]
+        assert state.stress[0, 0] == fresh.stress[0, 0] == 0.0
+        assert state.resistance[0, 0] == fresh.resistance[0, 0]
 
     def test_simultaneous_wavefront_leaves_column_on(self):
         cfg = cfg_for(4)
@@ -85,8 +87,7 @@ class TestCaptureNative:
         cfg = cfg_for(2)
         state, _ = capture_native(new_array(cfg, P), cfg, P, 0,
                                   Wavefront((0.0, 10.0)))
-        assert state.line_v == (cfg.v_dd, cfg.v_dd)
-        assert state.enabled_col == 0
+        assert state.lines_charged
 
     def test_requires_initialized_column(self):
         cfg = cfg_for(2)
@@ -180,7 +181,7 @@ class TestClosedLoop:
     def test_target_below_start_fails_without_burning_iterations(self):
         cfg = cfg_for(1)
         from dataclasses import replace
-        grid = ((replace(P, r_on=11e3),),)
+        grid = replace(P, r_on=np.array([[11e3]]))
         _, result = program_closed_loop(new_array(cfg, grid), cfg, grid, 0,
                                         [10e3], tol=0.001, step=1.0,
                                         max_iters=100)
@@ -309,13 +310,10 @@ class TestCaptureCsv:
                                converged=(True, True))
         path = tmp_path / "capture.csv"
         write_capture_csv(path, result)
-        pulses, res, iters = read_capture_csv(path)
-        assert pulses == result.pulses
-        assert res == result.final_resistances
-        assert iters == result.iterations
-
-    def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("a,b,c,d\n")
-        with pytest.raises(ValueError, match="header"):
-            read_capture_csv(path)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [int(r["channel"]) for r in rows] == [0, 1]
+        assert tuple(float(r["pulse_ns"]) for r in rows) == result.pulses
+        assert tuple(float(r["resistance_ohm"]) for r in rows) == \
+            result.final_resistances
+        assert tuple(int(r["iterations"]) for r in rows) == result.iterations

@@ -103,6 +103,17 @@ class TestScenarioParsing:
         s = parse_scenario_text("run.scale_cap = 2.0\n")
         assert s.sweep_settings().scale_cap == pytest.approx(2e-12)
 
+    @pytest.mark.parametrize("key, value", [
+        (key, "nan") for key in (
+            "device.r_on", "device.r_off_max", "device.amp_a",
+            "device.tau_w_ns", "device.v_prog_threshold", "device.v_zero",
+            "device.v_write_nominal", "array.c_line_pf", "array.v_read",
+            "array.v_dd", "array.theta", "array.t_shifter_ns")
+    ] + [("array.t_shifter_ns", "inf"), ("array.c_line_pf", "inf")])
+    def test_non_finite_device_and_array_values_rejected(self, key, value):
+        with pytest.raises(ScenarioError, match="invalid scenario"):
+            parse_scenario_text(f"{key} = {value}\n")
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -185,10 +196,10 @@ class TestCliCapture:
         write_wavefront_csv(wf_path, Wavefront((5.0, 25.0, 45.0)))
         out = tmp_path / "out"
         assert run_cli("capture", "--input", str(wf_path), "--out", str(out)) == 0
-        from tempmem.recording import read_capture_csv
-        pulses, res, iters = read_capture_csv(out / "capture.csv")
-        assert pulses == (0.0, 20.0, 40.0)
-        assert res[0] == 10e3
+        with open(out / "capture.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(r["pulse_ns"]) for r in rows] == [0.0, 20.0, 40.0]
+        assert float(rows[0]["resistance_ohm"]) == 10e3
         assert (out / "grid.csv").exists()
         assert "write energy" in (out / "capture_report.txt").read_text()
 
@@ -227,12 +238,11 @@ class TestCliSweep:
             (out_b / "trial_report.csv").read_bytes()
 
     def test_report_csv_parses_back(self, tmp_path):
-        from tempmem.variability import read_trial_report_csv
         out = tmp_path / "out"
         assert run_cli("sweep", "--trials", "5", "--seed", "3",
                        "--out", str(out)) == 0
-        report = read_trial_report_csv(out / "trial_report.csv")
-        assert report.n_trials == 5
+        report = read_single_row_csv(out / "trial_report.csv")
+        assert int(report["n_trials"]) == 5
 
 
 class TestCliCalibrate:
@@ -257,6 +267,18 @@ class TestCliCalibrate:
 
 
 class TestCliErrors:
+    def test_zero_trials_exits_1(self, tmp_path, capsys):
+        assert run_cli("sweep", "--trials", "0",
+                       "--out", str(tmp_path / "o")) == 1
+        assert "run.trials must be at least 1" in capsys.readouterr().err
+
+    def test_zero_calibration_span_exits_1(self, tmp_path, capsys):
+        scen = tmp_path / "s.txt"
+        scen.write_text("calibrate.r_span_ohm = 0\n")
+        assert run_cli("calibrate", "--scenario", str(scen),
+                       "--out", str(tmp_path / "o")) == 1
+        assert "r_span must be positive" in capsys.readouterr().err
+
     def test_bad_scenario_exits_2_with_line(self, tmp_path, capsys):
         scen = tmp_path / "s.txt"
         scen.write_text("array.rows = 2\nnot a key = 1\n")
