@@ -45,8 +45,8 @@ class ArrayConfig:
             raise ValueError("theta must lie strictly between 0 and 1")
         if not 0 < self.c_line < math.inf:
             raise ValueError("c_line must be positive and finite")
-        if not 0 < self.v_read < self.v_dd:
-            raise ValueError("need 0 < v_read < v_dd")
+        if not 0 < self.v_read < self.v_dd < math.inf:
+            raise ValueError("need 0 < v_read < v_dd < inf")
         if not 0 <= self.t_shifter < math.inf:
             raise ValueError("t_shifter must be non-negative and finite")
 
@@ -83,13 +83,21 @@ def base_params(params: DeviceParams) -> DeviceParams:
     return params.at(0, 0)
 
 
+def r_on_grid(params: DeviceParams, cfg: ArrayConfig) -> np.ndarray:
+    """Every device's ON resistance as a rows x cols array: the params' own
+    array when they hold one, so callers must not write to it."""
+    shape = (cfg.rows, cfg.cols)
+    if np.ndim(params.r_on):
+        if np.shape(params.r_on) != shape:
+            raise ValueError("r_on grid does not match the array dimensions")
+        return params.r_on
+    return np.full(shape, params.r_on, dtype=float)
+
+
 def new_array(cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     """Fresh array: every device in its ON state, all lines discharged."""
-    shape = (cfg.rows, cfg.cols)
-    if np.ndim(params.r_on) and np.shape(params.r_on) != shape:
-        raise ValueError("r_on grid does not match the array dimensions")
-    return ArrayState(stress=np.zeros(shape),
-                      resistance=np.full(shape, params.r_on, dtype=float))
+    resistance = np.array(r_on_grid(params, cfg), dtype=float)
+    return ArrayState(stress=np.zeros(resistance.shape), resistance=resistance)
 
 
 def ln_factor(theta: float) -> float:
@@ -176,13 +184,13 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     missing = cfg.rows * cfg.cols - len(cells)
     if missing:
         raise ValueError(f"{path}: {missing} cells missing from the grid")
+    r_on = r_on_grid(params, cfg).tolist()
     stress = np.empty((cfg.rows, cfg.cols))
     resistance = np.empty_like(stress)
     for (i, j), r in sorted(cells.items()):
-        p = params.at(i, j)
-        if not p.r_on <= r <= p.r_off_max:
+        if not r_on[i][j] <= r <= params.r_off_max:
             raise ValueError(f"cell ({i},{j}): resistance {r} outside "
                              f"[r_on, r_off_max]")
-        stress[i, j] = p.tau_w * math.expm1((r - p.r_on) / p.amp_a)
+        stress[i, j] = params.tau_w * math.expm1((r - r_on[i][j]) / params.amp_a)
         resistance[i, j] = r
     return ArrayState(stress=stress, resistance=resistance)

@@ -13,6 +13,16 @@ positive pulse at or above the threshold is an ideal SET (full erase
 back to the ON state); a negative one accumulates stress at a
 sinh-shaped, voltage-dependent rate normalized to 1 at the nominal
 write voltage.
+
+The scalar functions (`resistance_of`, `apply_pulse`, `pulse_energy`)
+state the law one pulse at a time and are the reference.  Captures run
+it faster but bit for bit the same: their per-pulse loop is plain float
+arithmetic on stress and resistance, and `reset_energy` integrates a
+whole stress/resistance trajectory's write energy at once afterwards.
+Only `+ - * /`, `min`/`max` and `scipy.special.expi` are vectorised, as
+numpy gives the same bits for them; `exp`, `expm1` and `log1p` stay
+per-element `math.*`, because numpy's SIMD versions differ in the last
+bit for some inputs.
 """
 
 from __future__ import annotations
@@ -59,16 +69,16 @@ class DeviceParams:
             lo, hi = r_on.min(), r_on.max()
         else:
             lo = hi = r_on
-        if not (0 < lo and hi < self.r_off_max):
-            raise ValueError("need 0 < r_on < r_off_max")
-        if not self.amp_a > 0:
-            raise ValueError("amp_a must be positive")
-        if not self.tau_w > 0:
-            raise ValueError("tau_w must be positive")
-        if not 0 < self.v_prog_threshold < self.v_write_nominal:
-            raise ValueError("need 0 < v_prog_threshold < v_write_nominal")
-        if not self.v_zero > 0:
-            raise ValueError("v_zero must be positive")
+        if not (0 < lo and hi < self.r_off_max < math.inf):
+            raise ValueError("need 0 < r_on < r_off_max < inf")
+        if not 0 < self.amp_a < math.inf:
+            raise ValueError("amp_a must be positive and finite")
+        if not 0 < self.tau_w < math.inf:
+            raise ValueError("tau_w must be positive and finite")
+        if not 0 < self.v_prog_threshold < self.v_write_nominal < math.inf:
+            raise ValueError("need 0 < v_prog_threshold < v_write_nominal < inf")
+        if not 0 < self.v_zero < math.inf:
+            raise ValueError("v_zero must be positive and finite")
 
     def at(self, row: int, col: int) -> DeviceParams:
         """The scalar params of device (row, col)."""
@@ -137,31 +147,50 @@ def calibrate_amp(r_span: float, t_span: float, params: DeviceParams) -> DeviceP
     return replace(params, amp_a=r_span / math.log1p(t_span / params.tau_w))
 
 
-def _clamp_stress(params: DeviceParams) -> float:
-    """Stress at which the resistance reaches r_off_max."""
-    x = (params.r_off_max - params.r_on) / params.amp_a
-    if x > 700.0:  # expm1 would overflow; the clamp is unreachable
-        return math.inf
-    return params.tau_w * math.expm1(x)
+def _reset_constants(r_on: float, params: DeviceParams) -> tuple[float, float, float]:
+    """Of a device whose ON resistance is r_on: the stress at which its
+    resistance reaches r_off_max, the resistance the law gives there, and
+    the prefactor (tau/A) e^(-r_on/A) of the Ei antiderivative."""
+    a, tau = params.amp_a, params.tau_w
+    x = (params.r_off_max - r_on) / a
+    # expm1 would overflow beyond 700; the clamp is then unreachable
+    s_clamp = math.inf if x > 700.0 else tau * math.expm1(x)
+    r_clamp = min(r_on + a * math.log1p(s_clamp / tau), params.r_off_max)
+    return s_clamp, r_clamp, (tau / a) * math.exp(-r_on / a)
 
 
-def _inverse_resistance_integral(s0: float, s1: float, params: DeviceParams) -> float:
-    """Integral of ds / R(s) over [s0, s1] in ns/ohm, honoring the clamp.
+def reset_energy(s0: np.ndarray, s1: np.ndarray, r0: np.ndarray, r1: np.ndarray,
+                 v: float, rate: float, r_on: float | np.ndarray,
+                 params: DeviceParams) -> np.ndarray:
+    """Energy (J) of each of a set of RESET pulses at voltage v.
 
-    For the log law the antiderivative is an exponential integral:
-    int ds / (r_on + A ln((tau+s)/tau)) = (tau/A) e^(-r_on/A) Ei(R(s)/A).
+    Pulse k moves a device from stress s0[k] to s1[k] (ns) at stress rate
+    `rate`; r0[k] and r1[k] are the law's resistances at those stresses,
+    and r_on is the devices' ON resistance, one float for all pulses or
+    one per pulse.  Consecutive points of one device's trajectory give
+    the energies of its pulses in one call.
+
+    The integral of ds / R(s) has the antiderivative
+    (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp; above it R is
+    r_off_max.  The pulses crossing the clamp are split there.
     """
+    if np.ndim(r_on):
+        s_clamp, r_clamp, pref = (np.array(c) for c in zip(
+            *(_reset_constants(r, params) for r in r_on.tolist())))
+    else:
+        s_clamp, r_clamp, pref = _reset_constants(r_on, params)
     a = params.amp_a
-    s_clamp = _clamp_stress(params)
-    total = 0.0
-    lo, hi = s0, min(s1, s_clamp)
-    if hi > lo:
-        pref = (params.tau_w / a) * math.exp(-params.r_on / a)
-        total += pref * (expi(resistance_of(hi, params) / a)
-                         - expi(resistance_of(lo, params) / a))
-    if s1 > s_clamp:
-        total += (s1 - max(s0, s_clamp)) / params.r_off_max
-    return total
+    total = np.zeros(np.shape(s1))
+    below = np.minimum(s1, s_clamp) > s0
+    if below.any():
+        r_hi = np.where(s1 <= s_clamp, r1, r_clamp)[below]
+        total[below] += (pref[below] if np.ndim(pref) else pref) * (
+            expi(r_hi / a) - expi(r0[below] / a))
+    above = s1 > s_clamp
+    if above.any():
+        start = np.maximum(s0, s_clamp)[above]
+        total[above] += (s1[above] - start) / params.r_off_max
+    return (v * v / rate) * total * 1e-9
 
 
 def pulse_energy(state: DeviceState, v: float, duration: float,
@@ -181,7 +210,9 @@ def pulse_energy(state: DeviceState, v: float, duration: float,
         raise ValueError("energy model covers read and reverse pulses only")
     if rate == 0.0:
         return v * v * duration / resistance_of(state.stress, params) * 1e-9
-    s1 = state.stress + duration * rate
-    # float() keeps scipy's np.float64 out of downstream serialization
-    return float((v * v / rate)
-                 * _inverse_resistance_integral(state.stress, s1, params) * 1e-9)
+    s0 = state.stress
+    s1 = s0 + duration * rate
+    r0, r1 = resistance_of(s0, params), resistance_of(s1, params)
+    # float() keeps numpy's float64 out of downstream serialization
+    return float(reset_energy(np.array([s0]), np.array([s1]), np.array([r0]),
+                              np.array([r1]), v, rate, params.r_on, params)[0])

@@ -19,10 +19,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from . import device
 from .crossbar import (ArrayConfig, ArrayState, EnergyReport, base_params,
-                       new_array, ln_factor, recall, reset_lines, _check_col)
-from .device import DeviceParams, DeviceState
+                       new_array, ln_factor, r_on_grid, recall, reset_lines,
+                       _check_col)
+from .device import DeviceParams
 from .wavefront import (Wavefront, effective_bits, kendall_tau, normalize,
                         rank_of, timing_error, EFFECTIVE_BITS_CAP)
 
@@ -52,13 +55,16 @@ class QuantizerSpec:
     t_fine: float | None = None  # ns, vernier resolution
 
     def __post_init__(self):
+        # Checks are written so that nan fails them.
         if self.kind not in ("counter", "vernier"):
             raise ValueError("quantizer kind must be 'counter' or 'vernier'")
-        if self.t_clk <= 0:
-            raise ValueError("t_clk must be positive")
-        if self.kind == "vernier":
-            if self.t_fine is None or not 0 < self.t_fine < self.t_clk:
-                raise ValueError("vernier needs 0 < t_fine < t_clk")
+        if not 0 < self.t_clk < math.inf:
+            raise ValueError("t_clk must be positive and finite")
+        if self.t_fine is not None and not 0 < self.t_fine < math.inf:
+            raise ValueError("t_fine must be positive and finite")
+        if self.kind == "vernier" and (self.t_fine is None
+                                       or not self.t_fine < self.t_clk):
+            raise ValueError("vernier needs 0 < t_fine < t_clk")
 
 
 @dataclass(frozen=True)
@@ -101,23 +107,41 @@ def quantize(w: Wavefront, q: QuantizerSpec) -> QuantizedWavefront:
     return QuantizedWavefront(coarse=tuple(coarse), fine=tuple(fine))
 
 
-def _read_on_column(state: ArrayState, col: int) -> list[DeviceState]:
-    """The devices of column `col`, which must all be in the ON state."""
-    stress = state.stress[:, col].tolist()
-    if any(s != 0.0 for s in stress):
+def _read_on_column(state: ArrayState, col: int) -> list[float]:
+    """The resistances of column `col`, whose devices must all be in the
+    ON state."""
+    if np.any(state.stress[:, col] != 0.0):
         raise ValueError(f"column {col} is not initialized to the ON state")
-    return [DeviceState(s, r)
-            for s, r in zip(stress, state.resistance[:, col].tolist())]
+    return state.resistance[:, col].tolist()
 
 
-def _write_column(state: ArrayState, col: int,
-                  devs: Sequence[DeviceState]) -> ArrayState:
-    stress = state.stress.copy()
-    resistance = state.resistance.copy()
-    stress[:, col] = [d.stress for d in devs]
-    resistance[:, col] = [d.resistance for d in devs]
+def _write_column(state: ArrayState, col: int, stress, resistance) -> ArrayState:
+    new_stress = state.stress.copy()
+    new_resistance = state.resistance.copy()
+    new_stress[:, col] = stress
+    new_resistance[:, col] = resistance
     # Capture leaves the bit lines driven high; reset_lines discharges them.
-    return ArrayState(stress=stress, resistance=resistance, lines_charged=True)
+    return ArrayState(stress=new_stress, resistance=new_resistance,
+                      lines_charged=True)
+
+
+def _reset_rate(params: DeviceParams, v_write: float | None) -> tuple[float, float]:
+    """The write level (nominal by default) and the stress rate it gives."""
+    if v_write is None:
+        v_write = params.v_write_nominal
+    # Written so that nan fails it.
+    if not params.v_prog_threshold <= v_write < math.inf:
+        raise ValueError("v_write must be finite and at least the programming "
+                         "threshold")
+    return v_write, device.programming_rate(-v_write, params)
+
+
+def _add(total: float, energies: np.ndarray) -> float:
+    """total plus each energy in turn: the order of a pulse-by-pulse running
+    sum, which np.sum or math.fsum would not reproduce bit for bit."""
+    for e in energies.tolist():
+        total += e
+    return total
 
 
 def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
@@ -129,36 +153,38 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
     Channel i receives a reverse pulse lasting t_i - min(t); the first
     arriving channel gets none and its device stays exactly at r_on.  A
     span beyond the calibrated linear window is flagged, not rejected.
+    The noise is drawn once per row, in row order; the device law then
+    runs on the whole column at once.
     """
     _check_col(state, cfg, col)
     if len(w) != cfg.rows:
         raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
-    devs = _read_on_column(state, col)
-    if v_write is None:
-        v_write = params.v_write_nominal
-    if v_write < params.v_prog_threshold:
-        raise ValueError("v_write must be at least the programming threshold")
+    start = _read_on_column(state, col)
+    v_write, rate = _reset_rate(params, v_write)
+    r_on = r_on_grid(params, cfg)[:, col]
     t0 = min(w.times)
-    pulses = []
-    new_devs = []
-    energy = 0.0
-    for i, dev in enumerate(devs):
-        p = params.at(i, col)
-        dur = w.times[i] - t0
-        if pulse_noise is not None:
-            dur = pulse_noise(dur)
-        energy += device.pulse_energy(dev, -v_write, dur, p)
-        new_devs.append(device.apply_pulse(dev, -v_write, dur, p))
-        pulses.append(dur)
+    pulses = [t - t0 for t in w.times]
+    if pulse_noise is not None:
+        pulses = [pulse_noise(d) for d in pulses]
+    if any(d < 0 for d in pulses):
+        raise ValueError("pulse duration must be non-negative")
+    dur = np.array(pulses)
+    stress = dur * rate
+    log_term = np.array([math.log1p(x) for x in (stress / params.tau_w).tolist()])
+    law = np.minimum(r_on + params.amp_a * log_term, params.r_off_max)
+    # A zero-length pulse leaves its device as it was.
+    resistance = np.where(dur == 0.0, start, law)
+    energies = device.reset_energy(np.zeros(cfg.rows), stress, r_on, law,
+                                   -v_write, rate, r_on, params)
     result = CaptureResult(
         pulses=tuple(pulses),
-        final_resistances=tuple(d.resistance for d in new_devs),
-        write_energy=energy,
+        final_resistances=tuple(resistance.tolist()),
+        write_energy=_add(0.0, energies),
         iterations=(1,) * cfg.rows,
         converged=(True,) * cfg.rows,
         window_exceeded=w.span > window_ns,
     )
-    return _write_column(state, col, new_devs), result
+    return _write_column(state, col, stress, resistance), result
 
 
 def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
@@ -172,53 +198,76 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     The loop only moves resistance upward, so a target already below the
     verify band is flagged unreachable immediately; targets beyond what
     max_iters steps can reach are flagged after the budget runs out.
+
+    Each device's verify loop is plain float arithmetic on its stress and
+    resistance, with its constants read once; it records the trajectory,
+    and `device.reset_energy` integrates the device's write energy over it
+    after the loop.  Results are bit-identical to pulsing with
+    `device.apply_pulse` and summing `device.pulse_energy` pulse by pulse.
     """
     _check_col(state, cfg, col)
     if len(targets) != cfg.rows:
         raise ValueError(f"{len(targets)} targets for {cfg.rows} rows")
     if any(not math.isfinite(t) or t <= 0 for t in targets):
         raise ValueError("targets must be positive and finite")
-    devs = _read_on_column(state, col)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if v_write is None:
-        v_write = params.v_write_nominal
-    if v_write < params.v_prog_threshold:
-        raise ValueError("v_write must be at least the programming threshold")
+    start = _read_on_column(state, col)
+    # Written so that nan fails them.
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not max_iters >= 0:
+        raise ValueError("max_iters must be non-negative")
+    v_write, rate = _reset_rate(params, v_write)
+    a, tau, r_off = params.amp_a, params.tau_w, params.r_off_max
+    log1p = math.log1p
     pulses = []
-    new_devs = []
+    stresses = []
+    resistances = []
     iterations = []
     converged = []
     energy = 0.0
-    for i, dev in enumerate(devs):
-        p = params.at(i, col)
-        target = float(targets[i])
+    for r_on, r, target in zip(r_on_grid(params, cfg)[:, col].tolist(), start,
+                               targets):
+        target = float(target)
+        band_top = target * (1.0 + tol)
+        s = 0.0
+        trajectory_s, trajectory_r = [s], [r_on]
         applied = 0.0
         iters = 0
-        while abs(dev.resistance - target) / target > tol:
-            if dev.resistance > target * (1.0 + tol):
+        while abs(r - target) / target > tol:
+            if r > band_top:
                 break  # overshot (or started above): a reverse pulse can't come back
             if iters >= max_iters:
                 break
             dur = pulse_noise(step) if pulse_noise is not None else step
-            energy += device.pulse_energy(dev, -v_write, dur, p)
-            dev = device.apply_pulse(dev, -v_write, dur, p)
+            if dur < 0:
+                raise ValueError("pulse duration must be non-negative")
+            # A zero-length pulse leaves the device as it is and costs nothing.
+            if dur != 0.0:
+                s += dur * rate
+                r = min(r_on + a * log1p(s / tau), r_off)
+                trajectory_s.append(s)
+                trajectory_r.append(r)
             applied += dur
             iters += 1
+        if len(trajectory_s) > 1:
+            ts, tr = np.array(trajectory_s), np.array(trajectory_r)
+            energy = _add(energy, device.reset_energy(
+                ts[:-1], ts[1:], tr[:-1], tr[1:], -v_write, rate, r_on, params))
         pulses.append(applied)
-        new_devs.append(dev)
+        stresses.append(s)
+        resistances.append(r)
         iterations.append(iters)
-        converged.append(abs(dev.resistance - target) / target <= tol)
+        converged.append(abs(r - target) / target <= tol)
     result = CaptureResult(
         pulses=tuple(pulses),
-        final_resistances=tuple(d.resistance for d in new_devs),
+        final_resistances=tuple(resistances),
         write_energy=energy,
         iterations=tuple(iterations),
         converged=tuple(converged),
     )
-    return _write_column(state, col, new_devs), result
+    return _write_column(state, col, stresses, resistances), result
 
 
 def default_slope(t_clk: float) -> float:

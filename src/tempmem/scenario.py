@@ -9,6 +9,7 @@ voltages V; capacitance keys carry an explicit _pf suffix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .crossbar import ArrayConfig
@@ -39,12 +40,29 @@ class RunSettings:
     workers: int = 1
 
     def __post_init__(self):
+        # Checks are written so that nan fails them.
         if self.path not in ("native", "digital"):
             raise ValueError("run.path must be native or digital")
+        if not self.column >= 0:
+            raise ValueError("run.column must be non-negative")
+        if self.scale_cap not in ("matched", "none") and not 0 < self.scale_cap < math.inf:
+            raise ValueError("run.scale_cap capacitance must be positive and finite")
         if self.trials < 1:
             raise ValueError("run.trials must be at least 1")
         if self.channels < 1:
             raise ValueError("run.channels must be at least 1")
+        if not 0 <= self.span_ns < math.inf:
+            raise ValueError("run.span_ns must be non-negative and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("run.tol must be positive and finite")
+        if not 0 < self.step_ns < math.inf:
+            raise ValueError("run.step_ns must be positive and finite")
+        if not self.max_iters >= 0:
+            raise ValueError("run.max_iters must be non-negative")
+        if self.v_write is not None and not 0 < self.v_write < math.inf:
+            raise ValueError("run.v_write must be positive and finite")
+        if not 0 <= self.window_ns < math.inf:
+            raise ValueError("run.window_ns must be non-negative and finite")
         if self.workers < 1:
             raise ValueError("run.workers must be at least 1")
 
@@ -56,6 +74,12 @@ class CalibrateSettings:
     span_ns: float = 40.0      # wanted recall span over the window
     r_span_ohm: float = 30e3   # resistance window above r_on
     energy_fj: float = 600.0   # wanted per-line recall energy
+
+    def __post_init__(self):
+        # Signs are checked where the targets are used (exit status 1).
+        if not all(map(math.isfinite, (self.span_ns, self.r_span_ohm,
+                                       self.energy_fj))):
+            raise ValueError("calibrate targets must be finite")
 
 
 @dataclass(frozen=True)
@@ -84,12 +108,9 @@ def _parse_scale_cap(text: str):
     if text in ("matched", "none"):
         return text
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValueError("expected 'matched', 'none' or a capacitance in pF") from None
-    if value <= 0:
-        raise ValueError("scale_cap capacitance must be positive")
-    return value
 
 
 # key -> (converter, section, field); capacitance/time suffixes name units.

@@ -17,6 +17,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -39,8 +40,9 @@ class VariationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d2d_sigma < 0 or self.c2c_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
+        # Written so that nan fails it.
+        if not (0 <= self.d2d_sigma < math.inf and 0 <= self.c2c_sigma < math.inf):
+            raise ValueError("sigmas must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -76,20 +78,11 @@ class TrialRow:
     window_exceeded: bool
 
 
-def _lognormal_factor(rng: np.random.Generator, sigma_rel: float, shape=None):
-    """Mean-one lognormal multiplier with the given relative std-dev, or an
-    array of them when a shape is given.
-
-    Always consumes one draw per factor so the stream position is
-    independent of sigma; sigma 0 yields exactly 1.0.
-    """
-    z = rng.standard_normal(shape)
+def _log_moments(sigma_rel: float) -> tuple[float, float]:
+    """Mean and std-dev of the log of a mean-one lognormal multiplier with
+    relative std-dev sigma_rel; sigma 0 gives exactly (0, 0)."""
     s2 = math.log1p(sigma_rel * sigma_rel)
-    x = -0.5 * s2 + math.sqrt(s2) * z
-    if shape is None:
-        return math.exp(x)
-    # math.exp, not np.exp: numpy's SIMD exp differs in the last bit.
-    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(shape)
+    return -0.5 * s2, math.sqrt(s2)
 
 
 def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
@@ -97,18 +90,35 @@ def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
     """`base` with a rows x cols r_on grid, lognormally spread per device."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    return replace(base, r_on=base.r_on * _lognormal_factor(
-        rng, spec.d2d_sigma, (rows, cols)))
+    mu, sd = _log_moments(spec.d2d_sigma)
+    x = mu + sd * rng.standard_normal((rows, cols))
+    # math.exp, not np.exp: numpy's SIMD exp differs in the last bit.
+    factor = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return replace(base, r_on=base.r_on * factor)
+
+
+def c2c_noise(spec: VariationSpec, rng: np.random.Generator) -> Callable[[float], float]:
+    """The cycle-to-cycle noise of a stream of programming pulses: each
+    call maps a duration to its effective duration after one lognormal
+    draw from `rng`.  A draw is taken even at sigma 0, so the stream
+    position is independent of sigma."""
+    mu, sd = _log_moments(spec.c2c_sigma)
+    draw, exp = rng.standard_normal, math.exp
+
+    def noise(duration: float) -> float:
+        if duration < 0:
+            raise ValueError("duration must be non-negative")
+        return duration * exp(mu + sd * draw())
+
+    return noise
 
 
 def perturb_pulse(duration: float, spec: VariationSpec,
                   rng: np.random.Generator | None = None) -> float:
     """One programming pulse's effective duration after c2c noise."""
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    return duration * _lognormal_factor(rng, spec.c2c_sigma)
+    return c2c_noise(spec, rng)(duration)
 
 
 def random_wavefront(rng: np.random.Generator, n_channels: int,
@@ -146,7 +156,7 @@ def _run_trial(args) -> TrialRow:
     rng = np.random.default_rng(seed_seq)
     w = random_wavefront(rng, settings.n_channels, settings.span_ns)
     grid = sample_array(base, spec, cfg.rows, cfg.cols, rng=rng)
-    noise = lambda d: perturb_pulse(d, spec, rng)
+    noise = c2c_noise(spec, rng)
     rt: RoundTripResult = round_trip(
         w, cfg, grid, path=settings.path, col=settings.column,
         v_write=settings.v_write, quantizer=settings.quantizer,

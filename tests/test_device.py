@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import expi
 
 from tempmem.device import (AMP_A_DEFAULT, DeviceParams, DeviceState,
                             apply_pulse, calibrate_amp,
-                            programming_rate, pulse_energy, resistance_of)
+                            programming_rate, pulse_energy, reset_energy,
+                            resistance_of)
 
 P = DeviceParams()
 
@@ -221,3 +223,44 @@ class TestPulseEnergy:
     def test_set_polarity_rejected(self):
         with pytest.raises(ValueError):
             pulse_energy(stressed(0.0), 1.4, 10.0, P)
+
+    @staticmethod
+    def scalar_formula(s0, v, duration, params):
+        """The RESET energy written with scalar floats and scalar expi, one
+        pulse at a time: the closed form the array version must reproduce."""
+        rate = programming_rate(v, params)
+        s1 = s0 + duration * rate
+        a = params.amp_a
+        x = (params.r_off_max - params.r_on) / a
+        s_clamp = math.inf if x > 700.0 else params.tau_w * math.expm1(x)
+        total = 0.0
+        hi = min(s1, s_clamp)
+        if hi > s0:
+            pref = (params.tau_w / a) * math.exp(-params.r_on / a)
+            total += pref * (float(expi(resistance_of(hi, params) / a))
+                             - float(expi(resistance_of(s0, params) / a)))
+        if s1 > s_clamp:
+            total += (s1 - max(s0, s_clamp)) / params.r_off_max
+        return (v * v / rate) * total * 1e-9
+
+    @given(st.floats(min_value=0.0, max_value=300.0),
+           st.floats(min_value=1e-6, max_value=300.0),
+           st.floats(min_value=1.0, max_value=2.2),
+           st.sampled_from([12e3, 35011.01752498446, 40e3, 1e6]))
+    def test_bit_identical_to_scalar_formula(self, s0, duration, v, r_off_max):
+        params = DeviceParams(r_off_max=r_off_max)
+        assert pulse_energy(stressed(s0, params), -v, duration, params) == \
+            self.scalar_formula(s0, -v, duration, params)
+
+    def test_reset_energy_over_a_trajectory(self):
+        # Consecutive points of a trajectory crossing the clamp, one call.
+        # At this r_off_max the law gives one ulp less than r_off_max at the
+        # clamp stress (about 32.8 ns), so the split point matters.
+        params = DeviceParams(r_off_max=35011.01752498446)
+        stress = np.array([0.0, 1.0, 2.5, 6.0, 30.0, 33.0, 34.0, 40.0])
+        r = np.array([resistance_of(x, params) for x in stress.tolist()])
+        got = reset_energy(stress[:-1], stress[1:], r[:-1], r[1:], -1.4, 1.0,
+                           params.r_on, params)
+        want = [pulse_energy(stressed(s, params), -1.4, d, params)
+                for s, d in zip(stress[:-1].tolist(), np.diff(stress).tolist())]
+        assert got.tolist() == want

@@ -1,4 +1,7 @@
 import csv
+import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +9,13 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from tempmem.crossbar import ArrayConfig, ln_factor, new_array, reset_lines
-from tempmem.device import DeviceParams, resistance_of
+from tempmem.device import (DeviceParams, DeviceState, apply_pulse,
+                            pulse_energy, resistance_of)
 from tempmem.recording import (CaptureResult, QuantizerSpec, capture_digital,
                                capture_native, default_slope,
                                matched_capacitance, program_closed_loop,
                                quantize, round_trip, write_capture_csv)
+from tempmem.variability import VariationSpec, c2c_noise, sample_array
 from tempmem.wavefront import Wavefront, rank_of
 
 P = DeviceParams()
@@ -204,6 +209,172 @@ class TestClosedLoop:
             program_closed_loop(new_array(cfg, P), cfg, P, 0, [-1.0])
         with pytest.raises(ValueError):
             program_closed_loop(new_array(cfg, P), cfg, P, 0, [1e3, 2e3])
+
+
+def reference_closed_loop(params, col, targets, *, tol, step, max_iters,
+                          pulse_noise=None):
+    """The closed loop pulse by pulse through the scalar device law."""
+    v = -params.v_write_nominal
+    pulses, finals, iterations, converged = [], [], [], []
+    energy = 0.0
+    for i, target in enumerate(targets):
+        p = replace(params, r_on=float(np.asarray(params.r_on)[i, col])) \
+            if np.ndim(params.r_on) else params
+        dev = DeviceState(0.0, p.r_on)
+        applied, iters = 0.0, 0
+        while abs(dev.resistance - target) / target > tol:
+            if dev.resistance > target * (1.0 + tol) or iters >= max_iters:
+                break
+            dur = pulse_noise(step) if pulse_noise is not None else step
+            energy += pulse_energy(dev, v, dur, p)
+            dev = apply_pulse(dev, v, dur, p)
+            applied += dur
+            iters += 1
+        pulses.append(applied)
+        finals.append(dev.resistance)
+        iterations.append(iters)
+        converged.append(abs(dev.resistance - target) / target <= tol)
+    return CaptureResult(tuple(pulses), tuple(finals), energy,
+                         tuple(iterations), tuple(converged))
+
+
+def reference_native(params, col, w, pulse_noise=None):
+    """Native capture device by device through the scalar device law."""
+    v = -params.v_write_nominal
+    t0 = min(w.times)
+    pulses, finals = [], []
+    energy = 0.0
+    for i, t in enumerate(w.times):
+        p = replace(params, r_on=float(np.asarray(params.r_on)[i, col])) \
+            if np.ndim(params.r_on) else params
+        dev = DeviceState(0.0, p.r_on)
+        dur = t - t0 if pulse_noise is None else pulse_noise(t - t0)
+        energy += pulse_energy(dev, v, dur, p)
+        pulses.append(dur)
+        finals.append(apply_pulse(dev, v, dur, p).resistance)
+    return pulses, finals, energy
+
+
+def assert_same_capture(got, want):
+    assert got.pulses == want.pulses
+    assert got.final_resistances == want.final_resistances
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.write_energy == want.write_energy
+
+
+class TestKernelsMatchScalarLaw:
+    """The float-only kernels give exactly what the scalar law gives."""
+
+    def run_both(self, params, targets, col=0, cols=1, noise_seed=None,
+                 make_noise=None, **kw):
+        cfg = ArrayConfig(rows=len(targets), cols=cols)
+        noises = [None, None]
+        if noise_seed is not None:
+            spec = VariationSpec(c2c_sigma=0.2)
+            noises = [c2c_noise(spec, np.random.default_rng(noise_seed))
+                      for _ in range(2)]
+        elif make_noise is not None:
+            noises = [make_noise(), make_noise()]
+        state, got = program_closed_loop(new_array(cfg, params), cfg, params,
+                                         col, targets, pulse_noise=noises[0],
+                                         **kw)
+        want = reference_closed_loop(params, col, targets,
+                                     pulse_noise=noises[1], **kw)
+        assert_same_capture(got, want)
+        assert state.resistance[:, col].tolist() == list(want.final_resistances)
+        return got
+
+    def test_d2d_grid_with_c2c_noise(self):
+        grid = sample_array(P, VariationSpec(d2d_sigma=0.05), 6, 3,
+                            np.random.default_rng(7))
+        targets = [10e3, 12e3, 17.5e3, 25e3, 33.3e3, 40e3]
+        got = self.run_both(grid, targets, col=2, cols=3, noise_seed=11,
+                            tol=1e-3, step=0.05, max_iters=3000)
+        assert sum(got.iterations) > 1000
+
+    # At r_off_max = 35011.01752498446 the law gives one ulp less than
+    # r_off_max at the clamp stress, so splitting a pulse there matters.
+    CLAMPS = [20e3, 35011.01752498446]
+
+    @pytest.mark.parametrize("r_off_max", CLAMPS)
+    def test_trajectory_crossing_the_clamp(self, r_off_max):
+        params = replace(P, r_off_max=r_off_max)
+        got = self.run_both(params, [15e3, 50e3, 60e3], tol=1e-3, step=1.0,
+                            max_iters=80)
+        assert got.final_resistances[1:] == (r_off_max, r_off_max)
+        assert got.iterations[1:] == (80, 80)
+
+    def test_device_starting_above_its_band(self):
+        grid = replace(P, r_on=np.array([[13e3], [10e3]]))
+        got = self.run_both(grid, [12e3, 12e3], tol=1e-3, step=0.5,
+                            max_iters=100)
+        assert got.iterations[0] == 0 and got.converged[0] is False
+
+    def test_max_iters_exhaustion(self):
+        got = self.run_both(P, [30e3, 40e3], noise_seed=3, tol=1e-4, step=0.1,
+                            max_iters=25)
+        assert got.iterations == (25, 25)
+        assert got.converged == (False, False)
+
+    def test_zero_length_pulses(self):
+        got = self.run_both(P, [20e3, 15e3], make_noise=lambda: lambda d: 0.0,
+                            tol=1e-3, step=1.0, max_iters=40)
+        assert got.iterations == (40, 40)
+        assert got.write_energy == 0.0
+        # zero-length pulses between real ones
+        def make_noise():
+            lengths = itertools.cycle([0.0, 0.3, 0.0, 0.0, 0.7])
+            return lambda d: next(lengths)
+        self.run_both(P, [20e3, 15e3], make_noise=make_noise, tol=1e-3,
+                      step=1.0, max_iters=400)
+
+    def test_negative_noise_raises(self):
+        cfg = cfg_for(2)
+        with pytest.raises(ValueError, match="non-negative"):
+            program_closed_loop(new_array(cfg, P), cfg, P, 0, [20e3, 20e3],
+                                pulse_noise=lambda d: -d)
+        with pytest.raises(ValueError, match="non-negative"):
+            capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)),
+                           pulse_noise=lambda d: d - 1.0)
+
+    @pytest.mark.parametrize("r_off_max", [1e6] + CLAMPS)
+    def test_native_column(self, r_off_max):
+        rng = np.random.default_rng(5)
+        grid = sample_array(replace(P, r_off_max=r_off_max),
+                            VariationSpec(d2d_sigma=0.05), 8, 2, rng)
+        w = Wavefront(tuple(rng.uniform(0.0, 90.0, 8)))
+        spec = VariationSpec(c2c_sigma=0.1)
+        cfg = ArrayConfig(rows=8, cols=2)
+        state, got = capture_native(new_array(cfg, grid), cfg, grid, 1, w,
+                                    pulse_noise=c2c_noise(spec, np.random.default_rng(1)))
+        pulses, finals, energy = reference_native(
+            grid, 1, w, c2c_noise(spec, np.random.default_rng(1)))
+        assert got.pulses == tuple(pulses)
+        assert got.final_resistances == tuple(finals)
+        assert got.write_energy == energy
+        assert state.resistance[:, 1].tolist() == finals
+        if r_off_max < 1e6:
+            assert finals.count(r_off_max) >= 2
+
+
+class TestClosedLoopArguments:
+    @pytest.mark.parametrize("kw", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0},
+        {"step": math.nan}, {"step": math.inf}, {"step": 0.0},
+        {"max_iters": -1}, {"v_write": math.nan}, {"v_write": math.inf},
+        {"v_write": 0.5},
+    ])
+    def test_rejected(self, kw):
+        cfg = cfg_for(2)
+        with pytest.raises(ValueError):
+            program_closed_loop(new_array(cfg, P), cfg, P, 0, [20e3, 20e3], **kw)
+
+    def test_zero_max_iters_pulses_nothing(self):
+        cfg = cfg_for(1)
+        _, result = program_closed_loop(new_array(cfg, P), cfg, P, 0, [20e3],
+                                        max_iters=0)
+        assert result.iterations == (0,) and result.converged == (False,)
 
 
 class TestCaptureDigital:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from tempmem.cli import main
-from tempmem.scenario import Scenario, ScenarioError, parse_scenario_text
+from tempmem.scenario import _KEYS, Scenario, ScenarioError, parse_scenario_text
 from tempmem.wavefront import Wavefront, read_wavefront_csv, write_wavefront_csv
 
 FULL_SCENARIO = """\
@@ -103,16 +103,29 @@ class TestScenarioParsing:
         s = parse_scenario_text("run.scale_cap = 2.0\n")
         assert s.sweep_settings().scale_cap == pytest.approx(2e-12)
 
-    @pytest.mark.parametrize("key, value", [
-        (key, "nan") for key in (
-            "device.r_on", "device.r_off_max", "device.amp_a",
-            "device.tau_w_ns", "device.v_prog_threshold", "device.v_zero",
-            "device.v_write_nominal", "array.c_line_pf", "array.v_read",
-            "array.v_dd", "array.theta", "array.t_shifter_ns")
-    ] + [("array.t_shifter_ns", "inf"), ("array.c_line_pf", "inf")])
+    # Every key whose value is not an int or a word takes a float.
+    FLOAT_KEYS = [key for key, (convert, _, _) in _KEYS.items()
+                  if convert not in (int, str)]
+
+    def test_float_keys_cover_every_section(self):
+        assert {key.split(".")[0] for key in self.FLOAT_KEYS} == {
+            "array", "device", "variation", "quantizer", "run", "calibrate"}
+        assert "run.scale_cap" in self.FLOAT_KEYS
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_device_and_array_values_rejected(self, key, value):
         with pytest.raises(ScenarioError, match="invalid scenario"):
             parse_scenario_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("line", [
+        "run.span_ns = -5", "run.tol = -1", "run.tol = 0", "run.step_ns = 0",
+        "run.max_iters = -3", "run.window_ns = -1", "run.column = -1",
+        "run.v_write = 0", "variation.d2d_sigma = -0.1",
+        "quantizer.t_clk_ns = 0", "quantizer.t_fine_ns = -0.1"])
+    def test_out_of_range_run_values_rejected(self, line):
+        with pytest.raises(ScenarioError, match="s.txt: invalid scenario"):
+            parse_scenario_text(line + "\n", source="s.txt")
 
 
 def run_cli(*argv):

@@ -7,8 +7,8 @@ import pytest
 from tempmem.crossbar import ArrayConfig
 from tempmem.device import DeviceParams
 from tempmem.recording import round_trip
-from tempmem.variability import (SweepSettings, VariationSpec, monte_carlo,
-                                 perturb_pulse, random_wavefront, sample_array,
+from tempmem.variability import (SweepSettings, VariationSpec, c2c_noise,
+                                 monte_carlo, perturb_pulse, random_wavefront, sample_array,
                                  write_trial_report_csv, write_trials_csv)
 
 P = DeviceParams()
@@ -70,6 +70,22 @@ class TestPerturbPulse:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             VariationSpec(d2d_sigma=-0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                VariationSpec(d2d_sigma=bad)
+            with pytest.raises(ValueError):
+                VariationSpec(c2c_sigma=bad)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.042, 0.3])
+    def test_c2c_noise_equals_perturb_pulse_draw_for_draw(self, sigma):
+        spec = VariationSpec(c2c_sigma=sigma)
+        noise = c2c_noise(spec, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        durations = [0.0, 0.01, 1.0, 17.3, 40.0] * 200
+        assert [noise(d) for d in durations] == \
+            [perturb_pulse(d, spec, rng) for d in durations]
+        with pytest.raises(ValueError):
+            noise(-1.0)
 
 
 class TestRandomWavefront:
