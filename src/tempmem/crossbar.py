@@ -80,7 +80,9 @@ class ArrayState:
 
 def base_params(params: DeviceParams) -> DeviceParams:
     """Scalar params of device (0, 0)."""
-    return params.at(0, 0)
+    if np.ndim(params.r_on):
+        return replace(params, r_on=float(params.r_on[0, 0]))
+    return params
 
 
 def r_on_grid(params: DeviceParams, cfg: ArrayConfig) -> np.ndarray:

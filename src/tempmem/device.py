@@ -16,13 +16,21 @@ write voltage.
 
 The scalar functions (`resistance_of`, `apply_pulse`, `pulse_energy`)
 state the law one pulse at a time and are the reference.  Captures run
-it faster but bit for bit the same: their per-pulse loop is plain float
-arithmetic on stress and resistance, and `reset_energy` integrates a
-whole stress/resistance trajectory's write energy at once afterwards.
-Only `+ - * /`, `min`/`max` and `scipy.special.expi` are vectorised, as
-numpy gives the same bits for them; `exp`, `expm1` and `log1p` stay
-per-element `math.*`, because numpy's SIMD versions differ in the last
-bit for some inputs.
+it on arrays but bit for bit the same.  The closed loop takes a block of
+one device's pulses at a time: stress is the running sum of the
+block's stress increments (`np.cumsum`, a left fold like the scalar
+`s += d * rate`), resistance follows from each stress, and the loop stops
+at the first pulse that ends it.  The block's noise is drawn in one call;
+draws a device leaves unused pass to the next device, so each pulse gets
+the draw it would get pulse by pulse, and only the column's last spare
+draws are thrown away: the noise stream is read ahead past the last
+applied pulse, which changes nothing as long as nothing draws from it
+after the capture.  `reset_energy` then integrates a whole
+stress/resistance trajectory's write energy at once.  Only `+ - * /`,
+`min`/`max`, `cumsum` and `scipy.special.expi` are vectorised, as numpy
+gives the same bits for them; `exp`, `expm1` and `log1p` stay `math.*`,
+applied per element by `per_element`, because numpy's SIMD versions
+differ in the last bit for some inputs.
 """
 
 from __future__ import annotations
@@ -80,12 +88,6 @@ class DeviceParams:
         if not 0 < self.v_zero < math.inf:
             raise ValueError("v_zero must be positive and finite")
 
-    def at(self, row: int, col: int) -> DeviceParams:
-        """The scalar params of device (row, col)."""
-        if not isinstance(self.r_on, np.ndarray):
-            return self
-        return replace(self, r_on=float(self.r_on[row, col]))
-
 
 @dataclass(frozen=True)
 class DeviceState:
@@ -97,6 +99,13 @@ class DeviceState:
 
     stress: float = 0.0
     resistance: float = R_ON_DEFAULT
+
+
+def per_element(f, x: np.ndarray) -> np.ndarray:
+    """f applied to each element of x, as a float array of x's shape: the
+    way to apply the `math.*` functions whose numpy versions differ from
+    them in the last bit."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def resistance_of(stress: float, params: DeviceParams) -> float:
@@ -159,37 +168,39 @@ def _reset_constants(r_on: float, params: DeviceParams) -> tuple[float, float, f
     return s_clamp, r_clamp, (tau / a) * math.exp(-r_on / a)
 
 
-def reset_energy(s0: np.ndarray, s1: np.ndarray, r0: np.ndarray, r1: np.ndarray,
-                 v: float, rate: float, r_on: float | np.ndarray,
-                 params: DeviceParams) -> np.ndarray:
-    """Energy (J) of each of a set of RESET pulses at voltage v.
+def reset_energy(s: np.ndarray, r: np.ndarray, v: float, rate: float,
+                 r_on: float | np.ndarray, params: DeviceParams) -> np.ndarray:
+    """Energy (J) of each RESET pulse along stress trajectories at voltage v.
 
-    Pulse k moves a device from stress s0[k] to s1[k] (ns) at stress rate
-    `rate`; r0[k] and r1[k] are the law's resistances at those stresses,
-    and r_on is the devices' ON resistance, one float for all pulses or
-    one per pulse.  Consecutive points of one device's trajectory give
-    the energies of its pulses in one call.
+    s and r hold the points of one or more trajectories along their last
+    axis: s[..., k] is a stress (ns), r[..., k] the law's resistance at it,
+    and pulse k takes its device from point k to point k + 1 at stress
+    rate `rate`.  The result has one element per pulse, so one point
+    fewer along the last axis.  r_on is the devices' ON resistance, one
+    float for all trajectories or one per trajectory (an array of the
+    leading shape of s).
 
     The integral of ds / R(s) has the antiderivative
-    (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp; above it R is
-    r_off_max.  The pulses crossing the clamp are split there.
+    (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp, evaluated once per
+    point; above it R is r_off_max.  The pulses crossing the clamp are
+    split there.
     """
     if np.ndim(r_on):
-        s_clamp, r_clamp, pref = (np.array(c) for c in zip(
-            *(_reset_constants(r, params) for r in r_on.tolist())))
+        s_clamp, r_clamp, pref = np.array(
+            [_reset_constants(x, params) for x in np.ravel(r_on).tolist()]
+        ).T.reshape((3,) + np.shape(r_on) + (1,))
     else:
         s_clamp, r_clamp, pref = _reset_constants(r_on, params)
-    a = params.amp_a
-    total = np.zeros(np.shape(s1))
+    # Ei of each point's resistance, taken at the clamp beyond it
+    ei = expi(np.where(s <= s_clamp, r, r_clamp) / params.amp_a)
+    s0, s1 = s[..., :-1], s[..., 1:]
     below = np.minimum(s1, s_clamp) > s0
-    if below.any():
-        r_hi = np.where(s1 <= s_clamp, r1, r_clamp)[below]
-        total[below] += (pref[below] if np.ndim(pref) else pref) * (
-            expi(r_hi / a) - expi(r0[below] / a))
+    # Subtracted only below the clamp, so that no inf - inf is ever formed
+    total = pref * np.subtract(ei[..., 1:], ei[..., :-1], out=np.zeros(s1.shape),
+                               where=below)
     above = s1 > s_clamp
     if above.any():
-        start = np.maximum(s0, s_clamp)[above]
-        total[above] += (s1[above] - start) / params.r_off_max
+        total[above] += (s1 - np.maximum(s0, s_clamp))[above] / params.r_off_max
     return (v * v / rate) * total * 1e-9
 
 
@@ -214,5 +225,5 @@ def pulse_energy(state: DeviceState, v: float, duration: float,
     s1 = s0 + duration * rate
     r0, r1 = resistance_of(s0, params), resistance_of(s1, params)
     # float() keeps numpy's float64 out of downstream serialization
-    return float(reset_energy(np.array([s0]), np.array([s1]), np.array([r0]),
-                              np.array([r1]), v, rate, params.r_on, params)[0])
+    return float(reset_energy(np.array([s0, s1]), np.array([r0, r1]), v, rate,
+                              params.r_on, params)[0])

@@ -10,6 +10,12 @@ Digital capture measures the wavefront with a counter (optionally
 refined by a vernier stage), converts counts to resistance targets on a
 fixed slope, and drives each device to its target with an iterative
 program/verify loop.
+
+Cycle-to-cycle noise enters as a `PulseNoise`: a function from an array
+of nominal pulse durations to as many effective durations, one draw per
+element in order.  Native capture calls it once per column; the closed
+loop calls it once per block of pulses and may read ahead of the pulses
+it applies (see `program_closed_loop`).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -31,7 +38,11 @@ from .wavefront import (Wavefront, effective_bits, kendall_tau, normalize,
 
 DEFAULT_WINDOW_NS = device.T_SPAN_DEFAULT  # calibrated near-linear pulse window
 
-PulseNoise = Optional[Callable[[float], float]]
+PulseNoise = Optional[Callable[[np.ndarray], np.ndarray]]
+
+# Most pulses one closed-loop block evaluates at once: a memory bound for
+# targets the loop cannot reach before max_iters.
+_BLOCK_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,11 +148,23 @@ def _reset_rate(params: DeviceParams, v_write: float | None) -> tuple[float, flo
 
 
 def _add(total: float, energies: np.ndarray) -> float:
-    """total plus each energy in turn: the order of a pulse-by-pulse running
-    sum, which np.sum or math.fsum would not reproduce bit for bit."""
-    for e in energies.tolist():
-        total += e
-    return total
+    """total plus each energy in turn: the left fold of a pulse-by-pulse
+    running sum, as `np.cumsum` computes it; np.sum (pairwise) or
+    math.fsum would not reproduce it bit for bit."""
+    return float(np.concatenate((np.array([total]), energies.ravel())).cumsum()[-1])
+
+
+def _effective(nominal: np.ndarray, pulse_noise: PulseNoise) -> np.ndarray:
+    """The effective durations of pulses of the given nominal durations
+    after the noise, checked: one per pulse and none negative."""
+    if pulse_noise is None:
+        return nominal
+    dur = np.asarray(pulse_noise(nominal), dtype=float)
+    if dur.shape != nominal.shape:
+        raise ValueError("pulse noise must give one duration per pulse")
+    if dur.min(initial=0.0) < 0:
+        raise ValueError("pulse duration must be non-negative")
+    return dur
 
 
 def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
@@ -153,8 +176,8 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
     Channel i receives a reverse pulse lasting t_i - min(t); the first
     arriving channel gets none and its device stays exactly at r_on.  A
     span beyond the calibrated linear window is flagged, not rejected.
-    The noise is drawn once per row, in row order; the device law then
-    runs on the whole column at once.
+    The noise is one call on the column's nominal durations, drawing in
+    row order; the device law then runs on the whole column at once.
     """
     _check_col(state, cfg, col)
     if len(w) != cfg.rows:
@@ -163,21 +186,18 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
     v_write, rate = _reset_rate(params, v_write)
     r_on = r_on_grid(params, cfg)[:, col]
     t0 = min(w.times)
-    pulses = [t - t0 for t in w.times]
-    if pulse_noise is not None:
-        pulses = [pulse_noise(d) for d in pulses]
-    if any(d < 0 for d in pulses):
-        raise ValueError("pulse duration must be non-negative")
-    dur = np.array(pulses)
+    dur = _effective(np.array([t - t0 for t in w.times]), pulse_noise)
     stress = dur * rate
-    log_term = np.array([math.log1p(x) for x in (stress / params.tau_w).tolist()])
+    log_term = device.per_element(math.log1p, stress / params.tau_w)
     law = np.minimum(r_on + params.amp_a * log_term, params.r_off_max)
     # A zero-length pulse leaves its device as it was.
     resistance = np.where(dur == 0.0, start, law)
-    energies = device.reset_energy(np.zeros(cfg.rows), stress, r_on, law,
-                                   -v_write, rate, r_on, params)
+    # Each row's trajectory is its two points, from ON to the end of its pulse.
+    energies = device.reset_energy(np.array((np.zeros(cfg.rows), stress)).T,
+                                   np.array((r_on, law)).T, -v_write, rate,
+                                   r_on, params)
     result = CaptureResult(
-        pulses=tuple(pulses),
+        pulses=tuple(dur.tolist()),
         final_resistances=tuple(resistance.tolist()),
         write_energy=_add(0.0, energies),
         iterations=(1,) * cfg.rows,
@@ -185,6 +205,16 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
         window_exceeded=w.span > window_ns,
     )
     return _write_column(state, col, stress, resistance), result
+
+
+def _block_size(gap: float, left: int) -> int:
+    """Pulses to evaluate in one block for a device `gap` noiseless pulses
+    short of its band, with `left` pulses of its budget left: the gap plus
+    a small margin for the noise, capped at `left` and at _BLOCK_MAX."""
+    if not gap < _BLOCK_MAX:
+        return min(left, _BLOCK_MAX)
+    want = max(0, math.ceil(gap))
+    return min(want + 8 + want // 64, left, _BLOCK_MAX)
 
 
 def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
@@ -199,11 +229,22 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     verify band is flagged unreachable immediately; targets beyond what
     max_iters steps can reach are flagged after the budget runs out.
 
-    Each device's verify loop is plain float arithmetic on its stress and
-    resistance, with its constants read once; it records the trajectory,
-    and `device.reset_energy` integrates the device's write energy over it
-    after the loop.  Results are bit-identical to pulsing with
+    The loop runs in blocks of pulses.  For each block it takes that many
+    effective durations in one `pulse_noise` call, evaluates the whole
+    block (stress as a running sum from the device's current stress, then
+    resistance from each stress) and applies its pulses up to the first
+    one that lands in the band or beyond it, or that uses up max_iters;
+    the block size is the noiseless pulse count to the band plus a small
+    margin.  Durations drawn but not applied go to the next device of the
+    column, so each device gets the draws one call per pulse would give
+    it.  Read-ahead: when the function returns, the noise may have drawn
+    up to one block more than the pulses applied, and those draws are
+    discarded; a caller that draws from the same stream afterwards sees
+    it further on than pulse-by-pulse calls would leave it.  After the
+    loop, `device.reset_energy` integrates each device's write energy over
+    its trajectory.  Results are bit-identical to pulsing with
     `device.apply_pulse` and summing `device.pulse_energy` pulse by pulse.
+    A negative duration anywhere in a drawn block raises ValueError.
     """
     _check_col(state, cfg, col)
     if len(targets) != cfg.rows:
@@ -216,11 +257,12 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
         raise ValueError("tol must be positive and finite")
     if not 0 < step < math.inf:
         raise ValueError("step must be positive and finite")
-    if not max_iters >= 0:
-        raise ValueError("max_iters must be non-negative")
+    if not (isinstance(max_iters, Integral) and max_iters >= 0):
+        raise ValueError("max_iters must be a non-negative integer")
     v_write, rate = _reset_rate(params, v_write)
     a, tau, r_off = params.amp_a, params.tau_w, params.r_off_max
-    log1p = math.log1p
+    step_stress = step * rate
+    spare = np.empty(0)  # durations drawn and not applied yet, in draw order
     pulses = []
     stresses = []
     resistances = []
@@ -230,31 +272,47 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     for r_on, r, target in zip(r_on_grid(params, cfg)[:, col].tolist(), start,
                                targets):
         target = float(target)
-        band_top = target * (1.0 + tol)
+        band_low, band_top = target * (1.0 - tol), target * (1.0 + tol)
+        x = (band_low - r_on) / a
+        # expm1 would overflow beyond 700; the band is then out of reach
+        s_low = tau * math.expm1(x) if x <= 700.0 and band_low < r_off else math.inf
         s = 0.0
-        trajectory_s, trajectory_r = [s], [r_on]
+        trajectory_s, trajectory_r = [np.zeros(1)], [np.array([r_on])]
         applied = 0.0
         iters = 0
-        while abs(r - target) / target > tol:
-            if r > band_top:
-                break  # overshot (or started above): a reverse pulse can't come back
-            if iters >= max_iters:
-                break
-            dur = pulse_noise(step) if pulse_noise is not None else step
-            if dur < 0:
-                raise ValueError("pulse duration must be non-negative")
-            # A zero-length pulse leaves the device as it is and costs nothing.
-            if dur != 0.0:
-                s += dur * rate
-                r = min(r_on + a * log1p(s / tau), r_off)
-                trajectory_s.append(s)
-                trajectory_r.append(r)
-            applied += dur
-            iters += 1
-        if len(trajectory_s) > 1:
-            ts, tr = np.array(trajectory_s), np.array(trajectory_r)
+        # Stop in the band, above it (overshot, or started there: a reverse
+        # pulse can't come back) or when the budget is spent.
+        while (abs(r - target) / target > tol and not r > band_top
+               and iters < max_iters):
+            gap = (s_low - s) / step_stress if step_stress > 0 else math.inf
+            n = _block_size(gap, max_iters - iters)
+            if spare.size < n:
+                more = _effective(np.full(n - spare.size, step), pulse_noise)
+                spare = np.concatenate((spare, more))
+            dur = spare[:n]
+            stress = np.cumsum(np.concatenate(([s], dur * rate)))[1:]
+            law = np.minimum(
+                r_on + a * device.per_element(math.log1p, stress / tau), r_off)
+            res = law
+            if not dur.all():
+                # A zero-length pulse leaves the device as it is: carry the
+                # resistance of the last pulse that moved it (or the start).
+                moved = np.maximum.accumulate(
+                    np.where(dur != 0.0, np.arange(n), -1))
+                res = np.where(moved >= 0, law[moved], r)
+            done = ~(np.abs(res - target) / target > tol) | (res > band_top)
+            m = int(done.argmax()) + 1 if done.any() else n
+            # Zero-length pulses repeat a point, adding exactly 0.0 J.
+            trajectory_s.append(stress[:m])
+            trajectory_r.append(law[:m])
+            applied = _add(applied, dur[:m])
+            s, r = float(stress[m - 1]), float(res[m - 1])
+            iters += m
+            spare = spare[m:]
+        if iters:
             energy = _add(energy, device.reset_energy(
-                ts[:-1], ts[1:], tr[:-1], tr[1:], -v_write, rate, r_on, params))
+                np.concatenate(trajectory_s), np.concatenate(trajectory_r),
+                -v_write, rate, r_on, params))
         pulses.append(applied)
         stresses.append(s)
         resistances.append(r)

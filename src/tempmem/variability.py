@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .crossbar import ArrayConfig
-from .device import DeviceParams
+from .device import DeviceParams, per_element
 from .recording import QuantizerSpec, RoundTripResult, round_trip
 from .wavefront import Wavefront
 
@@ -92,33 +92,37 @@ def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
         rng = np.random.default_rng(spec.seed)
     mu, sd = _log_moments(spec.d2d_sigma)
     x = mu + sd * rng.standard_normal((rows, cols))
-    # math.exp, not np.exp: numpy's SIMD exp differs in the last bit.
-    factor = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    return replace(base, r_on=base.r_on * factor)
+    return replace(base, r_on=base.r_on * per_element(math.exp, x))
 
 
-def c2c_noise(spec: VariationSpec, rng: np.random.Generator) -> Callable[[float], float]:
+def c2c_noise(spec: VariationSpec,
+              rng: np.random.Generator) -> Callable[[np.ndarray], np.ndarray]:
     """The cycle-to-cycle noise of a stream of programming pulses: each
-    call maps a duration to its effective duration after one lognormal
-    draw from `rng`.  A draw is taken even at sigma 0, so the stream
-    position is independent of sigma."""
+    call maps an array of non-negative durations to their effective
+    durations after one lognormal draw from `rng` per element, in order.
+    One call on n durations takes the same draws, and gives the same
+    values, as n calls on one duration each.  A draw is taken even at
+    sigma 0, so the stream position is independent of sigma."""
     mu, sd = _log_moments(spec.c2c_sigma)
-    draw, exp = rng.standard_normal, math.exp
+    draw = rng.standard_normal
 
-    def noise(duration: float) -> float:
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        return duration * exp(mu + sd * draw())
+    def noise(durations: np.ndarray) -> np.ndarray:
+        return durations * per_element(math.exp, mu + sd * draw(durations.shape))
 
     return noise
 
 
-def perturb_pulse(duration: float, spec: VariationSpec,
-                  rng: np.random.Generator | None = None) -> float:
-    """One programming pulse's effective duration after c2c noise."""
+def perturb_pulse(duration: float | np.ndarray, spec: VariationSpec,
+                  rng: np.random.Generator | None = None) -> float | np.ndarray:
+    """Programming pulses' effective durations after c2c noise: a float for
+    a float, an array of the same shape for an array."""
+    durations = np.asarray(duration, dtype=float)
+    if (durations < 0).any():
+        raise ValueError("duration must be non-negative")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    return c2c_noise(spec, rng)(duration)
+    out = c2c_noise(spec, rng)(durations)
+    return out if durations.ndim else float(out)
 
 
 def random_wavefront(rng: np.random.Generator, n_channels: int,
@@ -157,6 +161,7 @@ def _run_trial(args) -> TrialRow:
     w = random_wavefront(rng, settings.n_channels, settings.span_ns)
     grid = sample_array(base, spec, cfg.rows, cfg.cols, rng=rng)
     noise = c2c_noise(spec, rng)
+    # The last use of rng: the closed loop reads the noise ahead.
     rt: RoundTripResult = round_trip(
         w, cfg, grid, path=settings.path, col=settings.column,
         v_write=settings.v_write, quantizer=settings.quantizer,

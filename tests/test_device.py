@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import expi
 
+from tempmem.crossbar import base_params
 from tempmem.device import (AMP_A_DEFAULT, DeviceParams, DeviceState,
                             apply_pulse, calibrate_amp,
-                            programming_rate, pulse_energy, reset_energy,
-                            resistance_of)
+                            per_element, programming_rate, pulse_energy,
+                            reset_energy, resistance_of)
 
 P = DeviceParams()
 
@@ -176,7 +178,8 @@ class TestParamsValidation:
             DeviceParams(v_zero=0.0)
 
     def test_r_on_grid_checked_per_device(self):
-        assert DeviceParams(r_on=np.full((2, 3), 9e3)).at(1, 2).r_on == 9e3
+        grid = np.array([[9e3, 8e3, 7e3], [6e3, 5e3, 4e3]])
+        assert base_params(DeviceParams(r_on=grid)).r_on == 9e3
         for bad in (np.array([[1e4, np.nan]]), np.array([[1e4, 2e6]]),
                     np.full(4, 1e4)):
             with pytest.raises(ValueError):
@@ -253,14 +256,72 @@ class TestPulseEnergy:
             self.scalar_formula(s0, -v, duration, params)
 
     def test_reset_energy_over_a_trajectory(self):
-        # Consecutive points of a trajectory crossing the clamp, one call.
         # At this r_off_max the law gives one ulp less than r_off_max at the
         # clamp stress (about 32.8 ns), so the split point matters.
-        params = DeviceParams(r_off_max=35011.01752498446)
-        stress = np.array([0.0, 1.0, 2.5, 6.0, 30.0, 33.0, 34.0, 40.0])
+        self.check_trajectory(35011.01752498446)
+
+    def test_reset_energy_where_ei_at_the_clamp_differs(self):
+        # Here Ei of the law at the clamp stress also differs from
+        # Ei(r_off_max / amp_a), so the clamp's own resistance matters.
+        self.check_trajectory(57001.45528267501)
+
+    @staticmethod
+    def check_trajectory(r_off_max):
+        # Consecutive points of a trajectory crossing the clamp, one call.
+        params = DeviceParams(r_off_max=r_off_max)
+        c = math.floor(params.tau_w * math.expm1(
+            (r_off_max - params.r_on) / params.amp_a))
+        stress = np.array([0.0, 1.0, 2.5, 6.0, c - 3.0, c, c + 1.0, c + 7.0])
         r = np.array([resistance_of(x, params) for x in stress.tolist()])
-        got = reset_energy(stress[:-1], stress[1:], r[:-1], r[1:], -1.4, 1.0,
-                           params.r_on, params)
+        got = reset_energy(stress, r, -1.4, 1.0, params.r_on, params)
         want = [pulse_energy(stressed(s, params), -1.4, d, params)
                 for s, d in zip(stress[:-1].tolist(), np.diff(stress).tolist())]
         assert got.tolist() == want
+
+    def test_reset_energy_per_trajectory_r_on(self):
+        # Two-point trajectories of devices with their own r_on, pulse axis
+        # last, as a native column gives them.
+        params = DeviceParams(r_off_max=35011.01752498446)
+        devices = [replace(params, r_on=x) for x in (9e3, 10e3, 11e3, 10.5e3)]
+        durations = [5.0, 0.0, 40.0, 33.0]
+        stress = np.array([[0.0, d] for d in durations])
+        r = np.array([[p.r_on, resistance_of(d, p)] for p, d in zip(devices, durations)])
+        r_on = np.array([p.r_on for p in devices])
+        got = reset_energy(stress, r, -1.4, 1.0, r_on, params)
+        assert got.shape == (4, 1)
+        assert got[:, 0].tolist() == [
+            pulse_energy(stressed(0.0, p), -1.4, d, p) for p, d in zip(devices, durations)]
+
+
+class TestNumpyFacts:
+    """The numpy behaviour the block kernels rest on.  If an upgrade
+    changes it, these fail instead of the simulated rows shifting."""
+
+    def test_standard_normal_block_equals_scalar_draws(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        block = a.standard_normal(1000).tolist()
+        assert block == [b.standard_normal() for _ in range(1000)]
+        assert a.standard_normal() == b.standard_normal()
+        shaped = np.random.default_rng(4).standard_normal((3, 5))
+        rng = np.random.default_rng(4)
+        assert shaped.ravel().tolist() == [rng.standard_normal() for _ in range(15)]
+
+    def test_add_accumulate_is_a_left_fold(self):
+        # 1e-16 is under half an ulp of 1.0, so a left fold never moves
+        # off 1.0, while pairwise summation adds the small terms first.
+        x = np.array([1.0] + [1e-16] * 1023)
+        assert np.sum(x) != 1.0
+        assert np.add.accumulate(x)[-1] == 1.0
+        assert np.cumsum(x)[-1] == 1.0
+        y = np.random.default_rng(0).random(1000) * 1e-3
+        total = 1.0
+        for v in y.tolist():
+            total += v
+        assert np.cumsum(np.concatenate(([1.0], y)))[-1] == total
+
+    def test_per_element_is_math_per_element(self):
+        x = np.random.default_rng(1).standard_normal((4, 6)) * 3
+        got = per_element(math.exp, x)
+        assert got.shape == (4, 6)
+        assert got.ravel().tolist() == [math.exp(v) for v in x.ravel().tolist()]
+        assert per_element(math.log1p, np.zeros(0)).shape == (0,)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from tempmem import device
 from tempmem.crossbar import ArrayConfig, ln_factor, new_array, reset_lines
 from tempmem.device import (DeviceParams, DeviceState, apply_pulse,
                             pulse_energy, resistance_of)
@@ -211,9 +212,15 @@ class TestClosedLoop:
             program_closed_loop(new_array(cfg, P), cfg, P, 0, [1e3, 2e3])
 
 
+def one_pulse(pulse_noise, duration):
+    """One call of the noise on a one-element array: a single draw."""
+    return float(pulse_noise(np.array([duration]))[0])
+
+
 def reference_closed_loop(params, col, targets, *, tol, step, max_iters,
                           pulse_noise=None):
-    """The closed loop pulse by pulse through the scalar device law."""
+    """The closed loop pulse by pulse through the scalar device law, one
+    noise call per pulse."""
     v = -params.v_write_nominal
     pulses, finals, iterations, converged = [], [], [], []
     energy = 0.0
@@ -225,7 +232,7 @@ def reference_closed_loop(params, col, targets, *, tol, step, max_iters,
         while abs(dev.resistance - target) / target > tol:
             if dev.resistance > target * (1.0 + tol) or iters >= max_iters:
                 break
-            dur = pulse_noise(step) if pulse_noise is not None else step
+            dur = one_pulse(pulse_noise, step) if pulse_noise is not None else step
             energy += pulse_energy(dev, v, dur, p)
             dev = apply_pulse(dev, v, dur, p)
             applied += dur
@@ -248,11 +255,25 @@ def reference_native(params, col, w, pulse_noise=None):
         p = replace(params, r_on=float(np.asarray(params.r_on)[i, col])) \
             if np.ndim(params.r_on) else params
         dev = DeviceState(0.0, p.r_on)
-        dur = t - t0 if pulse_noise is None else pulse_noise(t - t0)
+        dur = t - t0 if pulse_noise is None else one_pulse(pulse_noise, t - t0)
         energy += pulse_energy(dev, v, dur, p)
         pulses.append(dur)
         finals.append(apply_pulse(dev, v, dur, p).resistance)
     return pulses, finals, energy
+
+
+class LoggedNoise:
+    """A pulse noise that counts its calls and keeps every duration it
+    has handed out, in order."""
+
+    def __init__(self, noise):
+        self.noise, self.calls, self.drawn = noise, 0, []
+
+    def __call__(self, durations):
+        out = self.noise(durations)
+        self.calls += 1
+        self.drawn.extend(out.tolist())
+        return out
 
 
 def assert_same_capture(got, want):
@@ -264,18 +285,19 @@ def assert_same_capture(got, want):
 
 
 class TestKernelsMatchScalarLaw:
-    """The float-only kernels give exactly what the scalar law gives."""
+    """The array kernels give exactly what the scalar law gives."""
 
     def run_both(self, params, targets, col=0, cols=1, noise_seed=None,
                  make_noise=None, **kw):
+        """The block kernel against the reference; with noise, also the
+        durations each drew.  Returns the kernel's result and noise."""
         cfg = ArrayConfig(rows=len(targets), cols=cols)
-        noises = [None, None]
         if noise_seed is not None:
             spec = VariationSpec(c2c_sigma=0.2)
-            noises = [c2c_noise(spec, np.random.default_rng(noise_seed))
-                      for _ in range(2)]
-        elif make_noise is not None:
-            noises = [make_noise(), make_noise()]
+            make_noise = lambda: c2c_noise(spec, np.random.default_rng(noise_seed))
+        noises = [None, None]
+        if make_noise is not None:
+            noises = [LoggedNoise(make_noise()), LoggedNoise(make_noise())]
         state, got = program_closed_loop(new_array(cfg, params), cfg, params,
                                          col, targets, pulse_noise=noises[0],
                                          **kw)
@@ -283,14 +305,21 @@ class TestKernelsMatchScalarLaw:
                                      pulse_noise=noises[1], **kw)
         assert_same_capture(got, want)
         assert state.resistance[:, col].tolist() == list(want.final_resistances)
-        return got
+        if make_noise is not None:
+            block, single = noises
+            assert single.calls == sum(want.iterations)
+            # The kernel draws what the pulses use, in order, then at most
+            # some read-ahead it leaves unused.
+            assert block.drawn[:single.calls] == single.drawn
+            assert block.calls <= max(1, single.calls)
+        return got, noises[0]
 
     def test_d2d_grid_with_c2c_noise(self):
         grid = sample_array(P, VariationSpec(d2d_sigma=0.05), 6, 3,
                             np.random.default_rng(7))
         targets = [10e3, 12e3, 17.5e3, 25e3, 33.3e3, 40e3]
-        got = self.run_both(grid, targets, col=2, cols=3, noise_seed=11,
-                            tol=1e-3, step=0.05, max_iters=3000)
+        got, _ = self.run_both(grid, targets, col=2, cols=3, noise_seed=11,
+                               tol=1e-3, step=0.05, max_iters=3000)
         assert sum(got.iterations) > 1000
 
     # At r_off_max = 35011.01752498446 the law gives one ulp less than
@@ -300,34 +329,95 @@ class TestKernelsMatchScalarLaw:
     @pytest.mark.parametrize("r_off_max", CLAMPS)
     def test_trajectory_crossing_the_clamp(self, r_off_max):
         params = replace(P, r_off_max=r_off_max)
-        got = self.run_both(params, [15e3, 50e3, 60e3], tol=1e-3, step=1.0,
-                            max_iters=80)
+        got, _ = self.run_both(params, [15e3, 50e3, 60e3], tol=1e-3, step=1.0,
+                               max_iters=80)
         assert got.final_resistances[1:] == (r_off_max, r_off_max)
         assert got.iterations[1:] == (80, 80)
 
     def test_device_starting_above_its_band(self):
         grid = replace(P, r_on=np.array([[13e3], [10e3]]))
-        got = self.run_both(grid, [12e3, 12e3], tol=1e-3, step=0.5,
-                            max_iters=100)
+        got, _ = self.run_both(grid, [12e3, 12e3], tol=1e-3, step=0.5,
+                               max_iters=100)
         assert got.iterations[0] == 0 and got.converged[0] is False
 
     def test_max_iters_exhaustion(self):
-        got = self.run_both(P, [30e3, 40e3], noise_seed=3, tol=1e-4, step=0.1,
-                            max_iters=25)
+        got, _ = self.run_both(P, [30e3, 40e3], noise_seed=3, tol=1e-4,
+                               step=0.1, max_iters=25)
         assert got.iterations == (25, 25)
         assert got.converged == (False, False)
 
     def test_zero_length_pulses(self):
-        got = self.run_both(P, [20e3, 15e3], make_noise=lambda: lambda d: 0.0,
-                            tol=1e-3, step=1.0, max_iters=40)
+        got, _ = self.run_both(P, [20e3, 15e3],
+                               make_noise=lambda: np.zeros_like, tol=1e-3,
+                               step=1.0, max_iters=40)
         assert got.iterations == (40, 40)
         assert got.write_energy == 0.0
-        # zero-length pulses between real ones
+        # zero-length pulses between real ones, and leading a block
         def make_noise():
             lengths = itertools.cycle([0.0, 0.3, 0.0, 0.0, 0.7])
-            return lambda d: next(lengths)
+            return lambda d: np.array([next(lengths) for _ in range(d.size)])
         self.run_both(P, [20e3, 15e3], make_noise=make_noise, tol=1e-3,
                       step=1.0, max_iters=400)
+
+    def test_zero_length_pulses_keep_the_starting_resistance(self):
+        # The column holds 10 kohm at zero stress, but the params say
+        # 13 kohm, above the 12 kohm band: zero-length pulses leave the read
+        # resistance at 10 kohm, and only the first real pulse moves it.
+        cfg = cfg_for(1)
+        params = replace(P, r_on=13e3)
+        lengths = iter([0.0, 0.0, 0.3] + [1.0] * 20)
+        noise = lambda d: np.array([next(lengths) for _ in range(d.size)])
+        _, got = program_closed_loop(new_array(cfg, P), cfg, params, 0, [12e3],
+                                     tol=1e-3, step=1.0, max_iters=20,
+                                     pulse_noise=noise)
+        assert got.iterations == (3,) and got.pulses == (0.3,)
+        assert got.final_resistances == (resistance_of(0.3, params),)
+        assert got.write_energy == pulse_energy(DeviceState(0.0, 13e3), -1.4,
+                                                0.3, params)
+
+    def test_stateful_noise_across_devices_stopping_mid_block(self):
+        # Each device stops inside its block; the draws it leaves go to
+        # the next device, and the last device's are read ahead.
+        got, noise = self.run_both(P, [17e3, 25e3, 12e3, 30e3, 20e3],
+                                   noise_seed=21, tol=3e-3, step=0.05,
+                                   max_iters=3000)
+        assert got.converged == (True,) * 5
+        assert len(noise.drawn) > sum(got.iterations)
+        assert noise.calls < 2 * len(got.iterations)
+
+    def test_device_in_band_between_long_ones(self):
+        # The middle device starts in its band: it takes no pulse and no
+        # draw, and the first device's spare draws pass it by.
+        grid = replace(P, r_on=np.array([[10e3], [20e3], [10e3]]))
+        got, _ = self.run_both(grid, [30e3, 20e3, 32e3], noise_seed=4,
+                               tol=1e-3, step=0.05, max_iters=3000)
+        assert got.iterations[1] == 0 and got.converged[1] is True
+        assert min(got.iterations[0], got.iterations[2]) > 300
+
+    def test_max_iters_cap_mid_block(self):
+        # Pulses at half the nominal length: each block's noiseless
+        # estimate falls short, so a device needs several blocks, and the
+        # second device's budget runs out inside what would be its next.
+        def make_noise():
+            c2c = c2c_noise(VariationSpec(c2c_sigma=0.2), np.random.default_rng(8))
+            return lambda d: 0.5 * c2c(d)
+        got, noise = self.run_both(P, [15e3, 30e3, 16e3], make_noise=make_noise,
+                                   tol=1e-3, step=0.05, max_iters=600)
+        assert got.iterations[1] == 600
+        assert got.converged == (True, False, True)
+        assert noise.calls > 3
+
+    def test_negative_duration_raises_before_the_law_runs(self, monkeypatch):
+        # The negative duration sits in the block's margin, past the pulse
+        # where the device would stop; the whole block is checked first.
+        def law(*args):
+            raise AssertionError("the device law ran")
+        monkeypatch.setattr(device, "per_element", law)
+        cfg = cfg_for(1)
+        last_negative = lambda d: np.where(np.arange(d.size) == d.size - 1, -1.0, d)
+        with pytest.raises(ValueError, match="non-negative"):
+            program_closed_loop(new_array(cfg, P), cfg, P, 0, [20e3], tol=1e-3,
+                                step=0.05, pulse_noise=last_negative)
 
     def test_negative_noise_raises(self):
         cfg = cfg_for(2)
@@ -337,6 +427,15 @@ class TestKernelsMatchScalarLaw:
         with pytest.raises(ValueError, match="non-negative"):
             capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)),
                            pulse_noise=lambda d: d - 1.0)
+
+    def test_noise_giving_the_wrong_count_raises(self):
+        cfg = cfg_for(2)
+        with pytest.raises(ValueError, match="one duration per pulse"):
+            program_closed_loop(new_array(cfg, P), cfg, P, 0, [20e3, 20e3],
+                                pulse_noise=lambda d: d[:-1])
+        with pytest.raises(ValueError, match="one duration per pulse"):
+            capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)),
+                           pulse_noise=lambda d: d[:1])
 
     @pytest.mark.parametrize("r_off_max", [1e6] + CLAMPS)
     def test_native_column(self, r_off_max):
@@ -362,7 +461,7 @@ class TestClosedLoopArguments:
     @pytest.mark.parametrize("kw", [
         {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0},
         {"step": math.nan}, {"step": math.inf}, {"step": 0.0},
-        {"max_iters": -1}, {"v_write": math.nan}, {"v_write": math.inf},
+        {"max_iters": -1}, {"max_iters": 2.5}, {"v_write": math.nan}, {"v_write": math.inf},
         {"v_write": 0.5},
     ])
     def test_rejected(self, kw):

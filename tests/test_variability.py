@@ -82,10 +82,38 @@ class TestPerturbPulse:
         noise = c2c_noise(spec, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         durations = [0.0, 0.01, 1.0, 17.3, 40.0] * 200
-        assert [noise(d) for d in durations] == \
+        assert [noise(np.array([d]))[0] for d in durations] == \
             [perturb_pulse(d, spec, rng) for d in durations]
         with pytest.raises(ValueError):
-            noise(-1.0)
+            perturb_pulse(np.array([1.0, -1.0]), spec, np.random.default_rng(9))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.042, 0.3])
+    def test_one_call_on_an_array_equals_one_call_per_element(self, sigma):
+        spec = VariationSpec(c2c_sigma=sigma)
+        durations = np.array([0.0, 0.01, 1.0, 17.3, 40.0] * 200)
+        rng = np.random.default_rng(9)
+        singles = [perturb_pulse(d, spec, rng) for d in durations.tolist()]
+        assert all(type(x) is float for x in singles)
+        rng = np.random.default_rng(9)
+        block = perturb_pulse(durations, spec, rng)
+        assert block.tolist() == singles
+        # the stream is left where the single calls leave it
+        assert perturb_pulse(5.0, spec, rng) == \
+            perturb_pulse(5.0, spec, _advanced(9, durations.size))
+        grid = perturb_pulse(durations.reshape(20, 50), spec,
+                             np.random.default_rng(9))
+        assert grid.shape == (20, 50)
+        assert grid.ravel().tolist() == singles
+        noise = c2c_noise(spec, np.random.default_rng(9))
+        parts = [noise(durations[i:j]) for i, j in ((0, 1), (1, 400), (400, 1000))]
+        assert np.concatenate(parts).tolist() == singles
+
+
+def _advanced(seed, n):
+    """A generator seeded with `seed` that has made n standard normal draws."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(n)
+    return rng
 
 
 class TestRandomWavefront:
