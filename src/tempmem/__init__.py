@@ -18,13 +18,12 @@ from .crossbar import (ArrayConfig, ArrayState, EnergyReport, dynamic_range,
                        ln_factor, new_array, read_grid_csv, recall,
                        reset_lines, write_grid_csv)
 from .recording import (CaptureResult, QuantizedWavefront, QuantizerSpec,
-                        RoundTripResult, capture, capture_digital, capture_native,
-                        matched_capacitance, program_closed_loop, quantize,
-                        round_trip)
-from .variability import (SweepSettings, TrialReport, TrialRow, VariationSpec,
-                          monte_carlo, perturb_pulse, random_wavefront,
-                          sample_array)
-from .scenario import (CalibrateSettings, RunSettings, Scenario, ScenarioError,
+                        RoundTripResult, SweepSettings, capture, capture_digital,
+                        capture_native, matched_capacitance, program_closed_loop,
+                        quantize, round_trip)
+from .variability import (TrialReport, TrialRow, VariationSpec, monte_carlo,
+                          perturb_pulse, random_wavefront, sample_array)
+from .scenario import (CalibrateSettings, Scenario, ScenarioError,
                        load_scenario, parse_scenario_text)
 
 __version__ = "0.1.0"
@@ -33,7 +32,7 @@ __all__ = [
     "AMP_A_DEFAULT", "ArrayConfig", "ArrayState", "CalibrateSettings",
     "CaptureResult", "DeviceParams", "DeviceState", "EnergyReport",
     "QuantizedWavefront", "QuantizerSpec", "RankOrder", "RoundTripResult",
-    "RunSettings", "Scenario", "ScenarioError", "SweepSettings", "TrialReport",
+    "Scenario", "ScenarioError", "SweepSettings", "TrialReport",
     "TrialRow", "VariationSpec", "Wavefront", "apply_pulse", "calibrate_amp",
     "capture", "capture_digital", "capture_native", "dynamic_range",
     "effective_bits", "kendall_tau", "ln_factor", "load_scenario",

@@ -9,7 +9,6 @@ energies in fJ.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
@@ -17,7 +16,7 @@ from pathlib import Path
 
 from . import crossbar, device, recording, variability
 from .scenario import Scenario, ScenarioError, load_scenario
-from .wavefront import read_wavefront_csv, write_wavefront_csv
+from .wavefront import read_wavefront_csv, write_csv, write_wavefront_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,11 +77,14 @@ def _fj(energy_j: float) -> str:
     return repr(energy_j / 1e-15)
 
 
-def _write_csv_row(path: Path, header: list[str], row: list[str]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerow(row)
+def _read_input(args, scenario: Scenario):
+    """The --input wavefront, and the scenario with one array row per
+    channel of it."""
+    w = read_wavefront_csv(args.input)
+    if len(w) != scenario.array.rows:
+        scenario = replace(scenario,
+                           array=replace(scenario.array, rows=len(w)))
+    return w, scenario
 
 
 def _cmd_recall(args, scenario: Scenario, outdir: Path) -> int:
@@ -93,26 +95,20 @@ def _cmd_recall(args, scenario: Scenario, outdir: Path) -> int:
         state = crossbar.new_array(cfg, scenario.device)
     w, energy = crossbar.recall(state, cfg, scenario.run.column)
     write_wavefront_csv(outdir / "wavefront.csv", w)
-    _write_csv_row(outdir / "energy.csv",
-                   ["per_line_fj", "stored_fj", "dissipated_fj"],
-                   [_fj(energy.per_line), _fj(energy.stored), _fj(energy.dissipated)])
+    write_csv(outdir / "energy.csv",
+              ["per_line_fj", "stored_fj", "dissipated_fj"],
+              [[_fj(energy.per_line), _fj(energy.stored), _fj(energy.dissipated)]])
     print(f"recalled column {scenario.run.column}: "
           f"span {w.span:.3f} ns, {energy.per_line / 1e-15:.1f} fJ/line")
     return 0
 
 
 def _cmd_capture(args, scenario: Scenario, outdir: Path) -> int:
-    w = read_wavefront_csv(args.input)
-    if len(w) != scenario.array.rows:
-        scenario = replace(scenario,
-                           array=replace(scenario.array, rows=len(w)))
+    w, scenario = _read_input(args, scenario)
     cfg = scenario.array
-    run = scenario.run
     state, result = recording.capture(
-        crossbar.new_array(cfg, scenario.device), cfg, scenario.device,
-        run.column, w, path=run.path, v_write=run.v_write,
-        quantizer=scenario.quantizer, tol=run.tol, step=run.step_ns,
-        max_iters=run.max_iters, window_ns=run.window_ns)
+        crossbar.new_array(cfg, scenario.device), cfg, scenario.device, w,
+        scenario.run)
     recording.write_capture_csv(outdir / "capture.csv", result)
     crossbar.write_grid_csv(outdir / "grid.csv", state)
     report = [
@@ -127,28 +123,19 @@ def _cmd_capture(args, scenario: Scenario, outdir: Path) -> int:
 
 
 def _cmd_roundtrip(args, scenario: Scenario, outdir: Path) -> int:
-    w = read_wavefront_csv(args.input)
-    if len(w) != scenario.array.rows:
-        scenario = replace(scenario,
-                           array=replace(scenario.array, rows=len(w)))
-    settings = scenario.sweep_settings()
-    rt = recording.round_trip(
-        w, scenario.array, scenario.device, path=settings.path,
-        col=settings.column, v_write=settings.v_write,
-        quantizer=settings.quantizer, tol=settings.tol, step=settings.step_ns,
-        max_iters=settings.max_iters, scale_cap=settings.scale_cap,
-        window_ns=settings.window_ns)
+    w, scenario = _read_input(args, scenario)
+    rt = recording.round_trip(w, scenario.array, scenario.device, scenario.run)
     write_wavefront_csv(outdir / "input_wavefront.csv", rt.input_normalized)
     write_wavefront_csv(outdir / "recalled_wavefront.csv", rt.recalled)
-    _write_csv_row(
+    write_csv(
         outdir / "metrics.csv",
         ["tau", "rms_ns", "max_abs_ns", "effective_bits", "span_ns",
          "c_scale_pf", "write_energy_fj", "recall_per_line_fj",
          "window_exceeded", "all_converged"],
-        [repr(rt.tau), repr(rt.rms_ns), repr(rt.max_abs_ns), repr(rt.bits),
-         repr(w.span), repr(rt.c_used / 1e-12), _fj(rt.capture.write_energy),
-         _fj(rt.recall_energy.per_line), str(int(rt.capture.window_exceeded)),
-         str(int(all(rt.capture.converged)))])
+        [[repr(rt.tau), repr(rt.rms_ns), repr(rt.max_abs_ns), repr(rt.bits),
+          repr(w.span), repr(rt.c_used / 1e-12), _fj(rt.capture.write_energy),
+          _fj(rt.recall_energy.per_line), str(int(rt.capture.window_exceeded)),
+          str(int(all(rt.capture.converged)))]])
     print(f"round trip ({scenario.run.path}): tau {rt.tau:.3f}, "
           f"rms {rt.rms_ns:.3f} ns, {rt.bits:.2f} bits")
     return 0
@@ -160,7 +147,7 @@ def _cmd_sweep(args, scenario: Scenario, outdir: Path) -> int:
         cfg = replace(cfg, rows=scenario.run.channels)
     report, rows = variability.monte_carlo(
         cfg, scenario.device, scenario.variation, scenario.run.trials,
-        scenario.sweep_settings(), workers=scenario.run.workers)
+        scenario.run, workers=scenario.run.workers)
     variability.write_trial_report_csv(outdir / "trial_report.csv", report)
     variability.write_trials_csv(outdir / "trials.csv", rows)
     text = variability.format_trial_report(report)
@@ -177,13 +164,13 @@ def _cmd_calibrate(args, scenario: Scenario, outdir: Path) -> int:
     lnf = cal.span_ns * 1e-9 / (cal.r_span_ohm * cfg.c_line)
     theta = 1.0 - math.exp(-lnf)
     v_read = math.sqrt(cal.energy_fj * 1e-15 / cfg.c_line)
-    _write_csv_row(
+    write_csv(
         outdir / "calibration.csv",
         ["amp_a_ohm", "theta", "v_read_v", "span_ns", "r_span_ohm",
          "energy_fj", "c_line_pf", "tau_w_ns"],
-        [repr(amp_a), repr(theta), repr(v_read), repr(cal.span_ns),
-         repr(cal.r_span_ohm), repr(cal.energy_fj), repr(cfg.c_line / 1e-12),
-         repr(dev.tau_w)])
+        [[repr(amp_a), repr(theta), repr(v_read), repr(cal.span_ns),
+          repr(cal.r_span_ohm), repr(cal.energy_fj), repr(cfg.c_line / 1e-12),
+          repr(dev.tau_w)]])
     print(f"amp_a = {amp_a:.2f} ohm, theta = {theta:.4f}, "
           f"v_read = {v_read:.4f} V")
     return 0

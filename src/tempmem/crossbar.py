@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import DeviceParams
-from .wavefront import Wavefront
+from .wavefront import Wavefront, write_csv
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,9 @@ def dynamic_range(cfg: ArrayConfig, params: DeviceParams, r_max: float) -> float
 
 def write_grid_csv(path, state: ArrayState) -> None:
     """Export the resistance grid as `row,col,resistance_ohm`."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["row", "col", "resistance_ohm"])
-        for i, row in enumerate(state.resistance.tolist()):
-            for j, r in enumerate(row):
-                writer.writerow([i, j, repr(r)])
+    write_csv(path, ["row", "col", "resistance_ohm"],
+              ([i, j, repr(r)] for i, row in enumerate(state.resistance.tolist())
+               for j, r in enumerate(row)))
 
 
 def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:

@@ -20,11 +20,10 @@ it applies (see `program_closed_loop`).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .crossbar import (ArrayConfig, ArrayState, EnergyReport, base_params,
                        _check_col)
 from .device import DeviceParams
 from .wavefront import (Wavefront, effective_bits, kendall_tau, normalize,
-                        rank_of, timing_error, EFFECTIVE_BITS_CAP)
+                        rank_of, timing_error, write_csv, EFFECTIVE_BITS_CAP)
 
 DEFAULT_WINDOW_NS = device.T_SPAN_DEFAULT  # calibrated near-linear pulse window
 
@@ -76,6 +75,67 @@ class QuantizerSpec:
         if self.kind == "vernier" and (self.t_fine is None
                                        or not self.t_fine < self.t_clk):
             raise ValueError("vernier needs 0 < t_fine < t_clk")
+
+
+@dataclass(frozen=True)
+class SweepSettings:
+    """How to run a capture, a round trip or a sweep: a scenario's `run.*`
+    and `quantizer.*` values, checked the same way whether parsed from a
+    file or built in code.  scale_cap is "matched", "none" or a line
+    capacitance in F (see `round_trip`); slope is ohm per count on the
+    digital route, None for `default_slope`."""
+
+    path: str = "native"                 # "native" | "digital"
+    column: int = 0
+    scale_cap: str | float = "matched"   # "matched" | "none" | F
+    trials: int = 100
+    channels: int = 8
+    span_ns: float = 40.0
+    tol: float = 1e-3
+    step_ns: float = 1.0
+    max_iters: int = 500
+    v_write: float | None = None
+    window_ns: float = DEFAULT_WINDOW_NS
+    workers: int = 1
+    quantizer: QuantizerSpec = QuantizerSpec()
+    slope: float | None = None
+
+    def __post_init__(self):
+        # Checks are written so that nan fails them.
+        if self.path not in ("native", "digital"):
+            raise ValueError("run.path must be native or digital")
+        if not self.column >= 0:
+            raise ValueError("run.column must be non-negative")
+        if self.scale_cap not in ("matched", "none") and not (
+                isinstance(self.scale_cap, (int, float))
+                and 0 < self.scale_cap < math.inf):
+            raise ValueError("run.scale_cap capacitance must be positive and finite")
+        if self.trials < 1:
+            raise ValueError("run.trials must be at least 1")
+        if self.channels < 1:
+            raise ValueError("run.channels must be at least 1")
+        if not 0 <= self.span_ns < math.inf:
+            raise ValueError("run.span_ns must be non-negative and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("run.tol must be positive and finite")
+        if not 0 < self.step_ns < math.inf:
+            raise ValueError("run.step_ns must be positive and finite")
+        if not self.max_iters >= 0:
+            raise ValueError("run.max_iters must be non-negative")
+        if self.v_write is not None and not 0 < self.v_write < math.inf:
+            raise ValueError("run.v_write must be positive and finite")
+        if not 0 <= self.window_ns < math.inf:
+            raise ValueError("run.window_ns must be non-negative and finite")
+        if self.workers < 1:
+            raise ValueError("run.workers must be at least 1")
+        if self.slope is not None and not 0 < self.slope < math.inf:
+            raise ValueError("slope must be positive and finite")
+
+    @property
+    def n_channels(self) -> int:
+        """`channels` under the name the benchmark's traced runner reads;
+        it goes with the next change to the benchmark."""
+        return self.channels
 
 
 @dataclass(frozen=True)
@@ -381,56 +441,44 @@ def matched_capacitance(span_ns: float, delta_r: float, cfg: ArrayConfig) -> flo
 
 
 def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
-            col: int, w: Wavefront, *, path: str = "native",
-            v_write: float | None = None,
-            quantizer: QuantizerSpec | None = None,
-            slope: float | None = None, tol: float = 1e-3,
-            step: float = 1.0, max_iters: int = 500,
-            window_ns: float = DEFAULT_WINDOW_NS,
+            w: Wavefront, settings: SweepSettings, *,
             pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
-    """Record a wavefront into column `col` by the native or the digital
-    route; the digital route defaults to a 1 ns counter."""
-    if path == "native":
-        return capture_native(state, cfg, params, col, w, v_write,
-                              window_ns=window_ns, pulse_noise=pulse_noise)
-    if path == "digital":
-        q = quantizer if quantizer is not None else QuantizerSpec()
-        return capture_digital(state, cfg, params, col, w, q, slope=slope,
-                               tol=tol, v_write=v_write, step=step,
-                               max_iters=max_iters, window_ns=window_ns,
-                               pulse_noise=pulse_noise)
-    raise ValueError("path must be 'native' or 'digital'")
+    """Record a wavefront into column `settings.column` by the route
+    `settings.path` names: native timing-difference writes, or the
+    digital route (`settings.quantizer`, then the closed loop)."""
+    s = settings
+    if s.path == "native":
+        return capture_native(state, cfg, params, s.column, w, s.v_write,
+                              window_ns=s.window_ns, pulse_noise=pulse_noise)
+    return capture_digital(state, cfg, params, s.column, w, s.quantizer,
+                           slope=s.slope, tol=s.tol, v_write=s.v_write,
+                           step=s.step_ns, max_iters=s.max_iters,
+                           window_ns=s.window_ns, pulse_noise=pulse_noise)
 
 
-def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams, *,
-               path: str = "native", col: int = 0,
-               v_write: float | None = None,
-               quantizer: QuantizerSpec | None = None,
-               slope: float | None = None, tol: float = 1e-3,
-               step: float = 1.0, max_iters: int = 500,
-               scale_cap: Union[str, float, None] = "matched",
-               window_ns: float = DEFAULT_WINDOW_NS,
+def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
+               settings: SweepSettings = SweepSettings(), *,
                pulse_noise: PulseNoise = None) -> RoundTripResult:
-    """Record a wavefront into a fresh array, reset, recall, and score it.
+    """Record a wavefront into column `settings.column` of a fresh array
+    by `capture`, reset, recall, and score it.
 
-    scale_cap chooses the recall line capacitance: "matched" derives it
-    from the captured resistance spread so the recalled span equals the
-    recorded one, None (or "none") keeps the configured c_line, and a
+    `settings.scale_cap` chooses the recall line capacitance: "matched"
+    derives it from the captured resistance spread so the recalled span
+    equals the recorded one, "none" keeps the configured c_line, and a
     float is used directly (F).
     """
-    state, cap = capture(new_array(cfg, params), cfg, params, col, w,
-                         path=path, v_write=v_write, quantizer=quantizer,
-                         slope=slope, tol=tol, step=step, max_iters=max_iters,
-                         window_ns=window_ns, pulse_noise=pulse_noise)
+    state, cap = capture(new_array(cfg, params), cfg, params, w, settings,
+                         pulse_noise=pulse_noise)
     state = reset_lines(state)
-    if scale_cap == "matched":
+    if settings.scale_cap == "matched":
         delta_r = max(cap.final_resistances) - min(cap.final_resistances)
         c_used = matched_capacitance(w.span, delta_r, cfg)
-    elif scale_cap is None or scale_cap == "none":
+    elif settings.scale_cap == "none":
         c_used = cfg.c_line
     else:
-        c_used = float(scale_cap)
-    recalled, energy = recall(state, replace(cfg, c_line=c_used), col)
+        c_used = float(settings.scale_cap)
+    recalled, energy = recall(state, replace(cfg, c_line=c_used),
+                              settings.column)
     in_n = normalize(w)
     out_n = normalize(recalled)
     tau = kendall_tau(rank_of(in_n), rank_of(out_n))
@@ -445,10 +493,6 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams, *,
 def write_capture_csv(path, result: CaptureResult) -> None:
     """Export per-channel capture data as
     `channel,pulse_ns,resistance_ohm,iterations`."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["channel", "pulse_ns", "resistance_ohm", "iterations"])
-        for ch in range(len(result.pulses)):
-            writer.writerow([ch, repr(result.pulses[ch]),
-                             repr(result.final_resistances[ch]),
-                             result.iterations[ch]])
+    write_csv(path, ["channel", "pulse_ns", "resistance_ohm", "iterations"],
+              ([ch, repr(p), repr(r), n] for ch, (p, r, n) in enumerate(zip(
+                  result.pulses, result.final_resistances, result.iterations))))

@@ -13,7 +13,6 @@ across worker processes.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,8 +22,8 @@ import numpy as np
 
 from .crossbar import ArrayConfig
 from .device import DeviceParams, per_element
-from .recording import QuantizerSpec, RoundTripResult, round_trip
-from .wavefront import Wavefront
+from .recording import RoundTripResult, SweepSettings, round_trip
+from .wavefront import Wavefront, write_csv
 
 # Success threshold for exact-timing codes: rms no worse than half an LSB
 # of a 5-bit code across the span, i.e. rms <= span / 64.
@@ -137,37 +136,14 @@ def random_wavefront(rng: np.random.Generator, n_channels: int,
     return Wavefront(tuple(vals[rng.permutation(n_channels)]))
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    """Round-trip configuration shared by every trial of a sweep."""
-
-    n_channels: int = 8
-    span_ns: float = 40.0
-    path: str = "native"
-    quantizer: QuantizerSpec | None = None
-    slope: float | None = None
-    tol: float = 1e-3
-    step_ns: float = 1.0
-    max_iters: int = 500
-    v_write: float | None = None
-    scale_cap: str | float | None = "matched"
-    window_ns: float = 40.0
-    column: int = 0
-
-
 def _run_trial(args) -> TrialRow:
     index, seed_seq, cfg, base, spec, settings = args
     rng = np.random.default_rng(seed_seq)
-    w = random_wavefront(rng, settings.n_channels, settings.span_ns)
+    w = random_wavefront(rng, settings.channels, settings.span_ns)
     grid = sample_array(base, spec, cfg.rows, cfg.cols, rng=rng)
     noise = c2c_noise(spec, rng)
     # The last use of rng: the closed loop reads the noise ahead.
-    rt: RoundTripResult = round_trip(
-        w, cfg, grid, path=settings.path, col=settings.column,
-        v_write=settings.v_write, quantizer=settings.quantizer,
-        slope=settings.slope, tol=settings.tol, step=settings.step_ns,
-        max_iters=settings.max_iters, scale_cap=settings.scale_cap,
-        window_ns=settings.window_ns, pulse_noise=noise)
+    rt: RoundTripResult = round_trip(w, cfg, grid, settings, pulse_noise=noise)
     recall_total = rt.recall_energy.per_line * cfg.rows
     return TrialRow(
         trial=index, tau=rt.tau, rms_ns=rt.rms_ns, max_abs_ns=rt.max_abs_ns,
@@ -179,7 +155,10 @@ def _run_trial(args) -> TrialRow:
 def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
                 n_trials: int, settings: SweepSettings = SweepSettings(), *,
                 workers: int = 1) -> tuple[TrialReport, tuple[TrialRow, ...]]:
-    """Run independent capture/recall trials on freshly sampled arrays.
+    """Run independent capture/recall trials on freshly sampled arrays,
+    each a `round_trip` with `settings` on a random wavefront of
+    `settings.channels` channels; settings.trials and settings.workers
+    are not read (n_trials and workers are).
 
     Fully reproducible from spec.seed; workers > 1 fans trials out to a
     process pool without changing any result.
@@ -214,24 +193,17 @@ _REPORT_FIELDS = ["n_trials", "rank_exact_rate", "mean_tau", "rms_timing_ns",
 
 
 def write_trial_report_csv(path, report: TrialReport) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_REPORT_FIELDS)
-        writer.writerow([report.n_trials] +
-                        [repr(getattr(report, k)) for k in _REPORT_FIELDS[1:]])
+    write_csv(path, _REPORT_FIELDS, [[report.n_trials] + [
+        repr(getattr(report, k)) for k in _REPORT_FIELDS[1:]]])
 
 
 def write_trials_csv(path, rows) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["trial", "tau", "rms_ns", "max_abs_ns", "bits",
-                         "write_energy_j", "recall_energy_j", "converged",
-                         "window_exceeded"])
-        for r in rows:
-            writer.writerow([r.trial, repr(r.tau), repr(r.rms_ns),
-                             repr(r.max_abs_ns), repr(r.bits),
-                             repr(r.write_energy_j), repr(r.recall_energy_j),
-                             int(r.converged), int(r.window_exceeded)])
+    write_csv(path, ["trial", "tau", "rms_ns", "max_abs_ns", "bits",
+                     "write_energy_j", "recall_energy_j", "converged",
+                     "window_exceeded"],
+              ([r.trial, repr(r.tau), repr(r.rms_ns), repr(r.max_abs_ns),
+                repr(r.bits), repr(r.write_energy_j), repr(r.recall_energy_j),
+                int(r.converged), int(r.window_exceeded)] for r in rows))
 
 
 def format_trial_report(report: TrialReport) -> str:

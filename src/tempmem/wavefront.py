@@ -35,10 +35,6 @@ class Wavefront:
         return len(self.times)
 
     @property
-    def n_channels(self) -> int:
-        return len(self.times)
-
-    @property
     def span(self) -> float:
         return max(self.times) - min(self.times)
 
@@ -116,12 +112,17 @@ def effective_bits(span: float, rms: float) -> float:
     return min(math.log2(span / (2.0 * rms)), EFFECTIVE_BITS_CAP)
 
 
-def write_wavefront_csv(path, w: Wavefront) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file: the header row, then each of `rows`."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["channel", "time_ns"])
-        for ch, t in enumerate(w.times):
-            writer.writerow([ch, repr(t)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_wavefront_csv(path, w: Wavefront) -> None:
+    write_csv(path, ["channel", "time_ns"],
+              ([ch, repr(t)] for ch, t in enumerate(w.times)))
 
 
 def read_wavefront_csv(path) -> Wavefront:

@@ -110,8 +110,9 @@ def test_criterion_6_digital_path_error_and_convergence():
     for _ in range(15):
         vals = np.concatenate(([0.0, 40.0], rng.uniform(0.0, 40.0, 6)))
         w = tm.Wavefront(tuple(vals[rng.permutation(8)]))
-        rt = tm.round_trip(w, cfg, P, path="digital", quantizer=q, tol=1e-3,
-                           step=step, max_iters=max_iters)
+        rt = tm.round_trip(w, cfg, P, tm.SweepSettings(
+            path="digital", quantizer=q, tol=1e-3, step_ns=step,
+            max_iters=max_iters))
         assert all(rt.capture.converged), rt.capture.iterations
         assert max(rt.capture.iterations) <= max_iters
         assert rt.rms_ns <= 1.0, rt.rms_ns

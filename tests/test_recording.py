@@ -12,10 +12,11 @@ from tempmem import device
 from tempmem.crossbar import ArrayConfig, ln_factor, new_array, reset_lines
 from tempmem.device import (DeviceParams, DeviceState, apply_pulse,
                             pulse_energy, resistance_of)
-from tempmem.recording import (CaptureResult, QuantizerSpec, capture_digital,
-                               capture_native, default_slope,
-                               matched_capacitance, program_closed_loop,
-                               quantize, round_trip, write_capture_csv)
+from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
+                               capture, capture_digital, capture_native,
+                               default_slope, matched_capacitance,
+                               program_closed_loop, quantize, round_trip,
+                               write_capture_csv)
 from tempmem.variability import VariationSpec, c2c_noise, sample_array
 from tempmem.wavefront import Wavefront, rank_of
 
@@ -503,8 +504,9 @@ class TestCaptureDigital:
         cfg = cfg_for(4)
         q = QuantizerSpec(kind="counter", t_clk=1.0)
         w = Wavefront((0.0, 9.7, 20.3, 33.4))
-        rt = round_trip(w, cfg, P, path="digital", quantizer=q, tol=1e-3,
-                        step=0.01, max_iters=8000, scale_cap=None)
+        rt = round_trip(w, cfg, P, SweepSettings(
+            path="digital", quantizer=q, tol=1e-3, step_ns=0.01,
+            max_iters=8000, scale_cap="none"))
         ns_per_count = default_slope(q.t_clk) * cfg.c_line * ln_factor(cfg.theta) * 1e9
         slack = 1e-3 * 40e3 * cfg.c_line * ln_factor(cfg.theta) * 1e9
         assert rt.max_abs_ns <= q.t_clk * ns_per_count + 2 * slack
@@ -541,8 +543,8 @@ class TestRoundTrip:
         for _ in range(5):
             vals = np.concatenate(([0.0, 40.0], rng.uniform(0, 40, 6)))
             w = Wavefront(tuple(vals[rng.permutation(8)]))
-            rt = round_trip(w, cfg_for(8), P, path="digital", tol=1e-3,
-                            step=0.01, max_iters=8000)
+            rt = round_trip(w, cfg_for(8), P, SweepSettings(
+                path="digital", tol=1e-3, step_ns=0.01, max_iters=8000))
             assert rt.rms_ns <= 0.8
             assert all(rt.capture.converged)
 
@@ -554,14 +556,15 @@ class TestRoundTrip:
 
     def test_fixed_capacitance_and_explicit_float(self):
         w = Wavefront((0.0, 10.0, 40.0))
-        rt_none = round_trip(w, cfg_for(3), P, scale_cap=None)
-        rt_same = round_trip(w, cfg_for(3), P, scale_cap=1e-12)
+        rt_none = round_trip(w, cfg_for(3), P, SweepSettings(scale_cap="none"))
+        rt_same = round_trip(w, cfg_for(3), P, SweepSettings(scale_cap=1e-12))
         assert rt_none.c_used == 1e-12
         assert rt_same.recalled == rt_none.recalled
 
     def test_rejects_unknown_path(self):
         with pytest.raises(ValueError, match="path"):
-            round_trip(Wavefront((0.0, 1.0)), cfg_for(2), P, path="analog")
+            round_trip(Wavefront((0.0, 1.0)), cfg_for(2), P,
+                       SweepSettings(path="analog"))
 
     def test_recall_without_reset_is_rejected(self):
         # the round trip inserts the reset; doing it by hand without one fails
@@ -571,6 +574,39 @@ class TestRoundTrip:
                                   Wavefront((0.0, 10.0)))
         with pytest.raises(ValueError, match="reset"):
             recall(state, cfg, 0)
+
+
+class TestSweepSettings:
+    """A settings value built in code is checked as a scenario's run
+    section is; a nan window_ns, say, would hide every window overrun."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("window_ns", math.nan), ("window_ns", -1.0), ("window_ns", math.inf),
+        ("path", "analog"), ("span_ns", -5.0), ("span_ns", math.nan),
+        ("scale_cap", 0.0), ("scale_cap", -1e-12), ("scale_cap", math.inf),
+        ("scale_cap", None), ("scale_cap", "Matched"), ("tol", 0.0),
+        ("step_ns", math.nan), ("max_iters", -3), ("column", -1),
+        ("v_write", 0.0), ("trials", 0), ("channels", 0), ("workers", 0),
+        ("slope", 0.0), ("slope", math.nan)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepSettings(**{field: value})
+
+    def test_one_class_everywhere(self):
+        import tempmem
+        from tempmem import variability
+        assert variability.SweepSettings is SweepSettings
+        assert tempmem.SweepSettings is SweepSettings
+
+    def test_capture_reads_column_and_route_from_settings(self):
+        cfg = ArrayConfig(rows=2, cols=3)
+        w = Wavefront((0.0, 10.0))
+        for path in ("native", "digital"):
+            state, result = capture(new_array(cfg, P), cfg, P, w,
+                                    SweepSettings(path=path, column=2))
+            assert state.resistance[1, 2] == result.final_resistances[1] > P.r_on
+            assert (state.stress[:, :2] == 0.0).all()
+        assert result.iterations[1] > 1  # the closed loop ran
 
 
 class TestCaptureCsv:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from tempmem.cli import main
+from tempmem.recording import QuantizerSpec
 from tempmem.scenario import _KEYS, Scenario, ScenarioError, parse_scenario_text
 from tempmem.wavefront import Wavefront, read_wavefront_csv, write_wavefront_csv
 
@@ -62,7 +63,7 @@ class TestScenarioParsing:
         assert s.array.rows == 4 and s.array.cols == 2
         assert s.array.c_line == pytest.approx(1e-12)
         assert s.array.t_shifter == 0.5
-        assert s.quantizer.kind == "vernier"
+        assert s.run.quantizer.kind == "vernier"
         assert s.run.path == "digital"
         assert s.run.column == 1
         assert s.variation.seed == 42
@@ -91,7 +92,7 @@ class TestScenarioParsing:
 
     def test_scale_cap_forms(self):
         assert parse_scenario_text("run.scale_cap = none\n").run.scale_cap == "none"
-        assert parse_scenario_text("run.scale_cap = 2.0\n").run.scale_cap == 2.0
+        assert parse_scenario_text("run.scale_cap = 2.0\n").run.scale_cap == 2e-12
         with pytest.raises(ScenarioError):
             parse_scenario_text("run.scale_cap = -1.0\n")
 
@@ -100,8 +101,19 @@ class TestScenarioParsing:
         assert s.array.rows == 3
 
     def test_sweep_settings_translate_pf(self):
-        s = parse_scenario_text("run.scale_cap = 2.0\n")
-        assert s.sweep_settings().scale_cap == pytest.approx(2e-12)
+        # The names bench/traced.py reads from a parsed scenario.
+        s = parse_scenario_text("run.scale_cap = 2.0\nrun.channels = 5\n"
+                                "quantizer.kind = vernier\n"
+                                "quantizer.t_fine_ns = 0.25\n")
+        settings = s.sweep_settings()
+        assert settings is s.run
+        assert settings.scale_cap == pytest.approx(2e-12)
+        assert settings.n_channels == settings.channels == 5
+        assert settings.slope is None
+        assert settings.quantizer == QuantizerSpec(kind="vernier", t_fine=0.25)
+        for name in ("trials", "span_ns", "path", "column", "v_write",
+                     "window_ns", "tol", "step_ns", "max_iters"):
+            assert getattr(settings, name) == getattr(Scenario().run, name)
 
     # Every key whose value is not an int or a word takes a float.
     FLOAT_KEYS = [key for key, (convert, _, _) in _KEYS.items()

@@ -137,7 +137,7 @@ class TestRandomWavefront:
 class TestMonteCarlo:
     def test_noise_free_collapse_matches_deterministic_round_trip(self):
         spec = VariationSpec(d2d_sigma=0.0, c2c_sigma=0.0, seed=123)
-        settings = SweepSettings(n_channels=4)
+        settings = SweepSettings(channels=4)
         report, rows = monte_carlo(ArrayConfig(rows=4, cols=1), P, spec, 20,
                                    settings)
         assert report.rank_exact_rate == 1.0
@@ -193,7 +193,7 @@ class TestMonteCarlo:
         # d2d spread can put a device's ON state above its target, which a
         # RESET-only verify loop can never reach, so convergence is only
         # guaranteed without d2d noise
-        settings = SweepSettings(n_channels=4, path="digital", tol=5e-3,
+        settings = SweepSettings(channels=4, path="digital", tol=5e-3,
                                  step_ns=0.05, max_iters=2000)
         spec = VariationSpec(d2d_sigma=0.0, c2c_sigma=0.042, seed=21)
         report, rows = monte_carlo(ArrayConfig(rows=4, cols=1), P, spec, 10,

@@ -8,7 +8,7 @@ from scipy import stats
 from tempmem.wavefront import (RankOrder, Wavefront, effective_bits,
                                kendall_tau, normalize, rank_of,
                                read_wavefront_csv, timing_error,
-                               write_wavefront_csv)
+                               write_csv, write_wavefront_csv)
 
 
 def wf(*times):
@@ -165,6 +165,11 @@ class TestEffectiveBits:
 
 
 class TestCsvRoundTrip:
+    def test_write_csv_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], ([i, repr(i / 4)] for i in range(2)))
+        assert path.read_bytes() == b"a,b\r\n0,0.0\r\n1,0.25\r\n"
+
     def test_write_read_identity(self, tmp_path):
         w = wf(0.0, 9.700000000000001, 20.3, 1e-3)
         path = tmp_path / "w.csv"
