@@ -125,12 +125,18 @@ def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, En
     _check_col(state, cfg, col)
     if state.lines_charged:
         raise ValueError("bit lines are charged; call reset_lines before recall")
-    r = state.resistance[:, col]
-    times = r * (cfg.c_line * ln_factor(cfg.theta) * 1e9) + cfg.t_shifter
+    times = edge_times(state.resistance[:, col], cfg.c_line, cfg)
     per_line = cfg.c_line * cfg.v_read ** 2
     half = cfg.rows * per_line / 2.0
     return Wavefront(tuple(times)), EnergyReport(per_line=per_line, stored=half,
                                                  dissipated=half)
+
+
+def edge_times(r: np.ndarray, c_line, cfg: ArrayConfig) -> np.ndarray:
+    """Recall edge times (ns) of devices of resistance r (ohm) on bit lines
+    of capacitance c_line (F), with cfg's threshold and shifter delay;
+    c_line is a float or an array broadcasting against r."""
+    return r * (c_line * ln_factor(cfg.theta) * 1e9) + cfg.t_shifter
 
 
 def reset_lines(state: ArrayState) -> ArrayState:

@@ -26,11 +26,16 @@ the draw it would get pulse by pulse, and only the column's last spare
 draws are thrown away: the noise stream is read ahead past the last
 applied pulse, which changes nothing as long as nothing draws from it
 after the capture.  `reset_energy` then integrates a whole
-stress/resistance trajectory's write energy at once.  Only `+ - * /`,
-`min`/`max`, `cumsum` and `scipy.special.expi` are vectorised, as numpy
-gives the same bits for them; `exp`, `expm1` and `log1p` stay `math.*`,
-applied per element by `per_element`, because numpy's SIMD versions
-differ in the last bit for some inputs.
+stress/resistance trajectory's write energy at once.
+
+The batched Monte Carlo engine runs the native law and `reset_energy`
+on trials x rows arrays (`_reset_constants` too, one set of clamp
+constants per device), so one call covers every device of every trial
+in a block.  Only `+ - * /`, `min`/`max`, comparisons, `cumsum` along
+the last axis and `scipy.special.expi` are vectorised, as numpy gives the
+same bits for them; `exp`, `expm1` and `log1p` stay `math.*`, applied per
+element by `per_element`, because numpy's SIMD versions differ in the
+last bit for some inputs.
 """
 
 from __future__ import annotations
@@ -70,15 +75,9 @@ class DeviceParams:
 
     def __post_init__(self):
         # Checks are written so that nan fails them.
-        r_on = self.r_on
-        if isinstance(r_on, np.ndarray):
-            if r_on.ndim != 2:
-                raise ValueError("an r_on array must be rows x cols")
-            lo, hi = r_on.min(), r_on.max()
-        else:
-            lo = hi = r_on
-        if not (0 < lo and hi < self.r_off_max < math.inf):
-            raise ValueError("need 0 < r_on < r_off_max < inf")
+        if isinstance(self.r_on, np.ndarray) and self.r_on.ndim != 2:
+            raise ValueError("an r_on array must be rows x cols")
+        check_r_on(self.r_on, self.r_off_max)
         if not 0 < self.amp_a < math.inf:
             raise ValueError("amp_a must be positive and finite")
         if not 0 < self.tau_w < math.inf:
@@ -87,6 +86,15 @@ class DeviceParams:
             raise ValueError("need 0 < v_prog_threshold < v_write_nominal < inf")
         if not 0 < self.v_zero < math.inf:
             raise ValueError("v_zero must be positive and finite")
+
+
+def check_r_on(r_on: float | np.ndarray, r_off_max: float) -> None:
+    """Raise ValueError unless 0 < r_on < r_off_max < inf, for one ON
+    resistance or every element of an array of them."""
+    lo, hi = (r_on.min(), r_on.max()) if isinstance(r_on, np.ndarray) else (r_on, r_on)
+    # Written so that nan fails it.
+    if not (0 < lo and hi < r_off_max < math.inf):
+        raise ValueError("need 0 < r_on < r_off_max < inf")
 
 
 @dataclass(frozen=True)
@@ -156,16 +164,26 @@ def calibrate_amp(r_span: float, t_span: float, params: DeviceParams) -> DeviceP
     return replace(params, amp_a=r_span / math.log1p(t_span / params.tau_w))
 
 
-def _reset_constants(r_on: float, params: DeviceParams) -> tuple[float, float, float]:
-    """Of a device whose ON resistance is r_on: the stress at which its
+def _reset_constants(r_on: float | np.ndarray, params: DeviceParams):
+    """Of devices whose ON resistances are r_on: the stress at which
     resistance reaches r_off_max, the resistance the law gives there, and
-    the prefactor (tau/A) e^(-r_on/A) of the Ei antiderivative."""
+    the prefactor (tau/A) e^(-r_on/A) of the Ei antiderivative.  A float
+    gives floats; an array gives arrays of its shape, computed as array
+    expressions with `math.*` per element.  (Each array expression costs
+    microseconds, so one float stays on plain floats: the closed loop
+    asks for one device at a time.)"""
     a, tau = params.amp_a, params.tau_w
     x = (params.r_off_max - r_on) / a
     # expm1 would overflow beyond 700; the clamp is then unreachable
-    s_clamp = math.inf if x > 700.0 else tau * math.expm1(x)
-    r_clamp = min(r_on + a * math.log1p(s_clamp / tau), params.r_off_max)
-    return s_clamp, r_clamp, (tau / a) * math.exp(-r_on / a)
+    if not np.ndim(r_on):
+        s_clamp = math.inf if x > 700.0 else tau * math.expm1(x)
+        return (s_clamp, min(r_on + a * math.log1p(s_clamp / tau), params.r_off_max),
+                (tau / a) * math.exp(-r_on / a))
+    s_clamp = np.where(x > 700.0, math.inf,
+                       tau * per_element(math.expm1, np.minimum(x, 700.0)))
+    r_clamp = np.minimum(r_on + a * per_element(math.log1p, s_clamp / tau),
+                         params.r_off_max)
+    return s_clamp, r_clamp, (tau / a) * per_element(math.exp, -r_on / a)
 
 
 def reset_energy(s: np.ndarray, r: np.ndarray, v: float, rate: float,
@@ -185,12 +203,9 @@ def reset_energy(s: np.ndarray, r: np.ndarray, v: float, rate: float,
     point; above it R is r_off_max.  The pulses crossing the clamp are
     split there.
     """
-    if np.ndim(r_on):
-        s_clamp, r_clamp, pref = np.array(
-            [_reset_constants(x, params) for x in np.ravel(r_on).tolist()]
-        ).T.reshape((3,) + np.shape(r_on) + (1,))
-    else:
-        s_clamp, r_clamp, pref = _reset_constants(r_on, params)
+    s_clamp, r_clamp, pref = _reset_constants(r_on, params)
+    if np.ndim(r_on):  # one set per trajectory, alike along its points
+        s_clamp, r_clamp, pref = s_clamp[..., None], r_clamp[..., None], pref[..., None]
     # Ei of each point's resistance, taken at the clamp beyond it
     ei = expi(np.where(s <= s_clamp, r, r_clamp) / params.amp_a)
     s0, s1 = s[..., :-1], s[..., 1:]

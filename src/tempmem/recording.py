@@ -23,17 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import device
 from .crossbar import (ArrayConfig, ArrayState, EnergyReport, base_params,
-                       new_array, ln_factor, r_on_grid, recall, reset_lines,
-                       _check_col)
+                       edge_times, new_array, ln_factor, r_on_grid, _check_col)
 from .device import DeviceParams
-from .wavefront import (Wavefront, effective_bits, kendall_tau, normalize,
-                        rank_of, timing_error, write_csv, EFFECTIVE_BITS_CAP)
+from .wavefront import Wavefront, fidelity, normalize, write_csv
 
 DEFAULT_WINDOW_NS = device.T_SPAN_DEFAULT  # calibrated near-linear pulse window
 
@@ -207,11 +205,14 @@ def _reset_rate(params: DeviceParams, v_write: float | None) -> tuple[float, flo
     return v_write, device.programming_rate(-v_write, params)
 
 
-def _add(total: float, energies: np.ndarray) -> float:
-    """total plus each energy in turn: the left fold of a pulse-by-pulse
-    running sum, as `np.cumsum` computes it; np.sum (pairwise) or
-    math.fsum would not reproduce it bit for bit."""
-    return float(np.concatenate((np.array([total]), energies.ravel())).cumsum()[-1])
+def _add(total: float, energies: np.ndarray) -> np.ndarray:
+    """total plus each energy along the last axis in turn: the left fold of
+    a pulse-by-pulse running sum, as `np.cumsum` computes it; np.sum
+    (pairwise) or math.fsum would not reproduce it bit for bit."""
+    run = np.empty(energies.shape[:-1] + (energies.shape[-1] + 1,))
+    run[..., 0] = total
+    run[..., 1:] = energies
+    return run.cumsum(axis=-1)[..., -1]
 
 
 def _effective(nominal: np.ndarray, pulse_noise: PulseNoise) -> np.ndarray:
@@ -227,6 +228,26 @@ def _effective(nominal: np.ndarray, pulse_noise: PulseNoise) -> np.ndarray:
     return dur
 
 
+def _native_write(dur: np.ndarray, start, r_on: np.ndarray, v_write: float,
+                  rate: float, params: DeviceParams):
+    """The native law on whole columns: each device, ON at r_on and now at
+    resistance `start`, takes one reverse pulse of effective duration dur
+    (ns) at v_write, whose stress rate is `rate`.  dur, start and r_on are
+    arrays of one shape, rows along the last axis and any leading axes
+    (trials); returns the devices' stress and resistance, and each
+    column's write energy (J) summed in row order."""
+    stress = dur * rate
+    log_term = device.per_element(math.log1p, stress / params.tau_w)
+    law = np.minimum(r_on + params.amp_a * log_term, params.r_off_max)
+    # A zero-length pulse leaves its device as it was.
+    resistance = np.where(dur == 0.0, start, law)
+    # Each row's trajectory is its two points, from ON to the end of its pulse.
+    energies = device.reset_energy(np.stack((np.zeros(stress.shape), stress), -1),
+                                   np.stack((r_on, law), -1), -v_write, rate,
+                                   r_on, params)
+    return stress, resistance, _add(0.0, energies[..., 0])
+
+
 def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
                    col: int, w: Wavefront, v_write: float | None = None, *,
                    window_ns: float = DEFAULT_WINDOW_NS,
@@ -237,7 +258,8 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
     arriving channel gets none and its device stays exactly at r_on.  A
     span beyond the calibrated linear window is flagged, not rejected.
     The noise is one call on the column's nominal durations, drawing in
-    row order; the device law then runs on the whole column at once.
+    row order; the device law then runs on the whole column at once
+    (`_native_write`, which the batched Monte Carlo engine shares).
     """
     _check_col(state, cfg, col)
     if len(w) != cfg.rows:
@@ -247,19 +269,12 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
     r_on = r_on_grid(params, cfg)[:, col]
     t0 = min(w.times)
     dur = _effective(np.array([t - t0 for t in w.times]), pulse_noise)
-    stress = dur * rate
-    log_term = device.per_element(math.log1p, stress / params.tau_w)
-    law = np.minimum(r_on + params.amp_a * log_term, params.r_off_max)
-    # A zero-length pulse leaves its device as it was.
-    resistance = np.where(dur == 0.0, start, law)
-    # Each row's trajectory is its two points, from ON to the end of its pulse.
-    energies = device.reset_energy(np.array((np.zeros(cfg.rows), stress)).T,
-                                   np.array((r_on, law)).T, -v_write, rate,
-                                   r_on, params)
+    stress, resistance, energy = _native_write(dur, np.array(start), r_on,
+                                               v_write, rate, params)
     result = CaptureResult(
         pulses=tuple(dur.tolist()),
         final_resistances=tuple(resistance.tolist()),
-        write_energy=_add(0.0, energies),
+        write_energy=float(energy),
         iterations=(1,) * cfg.rows,
         converged=(True,) * cfg.rows,
         window_exceeded=w.span > window_ns,
@@ -365,14 +380,14 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
             # Zero-length pulses repeat a point, adding exactly 0.0 J.
             trajectory_s.append(stress[:m])
             trajectory_r.append(law[:m])
-            applied = _add(applied, dur[:m])
+            applied = float(_add(applied, dur[:m]))
             s, r = float(stress[m - 1]), float(res[m - 1])
             iters += m
             spare = spare[m:]
         if iters:
-            energy = _add(energy, device.reset_energy(
+            energy = float(_add(energy, device.reset_energy(
                 np.concatenate(trajectory_s), np.concatenate(trajectory_r),
-                -v_write, rate, r_on, params))
+                -v_write, rate, r_on, params)))
         pulses.append(applied)
         stresses.append(s)
         resistances.append(r)
@@ -432,12 +447,53 @@ class RoundTripResult:
     c_used: float                  # F, line capacitance used for the recall
 
 
-def matched_capacitance(span_ns: float, delta_r: float, cfg: ArrayConfig) -> float:
+def matched_capacitance(span_ns, delta_r, cfg: ArrayConfig):
     """Line capacitance mapping a captured resistance spread back onto the
-    recorded span; falls back to the configured value for a flat column."""
-    if delta_r <= 0 or span_ns <= 0:
-        return cfg.c_line
-    return span_ns * 1e-9 / (delta_r * ln_factor(cfg.theta))
+    recorded span; falls back to the configured value for a flat column.
+    Floats give a float; arrays give an array of their broadcast shape."""
+    span_ns, delta_r = np.asarray(span_ns, dtype=float), np.asarray(delta_r, dtype=float)
+    # Written so that nan does not fall back.
+    spread = ~((delta_r <= 0) | (span_ns <= 0))
+    c = np.divide(span_ns * 1e-9, delta_r * ln_factor(cfg.theta),
+                  out=np.full(spread.shape, cfg.c_line), where=spread)
+    return c if c.ndim else float(c)
+
+
+class Recalled(NamedTuple):
+    """Recall and scores of captured columns, one element (or row) per
+    trial."""
+
+    c_used: np.ndarray    # F, line capacitance of each recall
+    recalled: np.ndarray  # absolute recall edge times, trials x channels
+    per_line: np.ndarray  # J drawn from the supply per bit line
+    tau: np.ndarray
+    rms_ns: np.ndarray
+    max_abs_ns: np.ndarray
+    bits: np.ndarray
+
+
+def recall_and_score(times: np.ndarray, resistances: np.ndarray,
+                     cfg: ArrayConfig, scale_cap: str | float) -> Recalled:
+    """Reset lines, recall and score, batched over trials: row k of `times`
+    is trial k's input wavefront and row k of `resistances` the column it
+    was captured into.  The line capacitance follows `scale_cap` as in
+    `round_trip`, with the checks `ArrayConfig` and `Wavefront` make."""
+    # Python float arithmetic overflows to inf without a warning; so does this.
+    with np.errstate(over="ignore"):
+        if scale_cap == "matched":
+            c_used = matched_capacitance(
+                times.max(axis=-1) - times.min(axis=-1),
+                resistances.max(axis=-1) - resistances.min(axis=-1), cfg)
+        else:
+            c_used = np.full(len(times), cfg.c_line if scale_cap == "none"
+                             else float(scale_cap))
+        if not ((0 < c_used) & (c_used < math.inf)).all():
+            raise ValueError("c_line must be positive and finite")
+        recalled = edge_times(resistances, c_used[:, None], cfg)
+        if not np.isfinite(recalled).all():
+            raise ValueError("wavefront times must be finite and non-negative")
+        return Recalled(c_used, recalled, c_used * cfg.v_read ** 2,
+                        *fidelity(times, recalled))
 
 
 def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
@@ -465,29 +521,23 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
     `settings.scale_cap` chooses the recall line capacitance: "matched"
     derives it from the captured resistance spread so the recalled span
     equals the recorded one, "none" keeps the configured c_line, and a
-    float is used directly (F).
+    float is used directly (F).  Recall and scoring are the one-trial case
+    of `recall_and_score`, the batched engine of `variability.monte_carlo`.
     """
-    state, cap = capture(new_array(cfg, params), cfg, params, w, settings,
-                         pulse_noise=pulse_noise)
-    state = reset_lines(state)
-    if settings.scale_cap == "matched":
-        delta_r = max(cap.final_resistances) - min(cap.final_resistances)
-        c_used = matched_capacitance(w.span, delta_r, cfg)
-    elif settings.scale_cap == "none":
-        c_used = cfg.c_line
-    else:
-        c_used = float(settings.scale_cap)
-    recalled, energy = recall(state, replace(cfg, c_line=c_used),
-                              settings.column)
-    in_n = normalize(w)
-    out_n = normalize(recalled)
-    tau = kendall_tau(rank_of(in_n), rank_of(out_n))
-    rms, max_abs = timing_error(in_n, out_n)
-    bits = effective_bits(w.span, rms) if w.span > 0 else EFFECTIVE_BITS_CAP
+    _, cap = capture(new_array(cfg, params), cfg, params, w, settings,
+                     pulse_noise=pulse_noise)
+    rt = recall_and_score(np.array([w.times]), np.array([cap.final_resistances]),
+                          cfg, settings.scale_cap)
+    c_used, per_line, tau, rms, max_abs, bits = (
+        float(x[0]) for x in (rt.c_used, rt.per_line, rt.tau, rt.rms_ns,
+                              rt.max_abs_ns, rt.bits))
+    recalled = Wavefront(tuple(rt.recalled[0].tolist()))
+    half = cfg.rows * per_line / 2.0
     return RoundTripResult(
-        recalled=recalled, recalled_normalized=out_n, input_normalized=in_n,
-        tau=tau, rms_ns=rms, max_abs_ns=max_abs, bits=bits,
-        capture=cap, recall_energy=energy, c_used=c_used)
+        recalled=recalled, recalled_normalized=normalize(recalled),
+        input_normalized=normalize(w), tau=tau, rms_ns=rms, max_abs_ns=max_abs,
+        bits=bits, capture=cap, c_used=c_used,
+        recall_energy=EnergyReport(per_line=per_line, stored=half, dissipated=half))
 
 
 def write_capture_csv(path, result: CaptureResult) -> None:

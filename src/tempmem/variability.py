@@ -6,9 +6,21 @@ programming pulse's effective duration the same way.  Both are positive
 quantities, so multiplicative lognormal noise is the natural choice for
 percentage-level spreads.
 
-Every trial draws from its own stream spawned from the master seed, so
-a sweep gives bit-identical results whether trials run serially or
-across worker processes.
+Every trial draws from its own stream spawned from the master seed, in
+this order: the input wavefront (`random_wavefront`'s draws), the
+rows x cols r_on grid (`sample_array`'s), then the cycle-to-cycle noise
+of its capture (`c2c_noise`'s: one draw per row for a native capture,
+the closed loop's blocks for a digital one).  So a sweep gives
+bit-identical results whether trials run serially or across worker
+processes, and whatever blocks they run in.
+
+`monte_carlo` runs trials in blocks of at most _BLOCK_CELLS devices
+(trials x rows x cols).  Within a block only the draws loop over trials;
+everything else works on arrays with a leading trials axis: the r_on
+grids and noise factors, native capture (`recording._native_write`),
+recall and scoring (`recording.recall_and_score`).  A digital capture
+runs its closed loop per trial, on that trial's stream.  Each trial's row
+is bit-identical to a `round_trip` of the same draws.
 """
 
 from __future__ import annotations
@@ -16,18 +28,24 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .crossbar import ArrayConfig
-from .device import DeviceParams, per_element
-from .recording import RoundTripResult, SweepSettings, round_trip
+from .crossbar import ArrayConfig, new_array
+from .device import DeviceParams, check_r_on, per_element
+from .recording import (SweepSettings, capture, recall_and_score, _native_write,
+                        _reset_rate)
 from .wavefront import Wavefront, write_csv
 
 # Success threshold for exact-timing codes: rms no worse than half an LSB
 # of a 5-bit code across the span, i.e. rms <= span / 64.
 TIMING_SUCCESS_LEVELS = 64.0
+
+# Most devices (trials x rows x cols) one block of a sweep holds at once:
+# the memory bound of the batched engine.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,11 +95,12 @@ class TrialRow:
     window_exceeded: bool
 
 
-def _log_moments(sigma_rel: float) -> tuple[float, float]:
-    """Mean and std-dev of the log of a mean-one lognormal multiplier with
-    relative std-dev sigma_rel; sigma 0 gives exactly (0, 0)."""
+def _spread(nominal, sigma_rel: float, z: np.ndarray) -> np.ndarray:
+    """nominal times mean-one lognormal factors of relative std-dev
+    sigma_rel, one per standard normal draw in z; sigma 0 gives factors of
+    exactly 1."""
     s2 = math.log1p(sigma_rel * sigma_rel)
-    return -0.5 * s2, math.sqrt(s2)
+    return nominal * per_element(math.exp, -0.5 * s2 + math.sqrt(s2) * z)
 
 
 def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
@@ -89,9 +108,8 @@ def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
     """`base` with a rows x cols r_on grid, lognormally spread per device."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    mu, sd = _log_moments(spec.d2d_sigma)
-    x = mu + sd * rng.standard_normal((rows, cols))
-    return replace(base, r_on=base.r_on * per_element(math.exp, x))
+    return replace(base, r_on=_spread(base.r_on, spec.d2d_sigma,
+                                      rng.standard_normal((rows, cols))))
 
 
 def c2c_noise(spec: VariationSpec,
@@ -102,11 +120,10 @@ def c2c_noise(spec: VariationSpec,
     One call on n durations takes the same draws, and gives the same
     values, as n calls on one duration each.  A draw is taken even at
     sigma 0, so the stream position is independent of sigma."""
-    mu, sd = _log_moments(spec.c2c_sigma)
     draw = rng.standard_normal
 
     def noise(durations: np.ndarray) -> np.ndarray:
-        return durations * per_element(math.exp, mu + sd * draw(durations.shape))
+        return _spread(durations, spec.c2c_sigma, draw(durations.shape))
 
     return noise
 
@@ -130,49 +147,82 @@ def random_wavefront(rng: np.random.Generator, n_channels: int,
     one at span, the rest uniform in between, all shuffled."""
     if n_channels < 1:
         raise ValueError("need at least one channel")
+    return Wavefront(tuple(_wavefront_times(rng, n_channels, span_ns).tolist()))
+
+
+def _wavefront_times(rng: np.random.Generator, n_channels: int,
+                     span_ns: float) -> np.ndarray:
+    """The event times of `random_wavefront`, as an array."""
     if n_channels == 1:
-        return Wavefront((0.0,))
+        return np.zeros(1)
     vals = np.concatenate(([0.0, span_ns], rng.uniform(0.0, span_ns, n_channels - 2)))
-    return Wavefront(tuple(vals[rng.permutation(n_channels)]))
+    return vals[rng.permutation(n_channels)]
 
 
-def _run_trial(args) -> TrialRow:
-    index, seed_seq, cfg, base, spec, settings = args
-    rng = np.random.default_rng(seed_seq)
-    w = random_wavefront(rng, settings.channels, settings.span_ns)
-    grid = sample_array(base, spec, cfg.rows, cfg.cols, rng=rng)
-    noise = c2c_noise(spec, rng)
-    # The last use of rng: the closed loop reads the noise ahead.
-    rt: RoundTripResult = round_trip(w, cfg, grid, settings, pulse_noise=noise)
-    recall_total = rt.recall_energy.per_line * cfg.rows
-    return TrialRow(
-        trial=index, tau=rt.tau, rms_ns=rt.rms_ns, max_abs_ns=rt.max_abs_ns,
-        bits=rt.bits, write_energy_j=rt.capture.write_energy,
-        recall_energy_j=recall_total, converged=all(rt.capture.converged),
-        window_exceeded=rt.capture.window_exceeded)
+def _run_block(args) -> list[TrialRow]:
+    """The rows of trials first, first + 1, ..., one per seed sequence."""
+    first, seeds, cfg, base, spec, s = args
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    times = np.array([_wavefront_times(rng, s.channels, s.span_ns) for rng in rngs])
+    grids = _spread(base.r_on, spec.d2d_sigma, np.array(
+        [rng.standard_normal((cfg.rows, cfg.cols)) for rng in rngs]))
+    check_r_on(grids, base.r_off_max)
+    if s.path == "native":
+        v_write, rate = _reset_rate(base, s.v_write)
+        dur = _spread(times - times.min(axis=-1, keepdims=True), spec.c2c_sigma,
+                      np.array([rng.standard_normal(cfg.rows) for rng in rngs]))
+        r_on = grids[..., s.column]
+        _, resistances, write_energy = _native_write(dur, r_on, r_on, v_write,
+                                                     rate, base)
+        converged = [True] * len(rngs)
+    else:
+        caps = []
+        for t, grid, rng in zip(times, grids, rngs):
+            params = replace(base, r_on=grid)
+            # The last use of rng: the closed loop reads the noise ahead.
+            caps.append(capture(new_array(cfg, params), cfg, params,
+                                Wavefront(tuple(t.tolist())), s,
+                                pulse_noise=c2c_noise(spec, rng))[1])
+        resistances = np.array([c.final_resistances for c in caps])
+        write_energy = np.array([c.write_energy for c in caps])
+        converged = [all(c.converged) for c in caps]
+    rt = recall_and_score(times, resistances, cfg, s.scale_cap)
+    window_exceeded = (times.max(axis=-1) - times.min(axis=-1)) > s.window_ns
+    return [TrialRow(first + k, *fields) for k, fields in enumerate(zip(
+        rt.tau.tolist(), rt.rms_ns.tolist(), rt.max_abs_ns.tolist(),
+        rt.bits.tolist(), write_energy.tolist(),
+        (rt.per_line * cfg.rows).tolist(), converged, window_exceeded.tolist()))]
 
 
 def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
                 n_trials: int, settings: SweepSettings = SweepSettings(), *,
                 workers: int = 1) -> tuple[TrialReport, tuple[TrialRow, ...]]:
     """Run independent capture/recall trials on freshly sampled arrays,
-    each a `round_trip` with `settings` on a random wavefront of
-    `settings.channels` channels; settings.trials and settings.workers
+    each the equal of a `round_trip` with `settings` on a random wavefront
+    of `settings.channels` channels; settings.trials and settings.workers
     are not read (n_trials and workers are).
 
-    Fully reproducible from spec.seed; workers > 1 fans trials out to a
-    process pool without changing any result.
+    Fully reproducible from spec.seed; workers > 1 fans blocks of trials
+    out to a process pool without changing any result.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    children = np.random.SeedSequence(spec.seed).spawn(n_trials)
-    jobs = [(i, children[i], cfg, base, spec, settings) for i in range(n_trials)]
+    if settings.channels != cfg.rows:
+        raise ValueError(f"wavefront has {settings.channels} channels, array "
+                         f"has {cfg.rows} rows")
+    if not settings.column < cfg.cols:
+        raise ValueError(f"column {settings.column} out of range 0..{cfg.cols - 1}")
+    size = max(1, _BLOCK_CELLS // (cfg.rows * cfg.cols))
     if workers > 1:
-        chunk = max(1, n_trials // (workers * 4))
+        size = min(size, max(1, n_trials // (workers * 4)))
+    children = np.random.SeedSequence(spec.seed).spawn(n_trials)
+    jobs = [(i, children[i:i + size], cfg, base, spec, settings)
+            for i in range(0, n_trials, size)]
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_run_trial, jobs, chunksize=chunk))
+            rows = tuple(chain.from_iterable(pool.map(_run_block, jobs)))
     else:
-        rows = tuple(_run_trial(job) for job in jobs)
+        rows = tuple(chain.from_iterable(map(_run_block, jobs)))
     taus = [r.tau for r in rows]
     rmss = [r.rms_ns for r in rows]
     success_rms = settings.span_ns / TIMING_SUCCESS_LEVELS

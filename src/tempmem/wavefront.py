@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .device import per_element
+
 EFFECTIVE_BITS_CAP = 8.0  # declared precision ceiling of the bits metric
 
 
@@ -110,6 +112,51 @@ def effective_bits(span: float, rms: float) -> float:
     if rms <= 0:
         return EFFECTIVE_BITS_CAP
     return min(math.log2(span / (2.0 * rms)), EFFECTIVE_BITS_CAP)
+
+
+def _taus(order_a: np.ndarray, order_b: np.ndarray) -> np.ndarray:
+    """`kendall_tau` of pairs of arrival orders, one pair per row of two
+    arrays of orders (channel indices along the last axis), from the same
+    integer concordant and discordant counts.  Memory stays within a few
+    arrays of the orders' size: the pairs are counted one channel
+    distance d at a time."""
+    n = order_a.shape[-1]
+    if n < 2:
+        return np.ones(order_a.shape[:-1])
+    # Each channel's position in b, listed in a's order: a pair is
+    # concordant when these rise from the earlier channel in a to the later.
+    in_b = np.take_along_axis(np.argsort(order_b, axis=-1), order_a, axis=-1)
+    concordant = sum((in_b[..., :-d] < in_b[..., d:]).sum(axis=-1)
+                     for d in range(1, n))
+    pairs = n * (n - 1) // 2
+    return (2 * concordant - pairs) / (n * (n - 1) / 2)
+
+
+def fidelity(inputs: np.ndarray, recalled: np.ndarray):
+    """Scores of recalled wavefronts against their inputs, one per row of
+    two arrays of event times (trials x channels): (tau, rms, max_abs,
+    bits), each an array with one element per row.
+
+    Row by row they equal `kendall_tau` of the `rank_of`s, `timing_error`
+    and `effective_bits` of the normalized wavefronts, bit for bit, with
+    EFFECTIVE_BITS_CAP as the bits of an input of zero span: ties keep
+    channel order (a stable argsort), the mean of squares sums along the
+    last axis of a C-contiguous array, in numpy's 1-D pairwise order, and
+    log2 is `math.log2` per element.
+    """
+    in_n = inputs - inputs.min(axis=-1, keepdims=True)
+    out_n = recalled - recalled.min(axis=-1, keepdims=True)
+    tau = _taus(np.argsort(in_n, axis=-1, kind="stable"),
+                np.argsort(out_n, axis=-1, kind="stable"))
+    diff = np.ascontiguousarray(in_n - out_n)
+    rms = np.sqrt(np.mean(diff * diff, axis=-1))
+    max_abs = np.abs(diff).max(axis=-1)
+    span = inputs.max(axis=-1) - inputs.min(axis=-1)
+    scored = (span > 0) & (rms > 0)
+    ratio = np.divide(span, 2.0 * rms, out=np.ones(rms.shape), where=scored)
+    bits = np.where(scored, np.minimum(per_element(math.log2, ratio),
+                                       EFFECTIVE_BITS_CAP), EFFECTIVE_BITS_CAP)
+    return tau, rms, max_abs, bits
 
 
 def write_csv(path, header, rows) -> None:

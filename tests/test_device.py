@@ -9,7 +9,7 @@ from scipy.special import expi
 
 from tempmem.crossbar import base_params
 from tempmem.device import (AMP_A_DEFAULT, DeviceParams, DeviceState,
-                            apply_pulse, calibrate_amp,
+                            _reset_constants, apply_pulse, calibrate_amp,
                             per_element, programming_rate, pulse_energy,
                             reset_energy, resistance_of)
 
@@ -291,6 +291,38 @@ class TestPulseEnergy:
         assert got.shape == (4, 1)
         assert got[:, 0].tolist() == [
             pulse_energy(stressed(0.0, p), -1.4, d, p) for p, d in zip(devices, durations)]
+
+    @pytest.mark.parametrize("params", [
+        P, DeviceParams(amp_a=1000.0, r_off_max=710e3)])
+    def test_reset_constants_are_math_per_element(self, params):
+        # The second params put the expm1 argument on both sides of 700.
+        r_on = np.random.default_rng(2).uniform(9e3, 11e3, (20, 25))
+        got = _reset_constants(r_on, params)
+        a, tau = params.amp_a, params.tau_w
+        for k, x in enumerate(r_on.ravel().tolist()):
+            y = (params.r_off_max - x) / a
+            s_clamp = math.inf if y > 700.0 else tau * math.expm1(y)
+            want = (s_clamp, min(x + a * math.log1p(s_clamp / tau), params.r_off_max),
+                    (tau / a) * math.exp(-x / a))
+            assert tuple(c.ravel()[k] for c in got) == want
+
+    def test_reset_energy_per_trial_and_device_r_on(self):
+        # A trials x rows block of two-point trajectories, as the batched
+        # Monte Carlo engine gives them.  With this small amp_a the clamp
+        # stress of the 10 kohm devices is beyond expm1's range (no clamp)
+        # and that of the 30 kohm ones within it.
+        params = DeviceParams(amp_a=1000.0, r_off_max=720e3)
+        r_on = np.array([[10e3, 30e3, 12e3], [30e3, 10e3, 11e3]])
+        durations = np.array([[5.0, 0.0, 40.0], [200.0, 1.0, 33.0]])
+        law = np.vectorize(lambda d, x: resistance_of(d, replace(params, r_on=x)))
+        got = reset_energy(np.stack((np.zeros(durations.shape), durations), -1),
+                           np.stack((r_on, law(durations, r_on)), -1), -1.4, 1.0,
+                           r_on, params)
+        assert got.shape == (2, 3, 1)
+        assert got[..., 0].tolist() == [
+            [self.scalar_formula(0.0, -1.4, d, replace(params, r_on=x))
+             for d, x in zip(row_d, row_r)]
+            for row_d, row_r in zip(durations.tolist(), r_on.tolist())]
 
 
 class TestNumpyFacts:
