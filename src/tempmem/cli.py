@@ -9,6 +9,7 @@ energies in fJ.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -19,6 +20,7 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .wavefront import read_wavefront_csv, write_csv, write_wavefront_csv
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tempmem",

@@ -15,14 +15,13 @@ stored on the capacitor and half dissipated in the device.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .device import DeviceParams
-from .wavefront import Wavefront, write_csv
+from .wavefront import Wavefront, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -165,37 +164,26 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     with the device law; resistances outside [r_on, r_off_max] are
     rejected.
     """
-    cells = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["row", "col", "resistance_ohm"]:
-            raise ValueError(f"{path}: expected header 'row,col,resistance_ohm'")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                i, j, r = int(rec[0]), int(rec[1]), float(rec[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not 0 <= i < cfg.rows or not 0 <= j < cfg.cols:
-                raise ValueError(f"{path}: line {lineno}: cell ({i},{j}) outside "
-                                 f"{cfg.rows}x{cfg.cols} array")
-            if (i, j) in cells:
-                raise ValueError(f"{path}: line {lineno}: duplicate cell ({i},{j})")
-            cells[(i, j)] = r
-    missing = cfg.rows * cfg.cols - len(cells)
-    if missing:
-        raise ValueError(f"{path}: {missing} cells missing from the grid")
     r_on = r_on_grid(params, cfg).tolist()
     stress = np.empty((cfg.rows, cfg.cols))
     resistance = np.empty_like(stress)
-    for (i, j), r in sorted(cells.items()):
-        if not r_on[i][j] <= r <= params.r_off_max:
-            raise ValueError(f"cell ({i},{j}): resistance {r} outside "
-                             f"[r_on, r_off_max]")
+    cells = set()
+    for lineno, fields in read_csv(path, ["row", "col", "resistance_ohm"]):
+        try:
+            i, j, r = int(fields[0]), int(fields[1]), float(fields[2])
+            if not 0 <= i < cfg.rows or not 0 <= j < cfg.cols:
+                raise ValueError(f"cell ({i},{j}) outside {cfg.rows}x{cfg.cols} array")
+            if (i, j) in cells:
+                raise ValueError(f"duplicate cell ({i},{j})")
+            if not r_on[i][j] <= r <= params.r_off_max:
+                raise ValueError(f"cell ({i},{j}): resistance {r} outside "
+                                 f"[r_on, r_off_max]")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        cells.add((i, j))
         stress[i, j] = params.tau_w * math.expm1((r - r_on[i][j]) / params.amp_a)
         resistance[i, j] = r
+    missing = cfg.rows * cfg.cols - len(cells)
+    if missing:
+        raise ValueError(f"{path}: {missing} cells missing from the grid")
     return ArrayState(stress=stress, resistance=resistance)

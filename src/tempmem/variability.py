@@ -60,6 +60,8 @@ class VariationSpec:
         # Written so that nan fails it.
         if not (0 <= self.d2d_sigma < math.inf and 0 <= self.c2c_sigma < math.inf):
             raise ValueError("sigmas must be non-negative and finite")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("variation.seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

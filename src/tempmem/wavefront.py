@@ -172,26 +172,33 @@ def write_wavefront_csv(path, w: Wavefront) -> None:
               ([ch, repr(t)] for ch, t in enumerate(w.times)))
 
 
-def read_wavefront_csv(path) -> Wavefront:
-    """Parse a `channel,time_ns` file; channels must be 0..N-1 contiguous."""
+def read_csv(path, header):
+    """(line number, fields) of each non-blank row below the `header` row."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["channel", "time_ns"]:
-            raise ValueError(f"{path}: expected header 'channel,time_ns'")
-        rows = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        if next(reader, None) != header:
+            raise ValueError(f"{path}: expected header '{','.join(header)}'")
+        for fields in reader:
+            if not fields:
                 continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            try:
-                ch, t = int(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if len(fields) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: "
+                                 f"expected {len(header)} fields")
+            yield reader.line_num, fields
+
+
+def read_wavefront_csv(path) -> Wavefront:
+    """Parse a `channel,time_ns` file; channels must be 0..N-1 contiguous."""
+    rows = {}
+    for lineno, fields in read_csv(path, ["channel", "time_ns"]):
+        try:
+            # Wavefront parses the time and rejects a nan, inf or negative one.
+            ch, t = int(fields[0]), Wavefront(fields[1:]).times[0]
             if ch in rows:
-                raise ValueError(f"{path}: line {lineno}: duplicate channel {ch}")
-            rows[ch] = t
+                raise ValueError(f"duplicate channel {ch}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        rows[ch] = t
     if not rows:
         raise ValueError(f"{path}: no channels")
     if sorted(rows) != list(range(len(rows))):

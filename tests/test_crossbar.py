@@ -256,3 +256,11 @@ class TestGridCsv:
         path.write_text("row,col,resistance_ohm\n0,0,5.0\n")
         with pytest.raises(ValueError, match="outside"):
             read_grid_csv(path, ArrayConfig(rows=1, cols=1), P)
+
+    def test_out_of_range_resistance_names_file_and_line(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("row,col,resistance_ohm\n0,0,10000.0\n\n0,1,5.0\n")
+        with pytest.raises(ValueError) as info:
+            read_grid_csv(path, ArrayConfig(rows=1, cols=2), P)
+        assert str(info.value) == (f"{path}: line 4: cell (0,1): resistance 5.0 "
+                                   "outside [r_on, r_off_max]")

@@ -1,10 +1,13 @@
 import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from tempmem import cli
 from tempmem.cli import main
 from tempmem.recording import QuantizerSpec
 from tempmem.scenario import _KEYS, Scenario, ScenarioError, parse_scenario_text
@@ -270,6 +273,29 @@ class TestCliSweep:
         assert int(report["n_trials"]) == 5
 
 
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_leave_no_state_behind(self, tmp_path):
+        # One process, one parser: a run with other options and a run that
+        # fails to parse must not change what the same argv produces later.
+        scen = tmp_path / "s.txt"
+        scen.write_text("run.trials = 6\nrun.channels = 4\nvariation.seed = 5\n")
+        out = {name: tmp_path / name for name in "ABC"}
+        assert run_cli("sweep", "--scenario", str(scen), "--out", str(out["A"])) == 0
+        assert run_cli("sweep", "--scenario", str(scen), "--seed", "9",
+                       "--trials", "3", "--path", "digital",
+                       "--out", str(out["B"])) == 0
+        with pytest.raises(SystemExit):
+            run_cli("sweep", "--bogus")
+        assert run_cli("sweep", "--scenario", str(scen), "--out", str(out["C"])) == 0
+        for name in ("trials.csv", "trial_report.csv"):
+            a, b, c = ((out[k] / name).read_bytes() for k in "ABC")
+            assert a == c
+            assert b != a
+
+
 class TestCliCalibrate:
     def test_default_targets_reproduce_module_defaults(self, tmp_path):
         out = tmp_path / "out"
@@ -318,6 +344,21 @@ class TestCliErrors:
                        "--out", str(tmp_path / "o")) == 1
         assert "contiguous" in capsys.readouterr().err
 
+    def test_negative_seed_in_scenario_exits_2(self, tmp_path, capsys):
+        scen = tmp_path / "s.txt"
+        scen.write_text("variation.seed = -1\n")
+        assert run_cli("sweep", "--scenario", str(scen),
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "s.txt: invalid scenario" in err
+        assert "variation.seed must be a non-negative integer" in err
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
+        assert run_cli("sweep", "--seed", "-5",
+                       "--out", str(tmp_path / "o")) == 1
+        assert "variation.seed must be a non-negative integer" in \
+            capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("roundtrip", "--input", str(tmp_path / "none.csv"),
                        "--out", str(tmp_path / "o")) == 2
@@ -325,9 +366,13 @@ class TestCliErrors:
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
+        # The child imports the tempmem under test, installed or not.
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "tempmem", "calibrate", "--out",
              str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "amp_a" in result.stdout

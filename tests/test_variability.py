@@ -76,6 +76,12 @@ class TestPerturbPulse:
             with pytest.raises(ValueError):
                 VariationSpec(c2c_sigma=bad)
 
+    def test_seed_validation(self):
+        for bad in (-1, 1.5, "3"):
+            with pytest.raises(ValueError, match="variation.seed"):
+                VariationSpec(seed=bad)
+        assert VariationSpec(seed=np.uint64(2**63)).seed == 2**63
+
     @pytest.mark.parametrize("sigma", [0.0, 0.042, 0.3])
     def test_c2c_noise_equals_perturb_pulse_draw_for_draw(self, sigma):
         spec = VariationSpec(c2c_sigma=sigma)

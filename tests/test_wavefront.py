@@ -194,6 +194,22 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="duplicate"):
             read_wavefront_csv(path)
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-1.0"])
+    def test_bad_time_names_file_and_line(self, tmp_path, time):
+        path = tmp_path / "w.csv"
+        path.write_text(f"channel,time_ns\n0,1.0\n\n1,{time}\n")
+        with pytest.raises(ValueError) as info:
+            read_wavefront_csv(path)
+        assert str(info.value) == (f"{path}: line 4: wavefront times must be "
+                                   "finite and non-negative")
+
+    def test_line_numbers_count_lines_not_records(self, tmp_path):
+        # A quoted field may span lines; errors name the line in the file.
+        path = tmp_path / "w.csv"
+        path.write_text('channel,time_ns\n0,"1.0\n"\n1,2.0,3\n')
+        with pytest.raises(ValueError, match="w.csv: line 4: expected 2 fields"):
+            read_wavefront_csv(path)
+
     def test_accepts_shuffled_rows(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("channel,time_ns\n1,2.0\n0,1.0\n")
