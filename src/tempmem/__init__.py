@@ -8,9 +8,7 @@ closed-loop programming); a Monte Carlo harness quantifies how exact-
 timing and rank-order codes degrade under device variability.
 """
 
-from .device import (AMP_A_DEFAULT, DeviceParams, DeviceState, apply_pulse,
-                     calibrate_amp, programming_rate, pulse_energy,
-                     resistance_of)
+from .device import AMP_A_DEFAULT, DeviceParams, calibrate_amp, programming_rate
 from .wavefront import (RankOrder, Wavefront, effective_bits, kendall_tau,
                         normalize, rank_of, read_wavefront_csv, timing_error,
                         write_wavefront_csv)
@@ -30,16 +28,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AMP_A_DEFAULT", "ArrayConfig", "ArrayState", "CalibrateSettings",
-    "CaptureResult", "DeviceParams", "DeviceState", "EnergyReport",
-    "QuantizedWavefront", "QuantizerSpec", "RankOrder", "RoundTripResult",
-    "Scenario", "ScenarioError", "SweepSettings", "TrialReport",
-    "TrialRow", "VariationSpec", "Wavefront", "apply_pulse", "calibrate_amp",
-    "capture", "capture_digital", "capture_native", "dynamic_range",
-    "effective_bits", "kendall_tau", "ln_factor", "load_scenario",
-    "matched_capacitance", "monte_carlo", "new_array", "normalize",
-    "parse_scenario_text", "program_closed_loop", "programming_rate",
-    "pulse_energy", "quantize", "random_wavefront", "rank_of",
-    "read_grid_csv", "read_wavefront_csv", "recall", "reset_lines",
-    "resistance_of", "round_trip", "sample_array", "timing_error",
+    "CaptureResult", "DeviceParams", "EnergyReport", "QuantizedWavefront",
+    "QuantizerSpec", "RankOrder", "RoundTripResult", "Scenario",
+    "ScenarioError", "SweepSettings", "TrialReport", "TrialRow",
+    "VariationSpec", "Wavefront", "calibrate_amp", "capture",
+    "capture_digital", "capture_native", "dynamic_range", "effective_bits",
+    "kendall_tau", "ln_factor", "load_scenario", "matched_capacitance",
+    "monte_carlo", "new_array", "normalize", "parse_scenario_text",
+    "program_closed_loop", "programming_rate", "quantize",
+    "random_wavefront", "rank_of", "read_grid_csv", "read_wavefront_csv",
+    "recall", "reset_lines", "round_trip", "sample_array", "timing_error",
     "perturb_pulse", "write_grid_csv", "write_wavefront_csv",
 ]

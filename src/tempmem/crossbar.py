@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +39,9 @@ class ArrayConfig:
 
     def __post_init__(self):
         # Checks are written so that nan fails them.
+        for name in ("rows", "cols"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"array.{name} must be an integer")
         if not (self.rows >= 1 and self.cols >= 1):
             raise ValueError("array needs at least 1 row and 1 column")
         if not 0 < self.theta < 1:

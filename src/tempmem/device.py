@@ -14,19 +14,19 @@ back to the ON state); a negative one accumulates stress at a
 sinh-shaped, voltage-dependent rate normalized to 1 at the nominal
 write voltage.
 
-The scalar functions (`resistance_of`, `apply_pulse`, `pulse_energy`)
-state the law one pulse at a time and are the reference.  Captures run
-it on arrays but bit for bit the same.  The closed loop takes a block of
-one device's pulses at a time: stress is the running sum of the
-block's stress increments (`np.cumsum`, a left fold like the scalar
-`s += d * rate`), resistance follows from each stress, and the loop stops
-at the first pulse that ends it.  The block's noise is drawn in one call;
-draws a device leaves unused pass to the next device, so each pulse gets
-the draw it would get pulse by pulse, and only the column's last spare
-draws are thrown away: the noise stream is read ahead past the last
-applied pulse, which changes nothing as long as nothing draws from it
-after the capture.  `reset_energy` then integrates a whole
-stress/resistance trajectory's write energy at once.
+The tests state the law one pulse at a time (`resistance_of`,
+`apply_pulse` and `pulse_energy` in `tests/reference_law.py`) as their
+reference.  Captures run it on arrays but bit for bit the same.  The
+closed loop takes a block of one device's pulses at a time: stress is
+the running sum of the block's stress increments (`np.cumsum`, a left
+fold like the scalar `s += d * rate`), resistance follows from each
+stress, and the loop stops at the first pulse that ends it.  The block's
+noise is drawn in one call; draws a device leaves unused pass to the
+next device, so each pulse gets the draw it would get pulse by pulse,
+and only the column's last spare draws are thrown away: the noise stream
+is read ahead past the last applied pulse, which changes nothing as long
+as nothing draws from it after the capture.  `reset_energy` then
+integrates a whole stress/resistance trajectory's write energy at once.
 
 The batched Monte Carlo engine runs the native law and `reset_energy`
 on trials x rows arrays (`_reset_constants` too, one set of clamp
@@ -97,31 +97,11 @@ def check_r_on(r_on: float | np.ndarray, r_off_max: float) -> None:
         raise ValueError("need 0 < r_on < r_off_max < inf")
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """One memristor's state: stress in ns and the resistance derived from it.
-
-    The device law passes this scalar value around; an array keeps its
-    devices' states as stress and resistance arrays (crossbar.ArrayState).
-    """
-
-    stress: float = 0.0
-    resistance: float = R_ON_DEFAULT
-
-
 def per_element(f, x: np.ndarray) -> np.ndarray:
     """f applied to each element of x, as a float array of x's shape: the
     way to apply the `math.*` functions whose numpy versions differ from
     them in the last bit."""
     return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def resistance_of(stress: float, params: DeviceParams) -> float:
-    """Resistance (ohm) at the given accumulated stress (ns)."""
-    if stress < 0:
-        raise ValueError("stress must be non-negative")
-    return min(params.r_on + params.amp_a * math.log1p(stress / params.tau_w),
-               params.r_off_max)
 
 
 def programming_rate(v: float, params: DeviceParams) -> float:
@@ -133,25 +113,6 @@ def programming_rate(v: float, params: DeviceParams) -> float:
     if abs(v) < params.v_prog_threshold:
         return 0.0
     return math.sinh(abs(v) / params.v_zero) / math.sinh(params.v_write_nominal / params.v_zero)
-
-
-def apply_pulse(state: DeviceState, v: float, duration: float,
-                params: DeviceParams) -> DeviceState:
-    """Apply a rectangular voltage pulse of `duration` ns at `v` volts.
-
-    Sub-threshold and zero-duration pulses return the input state
-    unchanged (same object).  Negative voltage at or above threshold is
-    RESET: stress grows by duration times the voltage rate.  Positive
-    voltage at or above threshold is an ideal SET back to stress 0.
-    """
-    if duration < 0:
-        raise ValueError("pulse duration must be non-negative")
-    if duration == 0.0 or abs(v) < params.v_prog_threshold:
-        return state
-    if v > 0:
-        return DeviceState(stress=0.0, resistance=params.r_on)
-    stress = state.stress + duration * programming_rate(v, params)
-    return DeviceState(stress=stress, resistance=resistance_of(stress, params))
 
 
 def calibrate_amp(r_span: float, t_span: float, params: DeviceParams) -> DeviceParams:
@@ -217,28 +178,3 @@ def reset_energy(s: np.ndarray, r: np.ndarray, v: float, rate: float,
     if above.any():
         total[above] += (s1 - np.maximum(s0, s_clamp))[above] / params.r_off_max
     return (v * v / rate) * total * 1e-9
-
-
-def pulse_energy(state: DeviceState, v: float, duration: float,
-                 params: DeviceParams) -> float:
-    """Energy (J) dissipated in the device by one pulse of `duration` ns.
-
-    Covers read-level and reverse (RESET) pulses; the resistance
-    trajectory during the pulse is integrated in closed form.  SET
-    polarity is an ideal jump with no dissipation model and is rejected.
-    """
-    if duration < 0:
-        raise ValueError("pulse duration must be non-negative")
-    if duration == 0.0:
-        return 0.0
-    rate = programming_rate(v, params)
-    if v > 0 and rate > 0:
-        raise ValueError("energy model covers read and reverse pulses only")
-    if rate == 0.0:
-        return v * v * duration / resistance_of(state.stress, params) * 1e-9
-    s0 = state.stress
-    s1 = s0 + duration * rate
-    r0, r1 = resistance_of(s0, params), resistance_of(s1, params)
-    # float() keeps numpy's float64 out of downstream serialization
-    return float(reset_energy(np.array([s0, s1]), np.array([r0, r1]), v, rate,
-                              params.r_on, params)[0])

@@ -102,6 +102,9 @@ class SweepSettings:
         # Checks are written so that nan fails them.
         if self.path not in ("native", "digital"):
             raise ValueError("run.path must be native or digital")
+        for name in ("column", "trials", "channels", "max_iters", "workers"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"run.{name} must be an integer")
         if not self.column >= 0:
             raise ValueError("run.column must be non-negative")
         if self.scale_cap not in ("matched", "none") and not (
@@ -317,8 +320,9 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     discarded; a caller that draws from the same stream afterwards sees
     it further on than pulse-by-pulse calls would leave it.  After the
     loop, `device.reset_energy` integrates each device's write energy over
-    its trajectory.  Results are bit-identical to pulsing with
-    `device.apply_pulse` and summing `device.pulse_energy` pulse by pulse.
+    its trajectory.  Results are bit-identical to pulsing with the scalar
+    reference law's `apply_pulse` and summing its `pulse_energy` pulse by
+    pulse (`tests/reference_law.py`).
     A negative duration anywhere in a drawn block raises ValueError.
     """
     _check_col(state, cfg, col)

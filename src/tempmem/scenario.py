@@ -10,7 +10,7 @@ voltages V; capacitance keys carry an explicit _pf suffix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .crossbar import ArrayConfig
 from .device import DeviceParams
@@ -60,44 +60,24 @@ def _parse_scale_cap(text: str):
         raise ValueError("expected 'matched', 'none' or a capacitance in pF") from None
 
 
-# key -> (converter, section, field); capacitance/time suffixes name units.
-_KEYS = {
-    "array.rows": (int, "array", "rows"),
-    "array.cols": (int, "array", "cols"),
-    "array.c_line_pf": (lambda s: float(s) * 1e-12, "array", "c_line"),
-    "array.v_read": (float, "array", "v_read"),
-    "array.v_dd": (float, "array", "v_dd"),
-    "array.theta": (float, "array", "theta"),
-    "array.t_shifter_ns": (float, "array", "t_shifter"),
-    "device.r_on": (float, "device", "r_on"),
-    "device.r_off_max": (float, "device", "r_off_max"),
-    "device.amp_a": (float, "device", "amp_a"),
-    "device.tau_w_ns": (float, "device", "tau_w"),
-    "device.v_prog_threshold": (float, "device", "v_prog_threshold"),
-    "device.v_zero": (float, "device", "v_zero"),
-    "device.v_write_nominal": (float, "device", "v_write_nominal"),
-    "variation.d2d_sigma": (float, "variation", "d2d_sigma"),
-    "variation.c2c_sigma": (float, "variation", "c2c_sigma"),
-    "variation.seed": (int, "variation", "seed"),
-    "quantizer.kind": (str, "quantizer", "kind"),
-    "quantizer.t_clk_ns": (float, "quantizer", "t_clk"),
-    "quantizer.t_fine_ns": (float, "quantizer", "t_fine"),
-    "run.path": (str, "run", "path"),
-    "run.column": (int, "run", "column"),
-    "run.scale_cap": (_parse_scale_cap, "run", "scale_cap"),
-    "run.trials": (int, "run", "trials"),
-    "run.channels": (int, "run", "channels"),
-    "run.span_ns": (float, "run", "span_ns"),
-    "run.tol": (float, "run", "tol"),
-    "run.step_ns": (float, "run", "step_ns"),
-    "run.max_iters": (int, "run", "max_iters"),
-    "run.v_write": (float, "run", "v_write"),
-    "run.window_ns": (float, "run", "window_ns"),
-    "run.workers": (int, "run", "workers"),
-    "calibrate.span_ns": (float, "calibrate", "span_ns"),
-    "calibrate.r_span_ohm": (float, "calibrate", "r_span_ohm"),
-    "calibrate.energy_fj": (float, "calibrate", "energy_fj"),
-}
+def _keys() -> dict:
+    """key -> (converter, section, field).  Each field of a section is a key
+    but run.quantizer (whose fields are the quantizer.* keys) and run.slope;
+    a suffix gives the unit that a field's name leaves out."""
+    suffix = {"c_line": "_pf", "t_shifter": "_ns", "tau_w": "_ns",
+              "t_clk": "_ns", "t_fine": "_ns"}
+    special = {"c_line": lambda s: float(s) * 1e-12, "scale_cap": _parse_scale_cap}
+    keys = {}
+    for section in ("array", "device", "variation", "quantizer", "run", "calibrate"):
+        value = getattr(Scenario.run if section == "quantizer" else Scenario, section)
+        for name in (f.name for f in fields(value) if f.name not in ("quantizer", "slope")):
+            kind = type(getattr(value, name))  # None defaults take floats
+            keys[f"{section}.{name}{suffix.get(name, '')}"] = (special.get(
+                name, kind if kind in (int, str) else float), section, name)
+    return keys
+
+
+_KEYS = _keys()
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:

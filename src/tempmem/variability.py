@@ -6,13 +6,15 @@ programming pulse's effective duration the same way.  Both are positive
 quantities, so multiplicative lognormal noise is the natural choice for
 percentage-level spreads.
 
-Every trial draws from its own stream spawned from the master seed, in
-this order: the input wavefront (`random_wavefront`'s draws), the
-rows x cols r_on grid (`sample_array`'s), then the cycle-to-cycle noise
-of its capture (`c2c_noise`'s: one draw per row for a native capture,
-the closed loop's blocks for a digital one).  So a sweep gives
-bit-identical results whether trials run serially or across worker
-processes, and whatever blocks they run in.
+Trial k of a sweep draws from the PCG64 stream of
+`SeedSequence(seed).spawn(n)[k]`, in this order: the input wavefront
+(`random_wavefront`'s draws), the rows x cols r_on grid (`sample_array`'s),
+then the cycle-to-cycle noise of its capture (`c2c_noise`'s: one draw per
+row for a native capture, the closed loop's blocks for a digital one).
+Its block derives the generator's state from (seed, k) as numpy would
+and loads it into one reused generator.  So a sweep gives bit-identical
+results whether trials run serially or across worker processes, and
+whatever blocks they run in.
 
 `monte_carlo` runs trials in blocks of at most _BLOCK_CELLS devices
 (trials x rows x cols).  Within a block only the draws loop over trials;
@@ -28,10 +30,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .crossbar import ArrayConfig, new_array
 from .device import DeviceParams, check_r_on, per_element
@@ -46,6 +50,62 @@ TIMING_SUCCESS_LEVELS = 64.0
 # Most devices (trials x rows x cols) one block of a sweep holds at once:
 # the memory bound of the batched engine.
 _BLOCK_CELLS = 1 << 16
+
+# numpy's SeedSequence hash constants (NEP 19 keeps its algorithm stable)
+# and PCG64's LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R, _PCG_MULT = 0xca01f9dd, 0x4973f715, 0x2360ed051fc65da44385df649fccf645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+class _Unseeded(ISeedSequence):
+    """Zero seed words: the cheapest PCG64 to build, to set states into."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
+def _words(n: int) -> list[int]:
+    """n's 32-bit words as SeedSequence reads an int: low first, at least one."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+@cache
+def _hash_steps(h: int, mult: int, skip: int, n: int) -> tuple:
+    """(xor, multiplier) of n SeedSequence hash steps after `skip` steps from
+    constant h, times mult at each step (cached: few arguments ever occur)."""
+    h = h * pow(mult, skip, 1 << 32) & _M32
+    return tuple((h, h := h * mult & _M32) for _ in range(n))
+
+
+def _trial_states(seed: int, first: int, count: int):
+    """The PCG64 states of `default_rng(SeedSequence(seed).spawn(n)[k])`
+    for k = first .. first + count - 1, derived with no object per trial.
+    Every child shares the root's entropy pool; child k mixes in its spawn
+    key k (numpy's `hashmix` and `mix`), hashes the pool into 4 64-bit
+    words (`generate_state`) and PCG64 takes two LCG steps from them."""
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    # The root's pool took 16 hash steps, 4 more per seed word beyond 4.
+    keyed = _hash_steps(_INIT_A, _MULT_A, 4 * max(4, len(_words(int(seed)))),
+                        4 * len(_words(first + count - 1)))
+    hashed = _hash_steps(_INIT_B, _MULT_B, 0, 8)
+    for k in range(first, first + count):
+        p, steps = pool[:], iter(keyed)
+        for word in _words(k):
+            for i, (x, m) in zip(range(4), steps):
+                v = (word ^ x) * m & _M32
+                v = (_MIX_L * p[i] - _MIX_R * (v ^ v >> 16)) & _M32
+                p[i] = v ^ v >> 16
+        o = [(v := (p[i & 3] ^ x) * m & _M32) ^ v >> 16
+             for i, (x, m) in enumerate(hashed)]
+        # Little-endian word pairs; PCG64 reads each 128-bit value high first.
+        init_state = (o[0] | o[1] << 32) << 64 | o[2] | o[3] << 32
+        inc = ((o[4] | o[5] << 32) << 65 | (o[6] | o[7] << 32) << 1 | 1) & _M128
+        yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((inc + init_state) * _PCG_MULT + inc) & _M128, "inc": inc}}
 
 
 @dataclass(frozen=True)
@@ -149,42 +209,57 @@ def random_wavefront(rng: np.random.Generator, n_channels: int,
     one at span, the rest uniform in between, all shuffled."""
     if n_channels < 1:
         raise ValueError("need at least one channel")
-    return Wavefront(tuple(_wavefront_times(rng, n_channels, span_ns).tolist()))
-
-
-def _wavefront_times(rng: np.random.Generator, n_channels: int,
-                     span_ns: float) -> np.ndarray:
-    """The event times of `random_wavefront`, as an array."""
     if n_channels == 1:
-        return np.zeros(1)
+        return Wavefront((0.0,))
     vals = np.concatenate(([0.0, span_ns], rng.uniform(0.0, span_ns, n_channels - 2)))
-    return vals[rng.permutation(n_channels)]
+    return Wavefront(tuple(vals[rng.permutation(n_channels)].tolist()))
 
 
 def _run_block(args) -> list[TrialRow]:
-    """The rows of trials first, first + 1, ..., one per seed sequence."""
-    first, seeds, cfg, base, spec, s = args
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    times = np.array([_wavefront_times(rng, s.channels, s.span_ns) for rng in rngs])
-    grids = _spread(base.r_on, spec.d2d_sigma, np.array(
-        [rng.standard_normal((cfg.rows, cfg.cols)) for rng in rngs]))
+    """The rows of trials first .. first + count - 1.  One generator takes
+    each trial's state and draws its wavefront, then in one call its r_on
+    grid and, if native, c2c noise; a digital closed loop resumes there."""
+    first, count, cfg, base, spec, s = args
+    n, cells, native = s.channels, cfg.rows * cfg.cols, s.path == "native"
+    # Each trial's times before the shuffle (0, span, n - 2 uniforms) and
+    # its channel order; `permutation(n)` too shuffles an arange(n).
+    vals = np.zeros((count, n))
+    order = np.empty((count, n), dtype=np.intp)
+    order[:] = np.arange(n)
+    z = np.empty((count, cells + cfg.rows * native))
+    gen = np.random.Generator(np.random.PCG64(_Unseeded()))
+    resume = []
+    for k, state in enumerate(_trial_states(spec.seed, first, count)):
+        gen.bit_generator.state = state
+        if n > 1:  # one channel sits at 0 with no draw
+            vals[k, 1] = s.span_ns
+            vals[k, 2:] = gen.uniform(0.0, s.span_ns, n - 2)
+            gen.shuffle(order[k])
+        gen.standard_normal(out=z[k])
+        if not native:
+            resume.append(gen.bit_generator.state)
+    # np.take_along_axis(vals, order, -1), without its index building
+    times = vals[np.arange(count)[:, None], order]
+    grids = _spread(base.r_on, spec.d2d_sigma,
+                    z[:, :cells].reshape(count, cfg.rows, cfg.cols))
     check_r_on(grids, base.r_off_max)
-    if s.path == "native":
+    if native:
         v_write, rate = _reset_rate(base, s.v_write)
         dur = _spread(times - times.min(axis=-1, keepdims=True), spec.c2c_sigma,
-                      np.array([rng.standard_normal(cfg.rows) for rng in rngs]))
+                      z[:, cells:])
         r_on = grids[..., s.column]
         _, resistances, write_energy = _native_write(dur, r_on, r_on, v_write,
                                                      rate, base)
-        converged = [True] * len(rngs)
+        converged = [True] * count
     else:
         caps = []
-        for t, grid, rng in zip(times, grids, rngs):
+        for t, grid, state in zip(times, grids, resume):
+            gen.bit_generator.state = state
             params = replace(base, r_on=grid)
-            # The last use of rng: the closed loop reads the noise ahead.
+            # The last use of the stream: the closed loop reads the noise ahead.
             caps.append(capture(new_array(cfg, params), cfg, params,
                                 Wavefront(tuple(t.tolist())), s,
-                                pulse_noise=c2c_noise(spec, rng))[1])
+                                pulse_noise=c2c_noise(spec, gen))[1])
         resistances = np.array([c.final_resistances for c in caps])
         write_energy = np.array([c.write_energy for c in caps])
         converged = [all(c.converged) for c in caps]
@@ -204,8 +279,9 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
     of `settings.channels` channels; settings.trials and settings.workers
     are not read (n_trials and workers are).
 
-    Fully reproducible from spec.seed; workers > 1 fans blocks of trials
-    out to a process pool without changing any result.
+    Fully reproducible from spec.seed (see the module docstring); workers
+    > 1 fans blocks of trials, as (first, count) ranges, out to a process
+    pool without changing any result.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -217,8 +293,7 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
     size = max(1, _BLOCK_CELLS // (cfg.rows * cfg.cols))
     if workers > 1:
         size = min(size, max(1, n_trials // (workers * 4)))
-    children = np.random.SeedSequence(spec.seed).spawn(n_trials)
-    jobs = [(i, children[i:i + size], cfg, base, spec, settings)
+    jobs = [(i, min(size, n_trials - i), cfg, base, spec, settings)
             for i in range(0, n_trials, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,7 +12,8 @@ import pytest
 
 import tempmem as tm
 from tempmem.crossbar import ArrayState
-from tempmem.device import resistance_of
+
+from reference_law import resistance_of
 
 P = tm.DeviceParams()
 

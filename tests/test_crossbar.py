@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from tempmem.crossbar import (ArrayConfig, ArrayState, dynamic_range,
                               new_array, read_grid_csv, recall, reset_lines,
                               write_grid_csv)
-from tempmem.device import DeviceParams, resistance_of
+from tempmem.device import DeviceParams
 from tempmem.wavefront import rank_of
+
+from reference_law import resistance_of
 
 P = DeviceParams()
 
@@ -202,6 +204,15 @@ class TestConfigValidation:
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             ArrayConfig(rows=0, cols=1)
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_rejects_non_integral_geometry(self, field):
+        with pytest.raises(ValueError, match=f"array.{field} must be an integer"):
+            ArrayConfig(**{"rows": 2, "cols": 2, field: 2.5})
+
+    def test_numpy_integer_geometry_accepted(self):
+        cfg = ArrayConfig(rows=np.int64(3), cols=np.int32(2))
+        assert new_array(cfg, P).resistance.shape == (3, 2)
 
     def test_rejects_read_voltage_above_rail(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,11 @@ from scipy.integrate import quad
 from scipy.special import expi
 
 from tempmem.crossbar import base_params
-from tempmem.device import (AMP_A_DEFAULT, DeviceParams, DeviceState,
-                            _reset_constants, apply_pulse, calibrate_amp,
-                            per_element, programming_rate, pulse_energy,
-                            reset_energy, resistance_of)
+from tempmem.device import (AMP_A_DEFAULT, DeviceParams, _reset_constants,
+                            calibrate_amp, per_element, programming_rate,
+                            reset_energy)
+
+from reference_law import DeviceState, apply_pulse, pulse_energy, resistance_of
 
 P = DeviceParams()
 

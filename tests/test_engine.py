@@ -15,9 +15,10 @@ from tempmem import variability
 from tempmem.crossbar import (ArrayConfig, base_params, ln_factor, new_array,
                               recall, reset_lines)
 from tempmem.device import DeviceParams
-from tempmem.recording import (QuantizerSpec, SweepSettings, capture_native,
-                               default_slope, program_closed_loop, quantize,
-                               recall_and_score, round_trip)
+from tempmem.recording import (QuantizerSpec, SweepSettings, capture,
+                               capture_native, default_slope,
+                               program_closed_loop, quantize, recall_and_score,
+                               round_trip)
 from tempmem.variability import (TrialRow, VariationSpec, c2c_noise, monte_carlo,
                                  random_wavefront, sample_array)
 from tempmem.wavefront import (EFFECTIVE_BITS_CAP, Wavefront, effective_bits,
@@ -138,6 +139,69 @@ class TestEngineEqualsLayers:
         with pytest.raises(ValueError, match="finite"):
             monte_carlo(cfg, P, VariationSpec(), 2,
                         SweepSettings(channels=4, scale_cap=1e300))
+
+
+class TestDerivedStreams:
+    """A block derives each trial's generator state (`_trial_states`) and
+    loads it into one reused generator; both must give numpy's own stream
+    of `SeedSequence(seed).spawn(n)[k]`."""
+
+    BLOCK = variability._BLOCK_CELLS // 32  # trials per block at 8 x 4
+
+    @hsettings(max_examples=30, deadline=None)
+    @given(seed=st.one_of(
+               st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**128,
+                                2**128 + 2**96 + 7, 2**200 - 1]),
+               st.integers(0, 2**256),
+               st.integers(0, 2**63 - 1).map(np.int64),
+               st.integers(0, 2**64 - 1).map(np.uint64)),
+           first=st.sampled_from([0, 1, BLOCK - 2, BLOCK - 1, BLOCK]),
+           count=st.integers(1, 3))
+    def test_states_equal_numpys(self, seed, first, count):
+        children = np.random.SeedSequence(seed).spawn(first + count)[first:]
+        assert list(variability._trial_states(seed, first, count)) == [
+            np.random.default_rng(c).bit_generator.state for c in children]
+
+    def test_spawn_keys_past_one_word(self):
+        first = 2**32 - 2
+        assert list(variability._trial_states(7, first, 4)) == [
+            np.random.default_rng(np.random.SeedSequence(7, spawn_key=(k,)))
+            .bit_generator.state for k in range(first, first + 4)]
+
+    @hsettings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**64))
+    def test_reused_generator_draws_as_a_fresh_one(self, seed):
+        first, second = variability._trial_states(seed, 0, 2)
+        gen = np.random.Generator(np.random.PCG64(variability._Unseeded()))
+        gen.bit_generator.state = first
+        # Leave half a 32-bit draw buffered: the load must drop it.
+        while not gen.bit_generator.state["has_uint32"]:
+            gen.integers(0, 10, dtype=np.uint32)
+        gen.bit_generator.state = second
+        fresh = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        cfg = ArrayConfig(rows=4, cols=2)
+        s = sweep_settings("digital", 4, "matched", 40.0)
+        spec = VariationSpec(c2c_sigma=0.3)
+        draws = []
+        for g in (gen, fresh):
+            w = Wavefront(tuple(g.uniform(0.0, 40.0, 4).tolist()))
+            order = g.permutation(4).tolist()
+            z = g.standard_normal(5).tolist()
+            cap = capture(new_array(cfg, P), cfg, P, w, s,
+                          pulse_noise=c2c_noise(spec, g))[1]
+            draws.append((w, order, z, cap))
+        assert draws[0] == draws[1]
+        assert sum(draws[0][3].iterations) > 4  # the closed loop drew noise
+
+    @pytest.mark.parametrize("path", ["native", "digital"])
+    def test_one_channel_sweep_across_blocks_and_workers(self, path):
+        # One channel draws no wavefront, only its grid and noise.
+        cfg = ArrayConfig(rows=1, cols=2)
+        spec = VariationSpec(d2d_sigma=0.01, c2c_sigma=0.042, seed=12)
+        s = sweep_settings(path, 1, "matched", 40.0)
+        report, serial = monte_carlo(cfg, P, spec, 16, s)
+        assert serial == reference_rows(cfg, P, spec, 16, s)
+        assert monte_carlo(cfg, P, spec, 16, s, workers=2) == (report, serial)
 
 
 class TestFidelity:

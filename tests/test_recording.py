@@ -10,14 +10,15 @@ from scipy.integrate import quad
 
 from tempmem import device
 from tempmem.crossbar import ArrayConfig, ln_factor, new_array, reset_lines
-from tempmem.device import (DeviceParams, DeviceState, apply_pulse,
-                            pulse_energy, resistance_of)
+from tempmem.device import DeviceParams
 from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
                                capture, capture_digital, capture_native,
                                default_slope, matched_capacitance,
                                program_closed_loop, quantize, round_trip,
                                write_capture_csv)
 from tempmem.variability import VariationSpec, c2c_noise, sample_array
+
+from reference_law import DeviceState, apply_pulse, pulse_energy, resistance_of
 from tempmem.wavefront import Wavefront, rank_of
 
 P = DeviceParams()
@@ -591,6 +592,20 @@ class TestSweepSettings:
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             SweepSettings(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("column", 0.5), ("trials", 2.5), ("channels", 2.5),
+        ("max_iters", 10.5), ("workers", 1.5)])
+    def test_rejects_non_integral_count(self, field, value):
+        with pytest.raises(ValueError, match=f"run.{field} must be an integer"):
+            SweepSettings(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        s = SweepSettings(column=np.int64(1), trials=np.int32(3),
+                          channels=np.uint8(4), max_iters=np.int64(7),
+                          workers=np.int16(2))
+        assert (s.column, s.trials, s.channels, s.max_iters, s.workers) == \
+            (1, 3, 4, 7, 2)
 
     def test_one_class_everywhere(self):
         import tempmem
