@@ -16,9 +16,9 @@ from .crossbar import (ArrayConfig, ArrayState, EnergyReport, dynamic_range,
                        ln_factor, new_array, read_grid_csv, recall,
                        reset_lines, write_grid_csv)
 from .recording import (CaptureResult, QuantizedWavefront, QuantizerSpec,
-                        RoundTripResult, SweepSettings, capture, capture_digital,
-                        capture_native, matched_capacitance, program_closed_loop,
-                        quantize, round_trip)
+                        RoundTripResult, SweepSettings, capture, capture_native,
+                        matched_capacitance, program_closed_loop, quantize,
+                        round_trip)
 from .variability import (TrialReport, TrialRow, VariationSpec, monte_carlo,
                           perturb_pulse, random_wavefront, sample_array)
 from .scenario import (CalibrateSettings, Scenario, ScenarioError,
@@ -32,11 +32,11 @@ __all__ = [
     "QuantizerSpec", "RankOrder", "RoundTripResult", "Scenario",
     "ScenarioError", "SweepSettings", "TrialReport", "TrialRow",
     "VariationSpec", "Wavefront", "calibrate_amp", "capture",
-    "capture_digital", "capture_native", "dynamic_range", "effective_bits",
-    "kendall_tau", "ln_factor", "load_scenario", "matched_capacitance",
-    "monte_carlo", "new_array", "normalize", "parse_scenario_text",
-    "program_closed_loop", "programming_rate", "quantize",
-    "random_wavefront", "rank_of", "read_grid_csv", "read_wavefront_csv",
-    "recall", "reset_lines", "round_trip", "sample_array", "timing_error",
-    "perturb_pulse", "write_grid_csv", "write_wavefront_csv",
+    "capture_native", "dynamic_range", "effective_bits", "kendall_tau",
+    "ln_factor", "load_scenario", "matched_capacitance", "monte_carlo",
+    "new_array", "normalize", "parse_scenario_text", "program_closed_loop",
+    "programming_rate", "quantize", "random_wavefront", "rank_of",
+    "read_grid_csv", "read_wavefront_csv", "recall", "reset_lines",
+    "round_trip", "sample_array", "timing_error", "perturb_pulse",
+    "write_grid_csv", "write_wavefront_csv",
 ]

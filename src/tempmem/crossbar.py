@@ -21,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .device import DeviceParams
+from .device import DeviceParams, stress_at
 from .wavefront import Wavefront, read_csv, write_csv
 
 
@@ -56,11 +56,17 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Supply energy bookkeeping for one recall."""
+    """Supply energy bookkeeping for one recall of `rows` bit lines."""
 
-    per_line: float    # J drawn from the supply per bit line
-    stored: float      # J left on the line capacitors, all lines
-    dissipated: float  # J joule heating in the devices, all lines
+    per_line: float  # J drawn from the supply per bit line
+    rows: int
+
+    @property
+    def stored(self) -> float:
+        """J left on the line capacitors, all lines."""
+        return self.rows * self.per_line / 2.0
+
+    dissipated = stored  # J of joule heating in the devices, all lines
 
 
 @dataclass(frozen=True)
@@ -129,10 +135,8 @@ def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, En
     if state.lines_charged:
         raise ValueError("bit lines are charged; call reset_lines before recall")
     times = edge_times(state.resistance[:, col], cfg.c_line, cfg)
-    per_line = cfg.c_line * cfg.v_read ** 2
-    half = cfg.rows * per_line / 2.0
-    return Wavefront(tuple(times)), EnergyReport(per_line=per_line, stored=half,
-                                                 dissipated=half)
+    return Wavefront(tuple(times)), EnergyReport(cfg.c_line * cfg.v_read ** 2,
+                                                 cfg.rows)
 
 
 def edge_times(r: np.ndarray, c_line, cfg: ArrayConfig) -> np.ndarray:
@@ -168,9 +172,8 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     with the device law; resistances outside [r_on, r_off_max] are
     rejected.
     """
-    r_on = r_on_grid(params, cfg).tolist()
-    stress = np.empty((cfg.rows, cfg.cols))
-    resistance = np.empty_like(stress)
+    r_on = r_on_grid(params, cfg)
+    resistance = np.empty((cfg.rows, cfg.cols))
     cells = set()
     for lineno, fields in read_csv(path, ["row", "col", "resistance_ohm"]):
         try:
@@ -179,15 +182,14 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
                 raise ValueError(f"cell ({i},{j}) outside {cfg.rows}x{cfg.cols} array")
             if (i, j) in cells:
                 raise ValueError(f"duplicate cell ({i},{j})")
-            if not r_on[i][j] <= r <= params.r_off_max:
+            if not r_on[i, j] <= r <= params.r_off_max:
                 raise ValueError(f"cell ({i},{j}): resistance {r} outside "
                                  f"[r_on, r_off_max]")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         cells.add((i, j))
-        stress[i, j] = params.tau_w * math.expm1((r - r_on[i][j]) / params.amp_a)
         resistance[i, j] = r
     missing = cfg.rows * cfg.cols - len(cells)
     if missing:
         raise ValueError(f"{path}: {missing} cells missing from the grid")
-    return ArrayState(stress=stress, resistance=resistance)
+    return ArrayState(stress_at(resistance, r_on, params), resistance)

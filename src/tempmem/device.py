@@ -14,28 +14,22 @@ back to the ON state); a negative one accumulates stress at a
 sinh-shaped, voltage-dependent rate normalized to 1 at the nominal
 write voltage.
 
-The tests state the law one pulse at a time (`resistance_of`,
+The law is written once, here: `resistance` is R(s) and `stress_at` its
+inverse below the clamp.  Native capture, the closed loop, the grid
+reader and `reset_energy`'s clamp constants all call them; only
+`_reset_constants` restates them on one float, for speed.  The tests
+state the law one device at a time (`resistance_of`, `stress_of`,
 `apply_pulse` and `pulse_energy` in `tests/reference_law.py`) as their
-reference.  Captures run it on arrays but bit for bit the same.  The
-closed loop takes a block of one device's pulses at a time: stress is
-the running sum of the block's stress increments (`np.cumsum`, a left
-fold like the scalar `s += d * rate`), resistance follows from each
-stress, and the loop stops at the first pulse that ends it.  The block's
-noise is drawn in one call; draws a device leaves unused pass to the
-next device, so each pulse gets the draw it would get pulse by pulse,
-and only the column's last spare draws are thrown away: the noise stream
-is read ahead past the last applied pulse, which changes nothing as long
-as nothing draws from it after the capture.  `reset_energy` then
-integrates a whole stress/resistance trajectory's write energy at once.
+reference.
 
-The batched Monte Carlo engine runs the native law and `reset_energy`
-on trials x rows arrays (`_reset_constants` too, one set of clamp
-constants per device), so one call covers every device of every trial
-in a block.  Only `+ - * /`, `min`/`max`, comparisons, `cumsum` along
-the last axis and `scipy.special.expi` are vectorised, as numpy gives the
-same bits for them; `exp`, `expm1` and `log1p` stay `math.*`, applied per
-element by `per_element`, because numpy's SIMD versions differ in the
-last bit for some inputs.
+`resistance`, `stress_at` and `reset_energy` work on arrays of any shape
+(trials x rows for the batched Monte Carlo engine, a block of pulses for
+the closed loop) and give the scalar reference's bits.  Only `+ - * /`,
+`min`/`max`, comparisons, `cumsum` along the last axis and
+`scipy.special.expi` are vectorised, as numpy gives the same bits for
+them; `exp`, `expm1` and `log1p` stay `math.*`, applied per element by
+`per_element`, because numpy's SIMD versions differ in the last bit for
+some inputs.
 """
 
 from __future__ import annotations
@@ -97,11 +91,29 @@ def check_r_on(r_on: float | np.ndarray, r_off_max: float) -> None:
         raise ValueError("need 0 < r_on < r_off_max < inf")
 
 
-def per_element(f, x: np.ndarray) -> np.ndarray:
-    """f applied to each element of x, as a float array of x's shape: the
-    way to apply the `math.*` functions whose numpy versions differ from
-    them in the last bit."""
+def per_element(f, x) -> np.ndarray:
+    """f applied to each element of x (a float or an array), as a float
+    array of x's shape: the way to apply the `math.*` functions whose
+    numpy versions differ from them in the last bit."""
+    x = np.asarray(x)
     return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def resistance(stress, r_on, params: DeviceParams) -> np.ndarray:
+    """The device law: resistance (ohm) at each stress (ns) of devices ON
+    at r_on, R = r_on + amp_a ln(1 + s / tau_w) clamped at r_off_max.
+    stress and r_on are floats or arrays that broadcast together."""
+    log_term = per_element(math.log1p, stress / params.tau_w)
+    return np.minimum(r_on + params.amp_a * log_term, params.r_off_max)
+
+
+def stress_at(r, r_on, params: DeviceParams) -> np.ndarray:
+    """The law's inverse: the stress (ns) at which devices ON at r_on reach
+    resistance r, below the clamp.  Where expm1 would overflow (its
+    argument beyond 700) the stress is inf: out of reach."""
+    x = (r - r_on) / params.amp_a
+    return np.where(x > 700.0, math.inf,
+                    params.tau_w * per_element(math.expm1, np.minimum(x, 700.0)))
 
 
 def programming_rate(v: float, params: DeviceParams) -> float:
@@ -134,17 +146,15 @@ def _reset_constants(r_on: float | np.ndarray, params: DeviceParams):
     microseconds, so one float stays on plain floats: the closed loop
     asks for one device at a time.)"""
     a, tau = params.amp_a, params.tau_w
+    if np.ndim(r_on):
+        s_clamp = stress_at(params.r_off_max, r_on, params)
+        return (s_clamp, resistance(s_clamp, r_on, params),
+                (tau / a) * per_element(math.exp, -r_on / a))
+    # `stress_at` and `resistance` on one float
     x = (params.r_off_max - r_on) / a
-    # expm1 would overflow beyond 700; the clamp is then unreachable
-    if not np.ndim(r_on):
-        s_clamp = math.inf if x > 700.0 else tau * math.expm1(x)
-        return (s_clamp, min(r_on + a * math.log1p(s_clamp / tau), params.r_off_max),
-                (tau / a) * math.exp(-r_on / a))
-    s_clamp = np.where(x > 700.0, math.inf,
-                       tau * per_element(math.expm1, np.minimum(x, 700.0)))
-    r_clamp = np.minimum(r_on + a * per_element(math.log1p, s_clamp / tau),
-                         params.r_off_max)
-    return s_clamp, r_clamp, (tau / a) * per_element(math.exp, -r_on / a)
+    s_clamp = math.inf if x > 700.0 else tau * math.expm1(x)
+    return (s_clamp, min(r_on + a * math.log1p(s_clamp / tau), params.r_off_max),
+            (tau / a) * math.exp(-r_on / a))
 
 
 def reset_energy(s: np.ndarray, r: np.ndarray, v: float, rate: float,

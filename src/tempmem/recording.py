@@ -1,15 +1,17 @@
 """Wavefront capture into a crossbar column, by either route.
 
-Native capture mimics timing-difference plasticity: the first arriving
-edge raises the source line, and every later channel sees a reverse
-write voltage for exactly the interval between its own edge and the
-first one, so its device accumulates stress proportional to its delay.
-The first channel's device never sees a net voltage and stays put.
+`capture` is the one entry to both, set by a `SweepSettings`; both take
+the device law from `device.resistance` and `device.stress_at`.  Native
+capture mimics timing-difference plasticity: the first arriving edge
+raises the source line, and every later channel sees a reverse write
+voltage for exactly the interval between its own edge and the first one,
+so its device accumulates stress proportional to its delay.  The first
+channel's device never sees a net voltage and stays put.
 
 Digital capture measures the wavefront with a counter (optionally
 refined by a vernier stage), converts counts to resistance targets on a
 fixed slope, and drives each device to its target with an iterative
-program/verify loop.
+program/verify loop (`program_closed_loop`).
 
 Cycle-to-cycle noise enters as a `PulseNoise`: a function from an array
 of nominal pulse durations to as many effective durations, one draw per
@@ -240,8 +242,7 @@ def _native_write(dur: np.ndarray, start, r_on: np.ndarray, v_write: float,
     (trials); returns the devices' stress and resistance, and each
     column's write energy (J) summed in row order."""
     stress = dur * rate
-    log_term = device.per_element(math.log1p, stress / params.tau_w)
-    law = np.minimum(r_on + params.amp_a * log_term, params.r_off_max)
+    law = device.resistance(stress, r_on, params)
     # A zero-length pulse leaves its device as it was.
     resistance = np.where(dur == 0.0, start, law)
     # Each row's trajectory is its two points, from ON to the end of its pulse.
@@ -339,7 +340,11 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     if not (isinstance(max_iters, Integral) and max_iters >= 0):
         raise ValueError("max_iters must be a non-negative integer")
     v_write, rate = _reset_rate(params, v_write)
-    a, tau, r_off = params.amp_a, params.tau_w, params.r_off_max
+    r_ons = r_on_grid(params, cfg)[:, col]
+    # Each band's bottom as a stress; inf at or beyond the clamp.
+    band_low = np.array(targets, dtype=float) * (1.0 - tol)
+    s_lows = np.where(band_low < params.r_off_max,
+                      device.stress_at(band_low, r_ons, params), math.inf)
     step_stress = step * rate
     spare = np.empty(0)  # durations drawn and not applied yet, in draw order
     pulses = []
@@ -348,13 +353,10 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     iterations = []
     converged = []
     energy = 0.0
-    for r_on, r, target in zip(r_on_grid(params, cfg)[:, col].tolist(), start,
-                               targets):
+    for r_on, r, target, s_low in zip(r_ons.tolist(), start, targets,
+                                      s_lows.tolist()):
         target = float(target)
-        band_low, band_top = target * (1.0 - tol), target * (1.0 + tol)
-        x = (band_low - r_on) / a
-        # expm1 would overflow beyond 700; the band is then out of reach
-        s_low = tau * math.expm1(x) if x <= 700.0 and band_low < r_off else math.inf
+        band_top = target * (1.0 + tol)
         s = 0.0
         trajectory_s, trajectory_r = [np.zeros(1)], [np.array([r_on])]
         applied = 0.0
@@ -370,9 +372,7 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
                 spare = np.concatenate((spare, more))
             dur = spare[:n]
             stress = np.cumsum(np.concatenate(([s], dur * rate)))[1:]
-            law = np.minimum(
-                r_on + a * device.per_element(math.log1p, stress / tau), r_off)
-            res = law
+            law = res = device.resistance(stress, r_on, params)
             if not dur.all():
                 # A zero-length pulse leaves the device as it is: carry the
                 # resistance of the last pulse that moved it (or the start).
@@ -410,29 +410,6 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
 def default_slope(t_clk: float) -> float:
     """Ohm per count aligning counter codes to the calibrated window."""
     return device.R_SPAN_DEFAULT / (device.T_SPAN_DEFAULT / t_clk)
-
-
-def capture_digital(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
-                    col: int, w: Wavefront, q: QuantizerSpec, *,
-                    slope: float | None = None, tol: float = 0.01,
-                    v_write: float | None = None, step: float = 1.0,
-                    max_iters: int = 500, window_ns: float = DEFAULT_WINDOW_NS,
-                    pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
-    """Quantize a wavefront and program the counts into column `col` as
-    resistance targets r_on + slope * count via the closed loop."""
-    if slope is None:
-        slope = default_slope(q.t_clk)
-    if slope <= 0:
-        raise ValueError("slope must be positive")
-    counts = quantize(w, q).effective_counts(q)
-    r_on = base_params(params).r_on
-    targets = [r_on + slope * c for c in counts]
-    new_state, result = program_closed_loop(
-        state, cfg, params, col, targets, tol=tol, v_write=v_write,
-        step=step, max_iters=max_iters, pulse_noise=pulse_noise)
-    if w.span > window_ns:
-        result = replace(result, window_exceeded=True)
-    return new_state, result
 
 
 @dataclass(frozen=True)
@@ -504,16 +481,23 @@ def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
             w: Wavefront, settings: SweepSettings, *,
             pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
     """Record a wavefront into column `settings.column` by the route
-    `settings.path` names: native timing-difference writes, or the
-    digital route (`settings.quantizer`, then the closed loop)."""
+    `settings.path` names: native timing-difference writes, or digital:
+    `settings.quantizer`'s counts become targets r_on + slope * count
+    (r_on of device (0, 0); `default_slope` unless `settings.slope` is
+    set) for the closed loop."""
     s = settings
     if s.path == "native":
         return capture_native(state, cfg, params, s.column, w, s.v_write,
                               window_ns=s.window_ns, pulse_noise=pulse_noise)
-    return capture_digital(state, cfg, params, s.column, w, s.quantizer,
-                           slope=s.slope, tol=s.tol, v_write=s.v_write,
-                           step=s.step_ns, max_iters=s.max_iters,
-                           window_ns=s.window_ns, pulse_noise=pulse_noise)
+    q = s.quantizer
+    slope = default_slope(q.t_clk) if s.slope is None else s.slope
+    r_on = base_params(params).r_on
+    new_state, result = program_closed_loop(
+        state, cfg, params, s.column,
+        [r_on + slope * c for c in quantize(w, q).effective_counts(q)],
+        tol=s.tol, v_write=s.v_write, step=s.step_ns, max_iters=s.max_iters,
+        pulse_noise=pulse_noise)
+    return new_state, replace(result, window_exceeded=w.span > s.window_ns)
 
 
 def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
@@ -536,12 +520,11 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
         float(x[0]) for x in (rt.c_used, rt.per_line, rt.tau, rt.rms_ns,
                               rt.max_abs_ns, rt.bits))
     recalled = Wavefront(tuple(rt.recalled[0].tolist()))
-    half = cfg.rows * per_line / 2.0
     return RoundTripResult(
         recalled=recalled, recalled_normalized=normalize(recalled),
         input_normalized=normalize(w), tau=tau, rms_ns=rms, max_abs_ns=max_abs,
         bits=bits, capture=cap, c_used=c_used,
-        recall_energy=EnergyReport(per_line=per_line, stored=half, dissipated=half))
+        recall_energy=EnergyReport(per_line, cfg.rows))
 
 
 def write_capture_csv(path, result: CaptureResult) -> None:

@@ -35,7 +35,6 @@ from itertools import chain
 from typing import Callable
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .crossbar import ArrayConfig, new_array
 from .device import DeviceParams, check_r_on, per_element
@@ -56,13 +55,6 @@ _BLOCK_CELLS = 1 << 16
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
 _MIX_L, _MIX_R, _PCG_MULT = 0xca01f9dd, 0x4973f715, 0x2360ed051fc65da44385df649fccf645
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-class _Unseeded(ISeedSequence):
-    """Zero seed words: the cheapest PCG64 to build, to set states into."""
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype)
 
 
 def _words(n: int) -> list[int]:
@@ -227,7 +219,7 @@ def _run_block(args) -> list[TrialRow]:
     order = np.empty((count, n), dtype=np.intp)
     order[:] = np.arange(n)
     z = np.empty((count, cells + cfg.rows * native))
-    gen = np.random.Generator(np.random.PCG64(_Unseeded()))
+    gen = np.random.Generator(np.random.PCG64(0))
     resume = []
     for k, state in enumerate(_trial_states(spec.seed, first, count)):
         gen.bit_generator.state = state
@@ -276,15 +268,14 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
                 workers: int = 1) -> tuple[TrialReport, tuple[TrialRow, ...]]:
     """Run independent capture/recall trials on freshly sampled arrays,
     each the equal of a `round_trip` with `settings` on a random wavefront
-    of `settings.channels` channels; settings.trials and settings.workers
-    are not read (n_trials and workers are).
+    of `settings.channels` channels; n_trials and workers stand in for
+    settings.trials and settings.workers, and are checked as they are.
 
     Fully reproducible from spec.seed (see the module docstring); workers
     > 1 fans blocks of trials, as (first, count) ranges, out to a process
     pool without changing any result.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    settings = replace(settings, trials=n_trials, workers=workers)
     if settings.channels != cfg.rows:
         raise ValueError(f"wavefront has {settings.channels} channels, array "
                          f"has {cfg.rows} rows")

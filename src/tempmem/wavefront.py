@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -162,12 +162,17 @@ def fidelity(inputs: np.ndarray, recalled: np.ndarray):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV file, the header row and then each of `rows`, in one
-    write: one call per row costs more than formatting in memory."""
-    text = io.StringIO()
-    csv.writer(text).writerows(chain([header], rows))
+    """Write a CSV file, the header row and then each of `rows`, formatted
+    in memory and written 4096 rows at a time: one write call per row
+    costs more, and one per file holds the whole file in memory."""
+    rows = chain([header], rows)
     with open(path, "w", newline="") as f:
-        f.write(text.getvalue())
+        while True:
+            text = io.StringIO()
+            csv.writer(text).writerows(islice(rows, 4096))
+            if not text.tell():
+                return
+            f.write(text.getvalue())
 
 
 def write_wavefront_csv(path, w: Wavefront) -> None:

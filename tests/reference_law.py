@@ -2,9 +2,10 @@
 kernels of `tempmem.device` and `tempmem.recording` are tested against.
 
 `resistance_of`, `apply_pulse` and `pulse_energy` apply the law of the
-`tempmem.device` module docstring to one device's scalar state.  The
-simulator runs the same law on arrays, bit for bit; these functions are
-kept here, outside the package, as the tests' oracle.
+`tempmem.device` module docstring to one device's scalar state, and
+`stress_of` inverts it.  The simulator runs the same law on arrays, bit
+for bit; these functions are kept here, outside the package, as the
+tests' oracle.
 """
 
 import math
@@ -34,6 +35,13 @@ def resistance_of(stress: float, params: DeviceParams) -> float:
         raise ValueError("stress must be non-negative")
     return min(params.r_on + params.amp_a * math.log1p(stress / params.tau_w),
                params.r_off_max)
+
+
+def stress_of(resistance: float, params: DeviceParams) -> float:
+    """Stress (ns) at which the law reaches `resistance` (ohm) below the
+    clamp; inf where expm1's argument passes 700 (out of reach)."""
+    x = (resistance - params.r_on) / params.amp_a
+    return math.inf if x > 700.0 else params.tau_w * math.expm1(x)
 
 
 def apply_pulse(state: DeviceState, v: float, duration: float,

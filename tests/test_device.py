@@ -10,9 +10,10 @@ from scipy.special import expi
 from tempmem.crossbar import base_params
 from tempmem.device import (AMP_A_DEFAULT, DeviceParams, _reset_constants,
                             calibrate_amp, per_element, programming_rate,
-                            reset_energy)
+                            reset_energy, resistance, stress_at)
 
-from reference_law import DeviceState, apply_pulse, pulse_energy, resistance_of
+from reference_law import (DeviceState, apply_pulse, pulse_energy, resistance_of,
+                           stress_of)
 
 P = DeviceParams()
 
@@ -110,6 +111,51 @@ def initialize_on(state, params=P):
     """Ideal SET: a positive pulse at the write level returns the device
     to the ON state."""
     return apply_pulse(state, params.v_write_nominal, 1.0, params)
+
+
+# One device of the law: its ON resistance, a small amp_a that puts the
+# inverse's expm1 argument beyond 700 within the range, and a place in
+# that range (a stress, or a fraction of the way from r_on to r_off_max).
+R_ONS = st.floats(min_value=1e3, max_value=5e5)
+AMPS = st.floats(min_value=50.0, max_value=1e5)
+STRESSES = st.floats(min_value=0.0, max_value=1e7) | st.just(math.inf)
+FRACTIONS = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestOneLaw:
+    """`resistance` and `stress_at` are the scalar reference law and its
+    inverse, bit for bit, on floats and on per-device arrays."""
+
+    @given(STRESSES, R_ONS, AMPS)
+    def test_resistance_on_floats(self, stress, r_on, amp_a):
+        params = DeviceParams(r_on=r_on, amp_a=amp_a)
+        assert float(resistance(stress, r_on, params)) == resistance_of(stress, params)
+
+    @given(FRACTIONS, R_ONS, AMPS)
+    def test_stress_at_on_floats(self, frac, r_on, amp_a):
+        params = DeviceParams(r_on=r_on, amp_a=amp_a)
+        r = r_on + frac * (params.r_off_max - r_on)
+        assert float(stress_at(r, r_on, params)) == stress_of(r, params)
+
+    @given(st.lists(st.tuples(STRESSES, FRACTIONS, R_ONS), min_size=1, max_size=12),
+           AMPS)
+    def test_per_device_arrays(self, devices, amp_a):
+        params = DeviceParams(amp_a=amp_a)
+        stress, frac, r_on = (np.array(c) for c in zip(*devices))
+        r = r_on + frac * (params.r_off_max - r_on)
+        each = [replace(params, r_on=x) for x in r_on.tolist()]
+        assert resistance(stress, r_on, params).tolist() == [
+            resistance_of(s, p) for s, p in zip(stress.tolist(), each)]
+        assert stress_at(r, r_on, params).tolist() == [
+            stress_of(x, p) for x, p in zip(r.tolist(), each)]
+
+    def test_inverse_on_both_sides_of_700(self):
+        params = DeviceParams(amp_a=1000.0)
+        r_on = np.array([[10e3, 10e3, 10e3]])
+        r = r_on + 1000.0 * np.array([[699.0, 700.0, np.nextafter(700.0, 800.0)]])
+        got = stress_at(r, r_on, params)
+        assert got[0, :2].tolist() == [stress_of(x, params) for x in r[0, :2].tolist()]
+        assert np.isfinite(got[0, :2]).all() and got[0, 2] == math.inf
 
 
 class TestInitializeOn:

@@ -12,10 +12,9 @@ from tempmem import device
 from tempmem.crossbar import ArrayConfig, ln_factor, new_array, reset_lines
 from tempmem.device import DeviceParams
 from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
-                               capture, capture_digital, capture_native,
-                               default_slope, matched_capacitance,
-                               program_closed_loop, quantize, round_trip,
-                               write_capture_csv)
+                               capture, capture_native, default_slope,
+                               matched_capacitance, program_closed_loop,
+                               quantize, round_trip, write_capture_csv)
 from tempmem.variability import VariationSpec, c2c_noise, sample_array
 
 from reference_law import DeviceState, apply_pulse, pulse_energy, resistance_of
@@ -414,7 +413,7 @@ class TestKernelsMatchScalarLaw:
         # where the device would stop; the whole block is checked first.
         def law(*args):
             raise AssertionError("the device law ran")
-        monkeypatch.setattr(device, "per_element", law)
+        monkeypatch.setattr(device, "resistance", law)
         cfg = cfg_for(1)
         last_negative = lambda d: np.where(np.arange(d.size) == d.size - 1, -1.0, d)
         with pytest.raises(ValueError, match="non-negative"):
@@ -484,8 +483,8 @@ class TestCaptureDigital:
         w = Wavefront((0.0, 10.0, 20.0, 40.0))
         q = QuantizerSpec(kind="counter", t_clk=1.0)
         assert default_slope(q.t_clk) == 750.0
-        _, result = capture_digital(new_array(cfg, P), cfg, P, 0, w, q,
-                                    tol=1e-3, step=0.01, max_iters=8000)
+        _, result = capture(new_array(cfg, P), cfg, P, w, SweepSettings(
+            path="digital", quantizer=q, tol=1e-3, step_ns=0.01, max_iters=8000))
         for got, target in zip(result.final_resistances,
                                [10e3, 17.5e3, 25e3, 40e3]):
             assert abs(got - target) / target <= 1e-3
@@ -494,8 +493,8 @@ class TestCaptureDigital:
     def test_single_channel_needs_no_programming(self):
         cfg = cfg_for(1)
         q = QuantizerSpec()
-        _, result = capture_digital(new_array(cfg, P), cfg, P, 0,
-                                    Wavefront((12.0,)), q)
+        _, result = capture(new_array(cfg, P), cfg, P, Wavefront((12.0,)),
+                            SweepSettings(path="digital", quantizer=q, tol=0.01))
         assert result.iterations == (0,)
         assert result.final_resistances == (P.r_on,)
 
@@ -516,9 +515,9 @@ class TestCaptureDigital:
     def test_window_flag_propagates(self):
         cfg = cfg_for(2)
         q = QuantizerSpec()
-        _, result = capture_digital(new_array(cfg, P), cfg, P, 0,
-                                    Wavefront((0.0, 90.0)), q, tol=0.01,
-                                    step=1.0, max_iters=200)
+        _, result = capture(new_array(cfg, P), cfg, P, Wavefront((0.0, 90.0)),
+                            SweepSettings(path="digital", quantizer=q, tol=0.01,
+                                          step_ns=1.0, max_iters=200))
         assert result.window_exceeded
 
 

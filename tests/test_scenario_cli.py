@@ -176,6 +176,20 @@ class TestCliRecall:
         for t, expected in zip(w.times, [13.33, 26.67, 40.00, 53.33]):
             assert t == pytest.approx(expected, abs=0.01)
 
+    def test_grid_cell_beyond_the_laws_reach_recalls(self, tmp_path):
+        # With a small amp_a, 900 kohm lies (r - r_on) / amp_a = 8900 past
+        # r_on: expm1 would overflow, so the cell's stress is inf.
+        scenario = tmp_path / "small_amp.scn"
+        scenario.write_text("array.rows = 1\narray.cols = 1\ndevice.amp_a = 100.0\n")
+        grid = tmp_path / "grid.csv"
+        grid.write_text("row,col,resistance_ohm\n0,0,900000.0\n")
+        out = tmp_path / "out"
+        assert run_cli("recall", "--scenario", str(scenario), "--grid", str(grid),
+                       "--out", str(out)) == 0
+        expected = 900000.0 * 1e-12 * math.log(1.0 / (1.0 - 0.7364)) * 1e9
+        assert read_wavefront_csv(out / "wavefront.csv").times == (
+            pytest.approx(expected, rel=1e-12),)
+
     def test_missing_grid_file_is_config_error(self, tmp_path, capsys):
         assert run_cli("recall", "--grid", str(tmp_path / "nope.csv"),
                        "--out", str(tmp_path / "o")) == 2

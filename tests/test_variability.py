@@ -195,6 +195,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(CFG8, P, VariationSpec(), 0)
 
+    # The counts are checked as SweepSettings checks them, naming the field.
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="run.workers must be at least 1"):
+            monte_carlo(CFG8, P, VariationSpec(), 4, workers=0)
+
+    def test_rejects_a_float_trial_count(self):
+        with pytest.raises(ValueError, match="run.trials must be an integer"):
+            monte_carlo(CFG8, P, VariationSpec(), 2.0)
+
+    def test_rejects_a_float_worker_count(self):
+        with pytest.raises(ValueError, match="run.workers must be an integer"):
+            monte_carlo(CFG8, P, VariationSpec(), 4, workers=1.5)
+
     def test_digital_path_sweep(self):
         # d2d spread can put a device's ON state above its target, which a
         # RESET-only verify loop can never reach, so convergence is only
