@@ -161,8 +161,8 @@ def dynamic_range(cfg: ArrayConfig, params: DeviceParams, r_max: float) -> float
 def write_grid_csv(path, state: ArrayState) -> None:
     """Export the resistance grid as `row,col,resistance_ohm`."""
     write_csv(path, ["row", "col", "resistance_ohm"],
-              ([i, j, repr(r)] for i, row in enumerate(state.resistance.tolist())
-               for j, r in enumerate(row)))
+              ([i, j, repr(r)] for i, row in enumerate(state.resistance)
+               for j, r in enumerate(row.tolist())))
 
 
 def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:

@@ -11,18 +11,23 @@ Trial k of a sweep draws from the PCG64 stream of
 (`random_wavefront`'s draws), the rows x cols r_on grid (`sample_array`'s),
 then the cycle-to-cycle noise of its capture (`c2c_noise`'s: one draw per
 row for a native capture, the closed loop's blocks for a digital one).
-Its block derives the generator's state from (seed, k) as numpy would
-and loads it into one reused generator.  So a sweep gives bit-identical
-results whether trials run serially or across worker processes, and
-whatever blocks they run in.
+A block derives its trials' generator states from (seed, k) as numpy
+would (`_trial_states`): the 32-bit hashing of the spawn keys runs over
+the whole block in numpy, and only the two 128-bit LCG steps of PCG64's
+seeding run per trial.  Each state is loaded into one reused generator.
+So a sweep gives bit-identical results whether trials run serially or
+across worker processes, and whatever blocks they run in.
 
 `monte_carlo` runs trials in blocks of at most _BLOCK_CELLS devices
 (trials x rows x cols).  Within a block only the draws loop over trials;
 everything else works on arrays with a leading trials axis: the r_on
 grids and noise factors, native capture (`recording._native_write`),
-recall and scoring (`recording.recall_and_score`).  A digital capture
-runs its closed loop per trial, on that trial's stream.  Each trial's row
-is bit-identical to a `round_trip` of the same draws.
+recall and scoring (`recording.recall_and_score`).  A native capture
+reads one column, so only that column's d2d draws are spread into r_on;
+the rest of the grid keeps its r_on check (`_check_spread`) from the
+block's extreme draws.  A digital capture runs its closed loop per
+trial, on that trial's stream and its whole spread grid.  Each trial's
+row is bit-identical to a `round_trip` of the same draws.
 """
 
 from __future__ import annotations
@@ -30,13 +35,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, reduce
 from itertools import chain
+from operator import add
 from typing import Callable
 
 import numpy as np
 
-from .crossbar import ArrayConfig, new_array
+from .crossbar import ArrayConfig, new_array, r_on_grid
 from .device import DeviceParams, check_r_on, per_element
 from .recording import (SweepSettings, capture, recall_and_score, _native_write,
                         _reset_rate)
@@ -66,36 +72,47 @@ def _words(n: int) -> list[int]:
 
 
 @cache
-def _hash_steps(h: int, mult: int, skip: int, n: int) -> tuple:
+def _hash_steps(h: int, mult: int, skip: int, n: int) -> np.ndarray:
     """(xor, multiplier) of n SeedSequence hash steps after `skip` steps from
-    constant h, times mult at each step (cached: few arguments ever occur)."""
+    constant h, times mult at each step, as a read-only n x 2 uint64 array
+    (cached: few arguments ever occur)."""
     h = h * pow(mult, skip, 1 << 32) & _M32
-    return tuple((h, h := h * mult & _M32) for _ in range(n))
+    steps = np.array([(h, h := h * mult & _M32) for _ in range(n)], np.uint64)
+    steps.flags.writeable = False
+    return steps
 
 
 def _trial_states(seed: int, first: int, count: int):
     """The PCG64 states of `default_rng(SeedSequence(seed).spawn(n)[k])`
     for k = first .. first + count - 1, derived with no object per trial.
-    Every child shares the root's entropy pool; child k mixes in its spawn
-    key k (numpy's `hashmix` and `mix`), hashes the pool into 4 64-bit
-    words (`generate_state`) and PCG64 takes two LCG steps from them."""
-    pool = np.random.SeedSequence(seed).pool.tolist()
+    Every child shares the root's entropy pool; child k mixes in each
+    32-bit word of its spawn key k (numpy's `hashmix` and `mix`), hashes
+    the pool into 4 64-bit words (`generate_state`) and PCG64 takes two
+    LCG steps from them.  The 32-bit hashing runs over the whole block at
+    once, in uint64 masked to 32 bits: a product of two 32-bit values fits
+    in 64 bits and 2**32 divides 2**64, so the low word is exact.  Only the
+    128-bit LCG steps run per trial, on Python ints."""
+    keys = np.arange(first, first + count, dtype=np.uint64)
+    pool = np.empty((4, count), np.uint64)
+    pool[:] = np.random.SeedSequence(seed).pool[:, None]
     # The root's pool took 16 hash steps, 4 more per seed word beyond 4.
     keyed = _hash_steps(_INIT_A, _MULT_A, 4 * max(4, len(_words(int(seed)))),
                         4 * len(_words(first + count - 1)))
+    for j in range(len(keyed) // 4):
+        # Key k has word j > 0 only from 2**(32 j) on: the block's tail.
+        # Its 4 hash steps (x, m) mix it into the 4 pool words at once.
+        tail = slice(max(0, (1 << 32 * j) - first) if j else 0, None)
+        x, m = keyed[4 * j:4 * j + 4, :1], keyed[4 * j:4 * j + 4, 1:]
+        v = ((keys[tail] >> 32 * j & _M32) ^ x) * m & _M32
+        v = _MIX_L * pool[:, tail] - _MIX_R * (v ^ v >> 16) & _M32
+        pool[:, tail] = v ^ v >> 16
     hashed = _hash_steps(_INIT_B, _MULT_B, 0, 8)
-    for k in range(first, first + count):
-        p, steps = pool[:], iter(keyed)
-        for word in _words(k):
-            for i, (x, m) in zip(range(4), steps):
-                v = (word ^ x) * m & _M32
-                v = (_MIX_L * p[i] - _MIX_R * (v ^ v >> 16)) & _M32
-                p[i] = v ^ v >> 16
-        o = [(v := (p[i & 3] ^ x) * m & _M32) ^ v >> 16
-             for i, (x, m) in enumerate(hashed)]
-        # Little-endian word pairs; PCG64 reads each 128-bit value high first.
-        init_state = (o[0] | o[1] << 32) << 64 | o[2] | o[3] << 32
-        inc = ((o[4] | o[5] << 32) << 65 | (o[6] | o[7] << 32) << 1 | 1) & _M128
+    o = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hashed[:, :1]) * hashed[:, 1:] & _M32
+    o ^= o >> 16
+    # Little-endian word pairs; PCG64 reads each 128-bit value high first.
+    for s_hi, s_lo, i_hi, i_lo in zip(*(o[0::2] | o[1::2] << 32).tolist()):
+        init_state = s_hi << 64 | s_lo
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
         yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
             "state": ((inc + init_state) * _PCG_MULT + inc) & _M128, "inc": inc}}
 
@@ -157,6 +174,28 @@ def _spread(nominal, sigma_rel: float, z: np.ndarray) -> np.ndarray:
     return nominal * per_element(math.exp, -0.5 * s2 + math.sqrt(s2) * z)
 
 
+# Relative slack of `_check_spread`'s bounds, far above the few ulps of
+# rounding they can be off by.
+_SLACK = 1e-9
+
+
+def _check_spread(base: DeviceParams, sigma_rel: float, z: np.ndarray) -> None:
+    """check_r_on's verdict on `_spread(base.r_on, sigma_rel, z)`, without
+    spreading every device when the extremes are clear of the bounds.
+    In z's exponent the spread's `+` and `*` by sqrt(s2) >= 0 are
+    monotone, as is the product with a positive nominal; libm's exp is
+    within an ulp of exp, which is monotone.  So every device lies within
+    a few ulps of [min nominal x factor(min z), max nominal x factor(max z)],
+    and within _SLACK of it the grid is spread and checked in full."""
+    r_on = np.asarray(base.r_on)
+    lo, hi = _spread(np.array([r_on.min(), r_on.max()]), sigma_rel,
+                     np.array([z.min(), z.max()])).tolist()
+    # Written so that nan takes the full check.
+    if not (np.finfo(float).tiny < lo * _SLACK
+            and hi * (1 + _SLACK) < base.r_off_max < math.inf):
+        check_r_on(_spread(base.r_on, sigma_rel, z), base.r_off_max)
+
+
 def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
                  rng: np.random.Generator | None = None) -> DeviceParams:
     """`base` with a rows x cols r_on grid, lognormally spread per device."""
@@ -215,7 +254,9 @@ def _run_block(args) -> list[TrialRow]:
     n, cells, native = s.channels, cfg.rows * cfg.cols, s.path == "native"
     # Each trial's times before the shuffle (0, span, n - 2 uniforms) and
     # its channel order; `permutation(n)` too shuffles an arange(n).
+    # `uniform(0, span)` is 0.0 + span * `random()`: the block scales once.
     vals = np.zeros((count, n))
+    vals[:, 1:] = s.span_ns
     order = np.empty((count, n), dtype=np.intp)
     order[:] = np.arange(n)
     z = np.empty((count, cells + cfg.rows * native))
@@ -224,26 +265,29 @@ def _run_block(args) -> list[TrialRow]:
     for k, state in enumerate(_trial_states(spec.seed, first, count)):
         gen.bit_generator.state = state
         if n > 1:  # one channel sits at 0 with no draw
-            vals[k, 1] = s.span_ns
-            vals[k, 2:] = gen.uniform(0.0, s.span_ns, n - 2)
+            gen.random(out=vals[k, 2:])
             gen.shuffle(order[k])
         gen.standard_normal(out=z[k])
         if not native:
             resume.append(gen.bit_generator.state)
+    vals[:, 2:] *= s.span_ns
     # np.take_along_axis(vals, order, -1), without its index building
     times = vals[np.arange(count)[:, None], order]
-    grids = _spread(base.r_on, spec.d2d_sigma,
-                    z[:, :cells].reshape(count, cfg.rows, cfg.cols))
-    check_r_on(grids, base.r_off_max)
+    z_grid = z[:, :cells].reshape(count, cfg.rows, cfg.cols)
     if native:
+        # Only the captured column is spread; the grid keeps its r_on check.
+        _check_spread(base, spec.d2d_sigma, z_grid)
+        r_on = _spread(r_on_grid(base, cfg)[:, s.column], spec.d2d_sigma,
+                       z_grid[..., s.column])
         v_write, rate = _reset_rate(base, s.v_write)
         dur = _spread(times - times.min(axis=-1, keepdims=True), spec.c2c_sigma,
                       z[:, cells:])
-        r_on = grids[..., s.column]
         _, resistances, write_energy = _native_write(dur, r_on, r_on, v_write,
                                                      rate, base)
         converged = [True] * count
     else:
+        grids = _spread(base.r_on, spec.d2d_sigma, z_grid)
+        check_r_on(grids, base.r_off_max)
         caps = []
         for t, grid, state in zip(times, grids, resume):
             gen.bit_generator.state = state
@@ -261,6 +305,13 @@ def _run_block(args) -> list[TrialRow]:
         rt.tau.tolist(), rt.rms_ns.tolist(), rt.max_abs_ns.tolist(),
         rt.bits.tolist(), write_energy.tolist(),
         (rt.per_line * cfg.rows).tolist(), converged, window_exceeded.tolist()))]
+
+
+def _mean(values, n: int) -> float:
+    """The sum of `values` over n, summed as a plain left fold from 0, as
+    builtin `sum` does before Python 3.12 (which compensates float sums),
+    so that a report has the same bits on every interpreter."""
+    return reduce(add, values, 0) / n
 
 
 def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
@@ -291,17 +342,16 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
             rows = tuple(chain.from_iterable(pool.map(_run_block, jobs)))
     else:
         rows = tuple(chain.from_iterable(map(_run_block, jobs)))
-    taus = [r.tau for r in rows]
-    rmss = [r.rms_ns for r in rows]
     success_rms = settings.span_ns / TIMING_SUCCESS_LEVELS
     report = TrialReport(
         n_trials=n_trials,
-        rank_exact_rate=sum(1 for t in taus if t == 1.0) / n_trials,
-        mean_tau=sum(taus) / n_trials,
-        rms_timing_ns=sum(rmss) / n_trials,
-        effective_bits_mean=sum(r.bits for r in rows) / n_trials,
-        timing_success_rate=sum(1 for r in rmss if r <= success_rms) / n_trials,
-        energy_mean_j=sum(r.write_energy_j + r.recall_energy_j for r in rows) / n_trials,
+        rank_exact_rate=_mean((r.tau == 1.0 for r in rows), n_trials),
+        mean_tau=_mean((r.tau for r in rows), n_trials),
+        rms_timing_ns=_mean((r.rms_ns for r in rows), n_trials),
+        effective_bits_mean=_mean((r.bits for r in rows), n_trials),
+        timing_success_rate=_mean((r.rms_ns <= success_rms for r in rows), n_trials),
+        energy_mean_j=_mean((r.write_energy_j + r.recall_energy_j for r in rows),
+                            n_trials),
     )
     return report, rows
 

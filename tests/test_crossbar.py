@@ -256,6 +256,17 @@ class TestGridCsv:
         loaded = read_grid_csv(path, cfg, P)
         assert np.allclose(loaded.resistance, state.resistance)
 
+    def test_writes_row_major_reprs(self, tmp_path):
+        # Each resistance is written as its shortest round-trip repr.
+        r = np.array([[0.1 + 0.2, 1e4], [12345.678901234567, 1e-5],
+                      [2.0**0.5 * 1e4, 99999.99999999999]])
+        path = tmp_path / "grid.csv"
+        write_grid_csv(path, ArrayState(np.zeros_like(r), r))
+        assert path.read_bytes() == (
+            "row,col,resistance_ohm\r\n0,0,0.30000000000000004\r\n"
+            "0,1,10000.0\r\n1,0,12345.678901234567\r\n1,1,1e-05\r\n"
+            "2,0,14142.135623730952\r\n2,1,99999.99999999999\r\n").encode()
+
     def test_rejects_missing_cells(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("row,col,resistance_ohm\n0,0,10000.0\n")

@@ -121,6 +121,25 @@ class TestEngineEqualsLayers:
         assert monte_carlo(cfg, base, spec, 5, s)[1] == \
             reference_rows(cfg, base, spec, 5, s)
 
+    @staticmethod
+    def _streams(seed, n_trials, s):
+        """Each trial's generator, past its wavefront's draws."""
+        for child in np.random.SeedSequence(seed).spawn(n_trials):
+            rng = np.random.default_rng(child)
+            random_wavefront(rng, s.channels, s.span_ns)
+            yield rng
+
+    def test_r_on_just_below_r_off_max_passes(self):
+        # Within the check's slack of the bound the grid is checked in full,
+        # which passes it.
+        cfg = ArrayConfig(rows=4, cols=2)
+        s = sweep_settings("native", 4, "matched", 40.0)
+        for r_on in (1e4 * (1 - 1e-12), np.array([[1e4 * (1 - 1e-12), 9e3]] * 4)):
+            base = replace(P, r_on=r_on, r_off_max=1e4)
+            spec = VariationSpec(d2d_sigma=0.0, seed=2)
+            assert monte_carlo(cfg, base, spec, 3, s)[1] == \
+                reference_rows(cfg, base, spec, 3, s)
+
     def test_boundary_checks_kept(self):
         cfg = ArrayConfig(rows=4, cols=2)
         with pytest.raises(ValueError, match="channels"):
@@ -135,6 +154,20 @@ class TestEngineEqualsLayers:
         with pytest.raises(ValueError, match="threshold"):
             monte_carlo(cfg, P, VariationSpec(), 2,
                         SweepSettings(channels=4, v_write=0.5))
+        # Spreads that put an r_on only outside the captured column at or
+        # above r_off_max: the whole grid is checked, not just the column.
+        spec = VariationSpec(d2d_sigma=0.03, seed=45)
+        s = SweepSettings(channels=4, column=1)
+        tight = replace(P, r_off_max=1.1e4)
+        grids = [sample_array(P, spec, 4, 2, rng=rng) for rng in
+                 self._streams(spec.seed, 3, s)]
+        assert any((g.r_on >= 1.1e4).any() for g in grids)
+        assert all((g.r_on[:, 1] < 1.1e4).all() for g in grids)
+        with pytest.raises(ValueError, match="r_off_max"):
+            monte_carlo(cfg, tight, spec, 3, s)
+        grid_base = replace(tight, r_on=np.array([[1.099e4, 1e4]] * 4))
+        with pytest.raises(ValueError, match="r_off_max"):
+            monte_carlo(cfg, grid_base, VariationSpec(d2d_sigma=0.01), 2, s)
         # A recall line capacitance so large the edge times overflow
         with pytest.raises(ValueError, match="finite"):
             monte_carlo(cfg, P, VariationSpec(), 2,
@@ -162,11 +195,33 @@ class TestDerivedStreams:
         assert list(variability._trial_states(seed, first, count)) == [
             np.random.default_rng(c).bit_generator.state for c in children]
 
-    def test_spawn_keys_past_one_word(self):
-        first = 2**32 - 2
-        assert list(variability._trial_states(7, first, 4)) == [
-            np.random.default_rng(np.random.SeedSequence(7, spawn_key=(k,)))
-            .bit_generator.state for k in range(first, first + 4)]
+    def test_whole_block_equals_numpys(self):
+        seed = 2**64 + 12345
+        children = np.random.SeedSequence(seed).spawn(self.BLOCK)
+        assert list(variability._trial_states(seed, 0, self.BLOCK)) == [
+            np.random.default_rng(c).bit_generator.state for c in children]
+
+    # Blocks that straddle spawn key 2**32, where keys gain a second word,
+    # and blocks wholly past it.
+    @pytest.mark.parametrize("first, count", [
+        (2**32 - 2, 4), (2**32 - 1000, 2048), (2**32, 3), (2**40 + 7, 5),
+        (2**64 - 3, 3)])
+    @pytest.mark.parametrize("seed", [7, 2**96 + 5])
+    def test_spawn_keys_past_one_word(self, seed, first, count):
+        assert list(variability._trial_states(seed, first, count)) == [
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+            .bit_generator.state for k in range(first, first + count)]
+
+    # One-trial blocks (digital sweeps at scale) from seeds of 1 to 8
+    # 32-bit words, numpy integer seeds among them.
+    @pytest.mark.parametrize("seed", [
+        *(2**(32 * w) - 1 - w for w in range(1, 9)), 2**(32 * 7),
+        np.int64(2**63 - 1), np.int64(0), np.uint64(2**64 - 1), np.uint64(2**32)])
+    @pytest.mark.parametrize("first", [0, 1, BLOCK - 1, 2**32 + 1])
+    def test_one_trial_blocks(self, seed, first):
+        assert list(variability._trial_states(seed, first, 1)) == [
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first,)))
+            .bit_generator.state]
 
     @hsettings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**64))

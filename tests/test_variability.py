@@ -1,9 +1,11 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tempmem import variability
 from tempmem.crossbar import ArrayConfig
 from tempmem.device import DeviceParams
 from tempmem.recording import round_trip
@@ -184,6 +186,26 @@ class TestMonteCarlo:
             spec = VariationSpec(d2d_sigma=0.01, c2c_sigma=sigma, seed=13)
             report, _ = monte_carlo(CFG8, P, spec, 150)
             assert report.rank_exact_rate >= report.timing_success_rate
+
+    def test_report_means_are_left_folds(self):
+        # Python 3.12's sum compensates float sums; reports must not.
+        assert variability._mean([0.1] * 10, 1) == 0.9999999999999999
+        spec = VariationSpec(c2c_sigma=0.2, seed=8)
+        report, rows = monte_carlo(CFG8, P, spec, 60)
+
+        def fold(values):
+            total = 0
+            for v in values:
+                total += v
+            return total / 60
+
+        energies = [r.write_energy_j + r.recall_energy_j for r in rows]
+        rms = [r.rms_ns for r in rows]
+        # A sum on which compensation would change the bits
+        assert fold(energies) != math.fsum(energies) / 60
+        assert (report.mean_tau, report.rms_timing_ns, report.effective_bits_mean,
+                report.energy_mean_j) == (fold(r.tau for r in rows), fold(rms),
+                                          fold(r.bits for r in rows), fold(energies))
 
     def test_rates_lie_in_unit_interval(self):
         report, _ = monte_carlo(CFG8, P, VariationSpec(seed=3), 25)
