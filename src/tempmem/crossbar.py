@@ -21,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .device import DeviceParams, stress_at
+from .device import DeviceParams
 from .wavefront import Wavefront, read_csv, write_csv
 
 
@@ -71,20 +71,20 @@ class EnergyReport:
 
 @dataclass(frozen=True)
 class ArrayState:
-    """Stress (ns) and resistance (ohm) of every device, each rows x cols,
-    and whether a capture has left the bit lines charged."""
+    """The resistance (ohm) of every device, rows x cols, and whether a
+    capture has left the bit lines charged.  A device is ON when its
+    resistance is exactly its params' r_on; every write starts there."""
 
-    stress: np.ndarray
     resistance: np.ndarray
     lines_charged: bool = False
 
     @property
     def rows(self) -> int:
-        return self.stress.shape[0]
+        return self.resistance.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.stress.shape[1]
+        return self.resistance.shape[1]
 
 
 def base_params(params: DeviceParams) -> DeviceParams:
@@ -107,8 +107,7 @@ def r_on_grid(params: DeviceParams, cfg: ArrayConfig) -> np.ndarray:
 
 def new_array(cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     """Fresh array: every device in its ON state, all lines discharged."""
-    resistance = np.array(r_on_grid(params, cfg), dtype=float)
-    return ArrayState(stress=np.zeros(resistance.shape), resistance=resistance)
+    return ArrayState(np.array(r_on_grid(params, cfg), dtype=float))
 
 
 def ln_factor(theta: float) -> float:
@@ -168,9 +167,8 @@ def write_grid_csv(path, state: ArrayState) -> None:
 def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     """Load a `row,col,resistance_ohm` grid into a fresh array state.
 
-    Stress is back-solved from each resistance so the grid is coherent
-    with the device law; resistances outside [r_on, r_off_max] are
-    rejected.
+    Resistances outside [r_on, r_off_max] are rejected; a column whose
+    resistances are all its devices' r_on is ON and can be written.
     """
     r_on = r_on_grid(params, cfg)
     resistance = np.empty((cfg.rows, cfg.cols))
@@ -192,4 +190,4 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     missing = cfg.rows * cfg.cols - len(cells)
     if missing:
         raise ValueError(f"{path}: {missing} cells missing from the grid")
-    return ArrayState(stress_at(resistance, r_on, params), resistance)
+    return ArrayState(resistance)

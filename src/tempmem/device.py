@@ -14,10 +14,14 @@ back to the ON state); a negative one accumulates stress at a
 sinh-shaped, voltage-dependent rate normalized to 1 at the nominal
 write voltage.
 
+The law is stated in stress, but an array stores resistance only
+(`crossbar.ArrayState`): every write starts from the ON state, exactly
+r_on at stress 0, so a grid is read without the law.
+
 The law is written once, here: `resistance` is R(s) and `stress_at` its
-inverse below the clamp.  Native capture, the closed loop, the grid
-reader and `reset_energy`'s clamp constants all call them; only
-`_reset_constants` restates them on one float, for speed.  The tests
+inverse below the clamp.  Native capture, the closed loop and
+`reset_energy`'s clamp constants call them; only `_reset_constants`
+restates them on one float, for speed.  The tests
 state the law one device at a time (`resistance_of`, `stress_of`,
 `apply_pulse` and `pulse_energy` in `tests/reference_law.py`) as their
 reference.

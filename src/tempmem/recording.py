@@ -181,22 +181,22 @@ def quantize(w: Wavefront, q: QuantizerSpec) -> QuantizedWavefront:
     return QuantizedWavefront(coarse=tuple(coarse), fine=tuple(fine))
 
 
-def _read_on_column(state: ArrayState, col: int) -> list[float]:
-    """The resistances of column `col`, whose devices must all be in the
-    ON state."""
-    if np.any(state.stress[:, col] != 0.0):
+def _on_column(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+               col: int) -> np.ndarray:
+    """The ON resistances of column `col` (not to be written to), which its
+    devices must hold exactly for the column to be written."""
+    _check_col(state, cfg, col)
+    r_on = r_on_grid(params, cfg)[:, col]
+    if not np.array_equal(state.resistance[:, col], r_on):
         raise ValueError(f"column {col} is not initialized to the ON state")
-    return state.resistance[:, col].tolist()
+    return r_on
 
 
-def _write_column(state: ArrayState, col: int, stress, resistance) -> ArrayState:
-    new_stress = state.stress.copy()
-    new_resistance = state.resistance.copy()
-    new_stress[:, col] = stress
-    new_resistance[:, col] = resistance
+def _write_column(state: ArrayState, col: int, resistance) -> ArrayState:
+    new = state.resistance.copy()
+    new[:, col] = resistance
     # Capture leaves the bit lines driven high; reset_lines discharges them.
-    return ArrayState(stress=new_stress, resistance=new_resistance,
-                      lines_charged=True)
+    return ArrayState(new, lines_charged=True)
 
 
 def _reset_rate(params: DeviceParams, v_write: float | None) -> tuple[float, float]:
@@ -228,28 +228,27 @@ def _effective(nominal: np.ndarray, pulse_noise: PulseNoise) -> np.ndarray:
     dur = np.asarray(pulse_noise(nominal), dtype=float)
     if dur.shape != nominal.shape:
         raise ValueError("pulse noise must give one duration per pulse")
-    if dur.min(initial=0.0) < 0:
+    # Written so that nan fails it.
+    if not dur.min(initial=0.0) >= 0:
         raise ValueError("pulse duration must be non-negative")
     return dur
 
 
-def _native_write(dur: np.ndarray, start, r_on: np.ndarray, v_write: float,
+def _native_write(dur: np.ndarray, r_on: np.ndarray, v_write: float,
                   rate: float, params: DeviceParams):
-    """The native law on whole columns: each device, ON at r_on and now at
-    resistance `start`, takes one reverse pulse of effective duration dur
-    (ns) at v_write, whose stress rate is `rate`.  dur, start and r_on are
-    arrays of one shape, rows along the last axis and any leading axes
-    (trials); returns the devices' stress and resistance, and each
-    column's write energy (J) summed in row order."""
+    """The native law on whole columns: each device, ON at r_on, takes one
+    reverse pulse of effective duration dur (ns) at v_write, whose stress
+    rate is `rate`; a zero-length pulse adds no stress and the law leaves
+    it exactly at r_on.  dur and r_on are arrays of one shape, rows along
+    the last axis and any leading axes (trials); returns the devices'
+    resistances and each column's write energy (J) summed in row order."""
     stress = dur * rate
-    law = device.resistance(stress, r_on, params)
-    # A zero-length pulse leaves its device as it was.
-    resistance = np.where(dur == 0.0, start, law)
+    resistance = device.resistance(stress, r_on, params)
     # Each row's trajectory is its two points, from ON to the end of its pulse.
     energies = device.reset_energy(np.stack((np.zeros(stress.shape), stress), -1),
-                                   np.stack((r_on, law), -1), -v_write, rate,
-                                   r_on, params)
-    return stress, resistance, _add(0.0, energies[..., 0])
+                                   np.stack((r_on, resistance), -1), -v_write,
+                                   rate, r_on, params)
+    return resistance, _add(0.0, energies[..., 0])
 
 
 def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
@@ -265,16 +264,13 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
     row order; the device law then runs on the whole column at once
     (`_native_write`, which the batched Monte Carlo engine shares).
     """
-    _check_col(state, cfg, col)
+    r_on = _on_column(state, cfg, params, col)
     if len(w) != cfg.rows:
         raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
-    start = _read_on_column(state, col)
     v_write, rate = _reset_rate(params, v_write)
-    r_on = r_on_grid(params, cfg)[:, col]
     t0 = min(w.times)
     dur = _effective(np.array([t - t0 for t in w.times]), pulse_noise)
-    stress, resistance, energy = _native_write(dur, np.array(start), r_on,
-                                               v_write, rate, params)
+    resistance, energy = _native_write(dur, r_on, v_write, rate, params)
     result = CaptureResult(
         pulses=tuple(dur.tolist()),
         final_resistances=tuple(resistance.tolist()),
@@ -283,7 +279,7 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
         converged=(True,) * cfg.rows,
         window_exceeded=w.span > window_ns,
     )
-    return _write_column(state, col, stress, resistance), result
+    return _write_column(state, col, resistance), result
 
 
 def _block_size(gap: float, left: int) -> int:
@@ -323,15 +319,17 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     loop, `device.reset_energy` integrates each device's write energy over
     its trajectory.  Results are bit-identical to pulsing with the scalar
     reference law's `apply_pulse` and summing its `pulse_energy` pulse by
-    pulse (`tests/reference_law.py`).
-    A negative duration anywhere in a drawn block raises ValueError.
+    pulse (`tests/reference_law.py`).  A zero-length pulse adds exactly
+    0.0 stress, so the law repeats its device's last point (r_on before
+    any real pulse) and the pulse costs exactly 0.0 J; it still counts as
+    an iteration.  A negative or nan duration anywhere in a drawn block
+    raises ValueError.
     """
-    _check_col(state, cfg, col)
+    r_ons = _on_column(state, cfg, params, col)
     if len(targets) != cfg.rows:
         raise ValueError(f"{len(targets)} targets for {cfg.rows} rows")
     if any(not math.isfinite(t) or t <= 0 for t in targets):
         raise ValueError("targets must be positive and finite")
-    start = _read_on_column(state, col)
     # Written so that nan fails them.
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -340,7 +338,6 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     if not (isinstance(max_iters, Integral) and max_iters >= 0):
         raise ValueError("max_iters must be a non-negative integer")
     v_write, rate = _reset_rate(params, v_write)
-    r_ons = r_on_grid(params, cfg)[:, col]
     # Each band's bottom as a stress; inf at or beyond the clamp.
     band_low = np.array(targets, dtype=float) * (1.0 - tol)
     s_lows = np.where(band_low < params.r_off_max,
@@ -348,16 +345,14 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     step_stress = step * rate
     spare = np.empty(0)  # durations drawn and not applied yet, in draw order
     pulses = []
-    stresses = []
     resistances = []
     iterations = []
     converged = []
     energy = 0.0
-    for r_on, r, target, s_low in zip(r_ons.tolist(), start, targets,
-                                      s_lows.tolist()):
+    for r_on, target, s_low in zip(r_ons.tolist(), targets, s_lows.tolist()):
         target = float(target)
         band_top = target * (1.0 + tol)
-        s = 0.0
+        s, r = 0.0, r_on
         trajectory_s, trajectory_r = [np.zeros(1)], [np.array([r_on])]
         applied = 0.0
         iters = 0
@@ -372,18 +367,11 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
                 spare = np.concatenate((spare, more))
             dur = spare[:n]
             stress = np.cumsum(np.concatenate(([s], dur * rate)))[1:]
-            law = res = device.resistance(stress, r_on, params)
-            if not dur.all():
-                # A zero-length pulse leaves the device as it is: carry the
-                # resistance of the last pulse that moved it (or the start).
-                moved = np.maximum.accumulate(
-                    np.where(dur != 0.0, np.arange(n), -1))
-                res = np.where(moved >= 0, law[moved], r)
+            res = device.resistance(stress, r_on, params)
             done = ~(np.abs(res - target) / target > tol) | (res > band_top)
             m = int(done.argmax()) + 1 if done.any() else n
-            # Zero-length pulses repeat a point, adding exactly 0.0 J.
             trajectory_s.append(stress[:m])
-            trajectory_r.append(law[:m])
+            trajectory_r.append(res[:m])
             applied = float(_add(applied, dur[:m]))
             s, r = float(stress[m - 1]), float(res[m - 1])
             iters += m
@@ -393,7 +381,6 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
                 np.concatenate(trajectory_s), np.concatenate(trajectory_r),
                 -v_write, rate, r_on, params)))
         pulses.append(applied)
-        stresses.append(s)
         resistances.append(r)
         iterations.append(iters)
         converged.append(abs(r - target) / target <= tol)
@@ -404,7 +391,7 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
         iterations=tuple(iterations),
         converged=tuple(converged),
     )
-    return _write_column(state, col, stresses, resistances), result
+    return _write_column(state, col, resistances), result
 
 
 def default_slope(t_clk: float) -> float:

@@ -126,9 +126,10 @@ class VariationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # Written so that nan fails it.
-        if not (0 <= self.d2d_sigma < math.inf and 0 <= self.c2c_sigma < math.inf):
-            raise ValueError("sigmas must be non-negative and finite")
+        # Written so that nan fails it; _spread takes each sigma's square.
+        if not all(0 <= x and x * x < math.inf
+                   for x in (self.d2d_sigma, self.c2c_sigma)):
+            raise ValueError("sigmas must be non-negative with a finite square")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError("variation.seed must be a non-negative integer")
 
@@ -282,8 +283,7 @@ def _run_block(args) -> list[TrialRow]:
         v_write, rate = _reset_rate(base, s.v_write)
         dur = _spread(times - times.min(axis=-1, keepdims=True), spec.c2c_sigma,
                       z[:, cells:])
-        _, resistances, write_energy = _native_write(dur, r_on, r_on, v_write,
-                                                     rate, base)
+        resistances, write_energy = _native_write(dur, r_on, v_write, rate, base)
         converged = [True] * count
     else:
         grids = _spread(base.r_on, spec.d2d_sigma, z_grid)

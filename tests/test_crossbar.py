@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,12 +15,9 @@ from reference_law import resistance_of
 P = DeviceParams()
 
 
-def column_state(resistances, params=P):
-    """Single-column array with the given resistances, coherent stress."""
-    stress = [params.tau_w * math.expm1((r - params.r_on) / params.amp_a)
-              for r in resistances]
-    return ArrayState(stress=np.array(stress).reshape(-1, 1),
-                      resistance=np.array(resistances, dtype=float).reshape(-1, 1))
+def column_state(resistances):
+    """Single-column array with the given resistances."""
+    return ArrayState(np.array(resistances, dtype=float).reshape(-1, 1))
 
 
 def rc_threshold_oracle(r, c, theta, dt=1e-4):
@@ -157,7 +153,6 @@ class TestResetLines:
         state = column_state([10e3, 20e3])
         charged = replace(state, lines_charged=True)
         cleared = reset_lines(charged)
-        assert cleared.stress is charged.stress
         assert cleared.resistance is charged.resistance
         assert not cleared.lines_charged
 
@@ -172,7 +167,6 @@ class TestResetLines:
     def test_noop_on_fresh_array(self):
         state = new_array(ArrayConfig(rows=2, cols=2), P)
         cleared = reset_lines(state)
-        assert cleared.stress is state.stress
         assert cleared.resistance is state.resistance
 
 
@@ -227,8 +221,8 @@ class TestNewArray:
     def test_all_devices_on(self):
         cfg = ArrayConfig(rows=3, cols=2)
         state = new_array(cfg, P)
-        assert np.all(state.stress == 0.0) and np.all(state.resistance == P.r_on)
-        assert state.stress.shape == state.resistance.shape == (3, 2)
+        assert np.all(state.resistance == P.r_on)
+        assert state.resistance.shape == (3, 2)
         assert not state.lines_charged
 
     def test_per_device_params_grid(self):
@@ -246,11 +240,8 @@ class TestNewArray:
 class TestGridCsv:
     def test_round_trip(self, tmp_path):
         cfg = ArrayConfig(rows=2, cols=2)
-        stress = np.array([[float(i + j) for j in range(2)] for i in range(2)])
-        state = ArrayState(
-            stress=stress,
-            resistance=np.array([[resistance_of(s, P) for s in row]
-                                 for row in stress.tolist()]))
+        state = ArrayState(np.array([[resistance_of(float(i + j), P)
+                                      for j in range(2)] for i in range(2)]))
         path = tmp_path / "grid.csv"
         write_grid_csv(path, state)
         loaded = read_grid_csv(path, cfg, P)
@@ -261,7 +252,7 @@ class TestGridCsv:
         r = np.array([[0.1 + 0.2, 1e4], [12345.678901234567, 1e-5],
                       [2.0**0.5 * 1e4, 99999.99999999999]])
         path = tmp_path / "grid.csv"
-        write_grid_csv(path, ArrayState(np.zeros_like(r), r))
+        write_grid_csv(path, ArrayState(r))
         assert path.read_bytes() == (
             "row,col,resistance_ohm\r\n0,0,0.30000000000000004\r\n"
             "0,1,10000.0\r\n1,0,12345.678901234567\r\n1,1,1e-05\r\n"

@@ -80,8 +80,7 @@ class TestCaptureNative:
         cfg = cfg_for(3)
         fresh = new_array(cfg, P)
         state, _ = capture_native(fresh, cfg, P, 0, Wavefront((5.0, 25.0, 45.0)))
-        assert state.stress[0, 0] == fresh.stress[0, 0] == 0.0
-        assert state.resistance[0, 0] == fresh.resistance[0, 0]
+        assert state.resistance[0, 0] == fresh.resistance[0, 0] == P.r_on
 
     def test_simultaneous_wavefront_leaves_column_on(self):
         cfg = cfg_for(4)
@@ -103,6 +102,11 @@ class TestCaptureNative:
         state = reset_lines(state)
         with pytest.raises(ValueError, match="ON state"):
             capture_native(state, cfg, P, 0, Wavefront((0.0, 10.0)))
+        with pytest.raises(ValueError, match="ON state"):
+            program_closed_loop(state, cfg, P, 0, [20e3, 20e3])
+        with pytest.raises(ValueError, match="ON state"):
+            capture(state, cfg, P, Wavefront((0.0, 10.0)),
+                    SweepSettings(path="digital"))
 
     def test_rejects_weak_write_voltage(self):
         cfg = cfg_for(2)
@@ -360,21 +364,16 @@ class TestKernelsMatchScalarLaw:
         self.run_both(P, [20e3, 15e3], make_noise=make_noise, tol=1e-3,
                       step=1.0, max_iters=400)
 
-    def test_zero_length_pulses_keep_the_starting_resistance(self):
-        # The column holds 10 kohm at zero stress, but the params say
-        # 13 kohm, above the 12 kohm band: zero-length pulses leave the read
-        # resistance at 10 kohm, and only the first real pulse moves it.
+    def test_column_off_the_params_r_on_is_not_on(self):
+        # The column holds P's 10 kohm, but these params put r_on at
+        # 13 kohm: a write starts from r_on, so the column is not ON.
         cfg = cfg_for(1)
         params = replace(P, r_on=13e3)
-        lengths = iter([0.0, 0.0, 0.3] + [1.0] * 20)
-        noise = lambda d: np.array([next(lengths) for _ in range(d.size)])
-        _, got = program_closed_loop(new_array(cfg, P), cfg, params, 0, [12e3],
-                                     tol=1e-3, step=1.0, max_iters=20,
-                                     pulse_noise=noise)
-        assert got.iterations == (3,) and got.pulses == (0.3,)
-        assert got.final_resistances == (resistance_of(0.3, params),)
-        assert got.write_energy == pulse_energy(DeviceState(0.0, 13e3), -1.4,
-                                                0.3, params)
+        with pytest.raises(ValueError, match="ON state"):
+            program_closed_loop(new_array(cfg, P), cfg, params, 0, [12e3],
+                                tol=1e-3, step=1.0, max_iters=20)
+        with pytest.raises(ValueError, match="ON state"):
+            capture_native(new_array(cfg, P), cfg, params, 0, Wavefront((0.0,)))
 
     def test_stateful_noise_across_devices_stopping_mid_block(self):
         # Each device stops inside its block; the draws it leaves go to
@@ -428,6 +427,18 @@ class TestKernelsMatchScalarLaw:
         with pytest.raises(ValueError, match="non-negative"):
             capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)),
                            pulse_noise=lambda d: d - 1.0)
+
+    def test_nan_noise_raises_in_capture_native(self):
+        cfg = cfg_for(2)
+        with pytest.raises(ValueError, match="non-negative"):
+            capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)),
+                           pulse_noise=lambda d: np.where(d > 0, math.nan, d))
+
+    def test_nan_noise_raises_in_closed_loop(self):
+        cfg = cfg_for(2)
+        with pytest.raises(ValueError, match="non-negative"):
+            program_closed_loop(new_array(cfg, P), cfg, P, 0, [20e3, 20e3],
+                                pulse_noise=lambda d: np.full(d.shape, math.nan))
 
     def test_noise_giving_the_wrong_count_raises(self):
         cfg = cfg_for(2)
@@ -619,7 +630,7 @@ class TestSweepSettings:
             state, result = capture(new_array(cfg, P), cfg, P, w,
                                     SweepSettings(path=path, column=2))
             assert state.resistance[1, 2] == result.final_resistances[1] > P.r_on
-            assert (state.stress[:, :2] == 0.0).all()
+            assert (state.resistance[:, :2] == P.r_on).all()
         assert result.iterations[1] > 1  # the closed loop ran
 
 

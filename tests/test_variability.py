@@ -72,7 +72,8 @@ class TestPerturbPulse:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             VariationSpec(d2d_sigma=-0.1)
-        for bad in (float("nan"), float("inf")):
+        # 1e200 is finite, but its square, which _spread takes, is not.
+        for bad in (float("nan"), float("inf"), 1e200):
             with pytest.raises(ValueError):
                 VariationSpec(d2d_sigma=bad)
             with pytest.raises(ValueError):
