@@ -20,11 +20,10 @@ r_on at stress 0, so a grid is read without the law.
 
 The law is written once, here: `resistance` is R(s) and `stress_at` its
 inverse below the clamp.  Native capture, the closed loop and
-`reset_energy`'s clamp constants call them; only `_reset_constants`
-restates them on one float, for speed.  The tests
-state the law one device at a time (`resistance_of`, `stress_of`,
-`apply_pulse` and `pulse_energy` in `tests/reference_law.py`) as their
-reference.
+`reset_energy`'s clamp constants (`_reset_constants`) call them, and no
+other code restates them.  The tests state the law one device at a time
+(`resistance_of`, `stress_of`, `apply_pulse` and `pulse_energy` in
+`tests/reference_law.py`) as their reference.
 
 `resistance`, `stress_at` and `reset_energy` work on arrays of any shape
 (trials x rows for the batched Monte Carlo engine, a block of pulses for
@@ -144,21 +143,13 @@ def calibrate_amp(r_span: float, t_span: float, params: DeviceParams) -> DeviceP
 def _reset_constants(r_on: float | np.ndarray, params: DeviceParams):
     """Of devices whose ON resistances are r_on: the stress at which
     resistance reaches r_off_max, the resistance the law gives there, and
-    the prefactor (tau/A) e^(-r_on/A) of the Ei antiderivative.  A float
-    gives floats; an array gives arrays of its shape, computed as array
-    expressions with `math.*` per element.  (Each array expression costs
-    microseconds, so one float stays on plain floats: the closed loop
-    asks for one device at a time.)"""
+    the prefactor (tau/A) e^(-r_on/A) of the Ei antiderivative, as arrays
+    of r_on's shape (0-d for a float, as the closed loop gives one device
+    at a time), with `math.*` per element."""
     a, tau = params.amp_a, params.tau_w
-    if np.ndim(r_on):
-        s_clamp = stress_at(params.r_off_max, r_on, params)
-        return (s_clamp, resistance(s_clamp, r_on, params),
-                (tau / a) * per_element(math.exp, -r_on / a))
-    # `stress_at` and `resistance` on one float
-    x = (params.r_off_max - r_on) / a
-    s_clamp = math.inf if x > 700.0 else tau * math.expm1(x)
-    return (s_clamp, min(r_on + a * math.log1p(s_clamp / tau), params.r_off_max),
-            (tau / a) * math.exp(-r_on / a))
+    s_clamp = stress_at(params.r_off_max, r_on, params)
+    return (s_clamp, resistance(s_clamp, r_on, params),
+            (tau / a) * per_element(math.exp, -r_on / a))
 
 
 def reset_energy(s: np.ndarray, r: np.ndarray, v: float, rate: float,

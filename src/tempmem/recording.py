@@ -161,9 +161,13 @@ def _grid_index(x: float, q: float) -> int:
 
     Event times that sit mathematically on a bin boundary (e.g. a 0.7 ns
     residue against a 0.1 ns vernier) land a few ulp below it after float
-    subtraction; a raw floor would then undercount by one.
+    subtraction; a raw floor would then undercount by one.  A count too
+    large for a float raises ValueError.
     """
     ratio = x / q
+    if not math.isfinite(ratio):
+        raise ValueError(f"a delay of {x!r} ns overflows the quantizer's "
+                         f"count at {q!r} ns per count")
     nearest = round(ratio)
     if abs(ratio - nearest) <= 1e-9:
         return int(nearest)
@@ -222,33 +226,38 @@ def _add(total: float, energies: np.ndarray) -> np.ndarray:
 
 def _effective(nominal: np.ndarray, pulse_noise: PulseNoise) -> np.ndarray:
     """The effective durations of pulses of the given nominal durations
-    after the noise, checked: one per pulse and none negative."""
+    after the noise, checked: one per pulse, each finite and none negative."""
     if pulse_noise is None:
         return nominal
     dur = np.asarray(pulse_noise(nominal), dtype=float)
     if dur.shape != nominal.shape:
         raise ValueError("pulse noise must give one duration per pulse")
     # Written so that nan fails it.
-    if not dur.min(initial=0.0) >= 0:
-        raise ValueError("pulse duration must be non-negative")
+    if not (dur.min(initial=0.0) >= 0 and dur.max(initial=0.0) < math.inf):
+        raise ValueError("pulse duration must be non-negative and finite")
     return dur
 
 
-def _native_write(dur: np.ndarray, r_on: np.ndarray, v_write: float,
-                  rate: float, params: DeviceParams):
-    """The native law on whole columns: each device, ON at r_on, takes one
-    reverse pulse of effective duration dur (ns) at v_write, whose stress
-    rate is `rate`; a zero-length pulse adds no stress and the law leaves
-    it exactly at r_on.  dur and r_on are arrays of one shape, rows along
-    the last axis and any leading axes (trials); returns the devices'
+def _native_write(times: np.ndarray, r_on: np.ndarray, params: DeviceParams,
+                  v_write: float | None, pulse_noise: PulseNoise):
+    """The native write on whole columns.  times holds each column's input
+    edge times and r_on its devices' ON resistances, arrays of one shape
+    with rows along the last axis and any leading axes (trials).  Each
+    device takes one reverse pulse at v_write (nominal by default) lasting
+    its channel's delay behind its column's first edge, after one
+    `pulse_noise` call on all the nominal durations.  The first channel's
+    pulse has zero length, adds no stress, and the law leaves its device
+    exactly at r_on.  Returns the effective durations (ns), the devices'
     resistances and each column's write energy (J) summed in row order."""
+    v_write, rate = _reset_rate(params, v_write)
+    dur = _effective(times - times.min(axis=-1, keepdims=True), pulse_noise)
     stress = dur * rate
     resistance = device.resistance(stress, r_on, params)
     # Each row's trajectory is its two points, from ON to the end of its pulse.
     energies = device.reset_energy(np.stack((np.zeros(stress.shape), stress), -1),
                                    np.stack((r_on, resistance), -1), -v_write,
                                    rate, r_on, params)
-    return resistance, _add(0.0, energies[..., 0])
+    return dur, resistance, _add(0.0, energies[..., 0])
 
 
 def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
@@ -260,17 +269,15 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
     Channel i receives a reverse pulse lasting t_i - min(t); the first
     arriving channel gets none and its device stays exactly at r_on.  A
     span beyond the calibrated linear window is flagged, not rejected.
-    The noise is one call on the column's nominal durations, drawing in
-    row order; the device law then runs on the whole column at once
-    (`_native_write`, which the batched Monte Carlo engine shares).
+    The write is `_native_write` on the one column, the batched Monte
+    Carlo engine's too: the noise is one call on the column's nominal
+    durations, drawing in row order.
     """
     r_on = _on_column(state, cfg, params, col)
     if len(w) != cfg.rows:
         raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
-    v_write, rate = _reset_rate(params, v_write)
-    t0 = min(w.times)
-    dur = _effective(np.array([t - t0 for t in w.times]), pulse_noise)
-    resistance, energy = _native_write(dur, r_on, v_write, rate, params)
+    dur, resistance, energy = _native_write(np.array(w.times), r_on, params,
+                                            v_write, pulse_noise)
     result = CaptureResult(
         pulses=tuple(dur.tolist()),
         final_resistances=tuple(resistance.tolist()),
@@ -322,8 +329,8 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     pulse (`tests/reference_law.py`).  A zero-length pulse adds exactly
     0.0 stress, so the law repeats its device's last point (r_on before
     any real pulse) and the pulse costs exactly 0.0 J; it still counts as
-    an iteration.  A negative or nan duration anywhere in a drawn block
-    raises ValueError.
+    an iteration.  A negative, infinite or nan duration anywhere in a
+    drawn block raises ValueError.
     """
     r_ons = _on_column(state, cfg, params, col)
     if len(targets) != cfg.rows:

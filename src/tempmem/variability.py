@@ -21,8 +21,10 @@ across worker processes, and whatever blocks they run in.
 `monte_carlo` runs trials in blocks of at most _BLOCK_CELLS devices
 (trials x rows x cols).  Within a block only the draws loop over trials;
 everything else works on arrays with a leading trials axis: the r_on
-grids and noise factors, native capture (`recording._native_write`),
-recall and scoring (`recording.recall_and_score`).  A native capture
+grids and noise factors, native capture, recall and scoring.  Native
+capture is `recording._native_write`, the write `capture_native` makes,
+on the whole block at once with the block's c2c draws as its noise;
+recall and scoring are `recording.recall_and_score`.  A native capture
 reads one column, so only that column's d2d draws are spread into r_on;
 the rest of the grid keeps its r_on check (`_check_spread`) from the
 block's extreme draws.  A digital capture runs its closed loop per
@@ -44,8 +46,7 @@ import numpy as np
 
 from .crossbar import ArrayConfig, new_array, r_on_grid
 from .device import DeviceParams, check_r_on, per_element
-from .recording import (SweepSettings, capture, recall_and_score, _native_write,
-                        _reset_rate)
+from .recording import SweepSettings, capture, recall_and_score, _native_write
 from .wavefront import Wavefront, write_csv
 
 # Success threshold for exact-timing codes: rms no worse than half an LSB
@@ -280,10 +281,9 @@ def _run_block(args) -> list[TrialRow]:
         _check_spread(base, spec.d2d_sigma, z_grid)
         r_on = _spread(r_on_grid(base, cfg)[:, s.column], spec.d2d_sigma,
                        z_grid[..., s.column])
-        v_write, rate = _reset_rate(base, s.v_write)
-        dur = _spread(times - times.min(axis=-1, keepdims=True), spec.c2c_sigma,
-                      z[:, cells:])
-        resistances, write_energy = _native_write(dur, r_on, v_write, rate, base)
+        _, resistances, write_energy = _native_write(
+            times, r_on, base, s.v_write,
+            lambda d: _spread(d, spec.c2c_sigma, z[:, cells:]))
         converged = [True] * count
     else:
         grids = _spread(base.r_on, spec.d2d_sigma, z_grid)

@@ -73,38 +73,21 @@ def rank_of(w: Wavefront) -> RankOrder:
 
 
 def kendall_tau(a: RankOrder, b: RankOrder) -> float:
-    """Kendall rank correlation of two arrival orders, in [-1, 1]."""
+    """Kendall rank correlation of two arrival orders, in [-1, 1]: the
+    one-row case of `_taus`."""
     if len(a) != len(b):
         raise ValueError("rank orders must have the same channel count")
-    n = len(a)
-    if n < 2:
-        return 1.0
-    pos_a = [0] * n
-    pos_b = [0] * n
-    for pos, ch in enumerate(a.order):
-        pos_a[ch] = pos
-    for pos, ch in enumerate(b.order):
-        pos_b[ch] = pos
-    concordant = discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = (pos_a[i] - pos_a[j]) * (pos_b[i] - pos_b[j])
-            if s > 0:
-                concordant += 1
-            else:
-                discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)
+    return float(_taus(np.array([a.order]), np.array([b.order]))[0])
 
 
 def timing_error(a: Wavefront, b: Wavefront) -> tuple[float, float]:
     """(rms, max abs) per-channel timing difference in ns, after both
-    wavefronts are normalized to their first edge."""
+    wavefronts are normalized to their first edge: the one-row case of
+    `fidelity`."""
     if len(a) != len(b):
         raise ValueError("wavefronts must have the same channel count")
-    da = np.asarray(normalize(a).times)
-    db = np.asarray(normalize(b).times)
-    diff = da - db
-    return float(np.sqrt(np.mean(diff * diff))), float(np.max(np.abs(diff)))
+    _, rms, max_abs, _ = fidelity(np.array([a.times]), np.array([b.times]))
+    return float(rms[0]), float(max_abs[0])
 
 
 def effective_bits(span: float, rms: float) -> float:
@@ -117,11 +100,11 @@ def effective_bits(span: float, rms: float) -> float:
 
 
 def _taus(order_a: np.ndarray, order_b: np.ndarray) -> np.ndarray:
-    """`kendall_tau` of pairs of arrival orders, one pair per row of two
-    arrays of orders (channel indices along the last axis), from the same
-    integer concordant and discordant counts.  Memory stays within a few
-    arrays of the orders' size: the pairs are counted one channel
-    distance d at a time."""
+    """Kendall's tau of pairs of arrival orders, one pair per row of two
+    arrays of orders (channel indices along the last axis): the count of
+    concordant less discordant channel pairs over the pair count.  Memory
+    stays within a few arrays of the orders' size: the pairs are counted
+    one channel distance d at a time."""
     n = order_a.shape[-1]
     if n < 2:
         return np.ones(order_a.shape[:-1])
@@ -139,12 +122,15 @@ def fidelity(inputs: np.ndarray, recalled: np.ndarray):
     two arrays of event times (trials x channels): (tau, rms, max_abs,
     bits), each an array with one element per row.
 
-    Row by row they equal `kendall_tau` of the `rank_of`s, `timing_error`
-    and `effective_bits` of the normalized wavefronts, bit for bit, with
-    EFFECTIVE_BITS_CAP as the bits of an input of zero span: ties keep
-    channel order (a stable argsort), the mean of squares sums along the
-    last axis of a C-contiguous array, in numpy's 1-D pairwise order, and
-    log2 is `math.log2` per element.
+    Row by row they equal, bit for bit, Kendall's tau of the `rank_of`s,
+    the rms and max abs timing error of the wavefronts normalized to their
+    first edges, and `effective_bits` of the input's span and that rms,
+    with EFFECTIVE_BITS_CAP as the bits of an input of zero span: ties
+    keep channel order (a stable argsort), the mean of squares sums along
+    the last axis of a C-contiguous array, in numpy's 1-D pairwise order,
+    and log2 is `math.log2` per element.  `tests/reference_scoring.py`
+    states tau and the timing error one wavefront at a time;
+    `kendall_tau` and `timing_error` are the one-row case.
     """
     in_n = inputs - inputs.min(axis=-1, keepdims=True)
     out_n = recalled - recalled.min(axis=-1, keepdims=True)

@@ -339,12 +339,17 @@ class TestPulseEnergy:
         assert got[:, 0].tolist() == [
             pulse_energy(stressed(0.0, p), -1.4, d, p) for p, d in zip(devices, durations)]
 
+    @pytest.mark.parametrize("r_on", [
+        np.random.default_rng(2).uniform(9e3, 11e3, (20, 25)), 10123.4],
+        ids=["grid", "float"])
     @pytest.mark.parametrize("params", [
         P, DeviceParams(amp_a=1000.0, r_off_max=710e3)])
-    def test_reset_constants_are_math_per_element(self, params):
-        # The second params put the expm1 argument on both sides of 700.
-        r_on = np.random.default_rng(2).uniform(9e3, 11e3, (20, 25))
+    def test_reset_constants_are_math_per_element(self, params, r_on):
+        # The second params put the expm1 argument on both sides of 700.  A
+        # float r_on, as the closed loop passes one, gives 0-d arrays.
         got = _reset_constants(r_on, params)
+        assert all(np.shape(c) == np.shape(r_on) for c in got)
+        r_on = np.asarray(r_on)
         a, tau = params.amp_a, params.tau_w
         for k, x in enumerate(r_on.ravel().tolist()):
             y = (params.r_off_max - x) / a

@@ -2,7 +2,8 @@
 
 `monte_carlo` evaluates a block of trials on arrays with a trials axis.
 Its rows must equal, with `==`, the rows of a per-trial reference built
-only from the public layer functions, one trial at a time.
+from the public layer functions and the scalar scores of
+`reference_scoring`, one trial at a time.
 """
 
 from dataclasses import replace
@@ -22,8 +23,9 @@ from tempmem.recording import (QuantizerSpec, SweepSettings, capture,
 from tempmem.variability import (TrialRow, VariationSpec, c2c_noise, monte_carlo,
                                  random_wavefront, sample_array)
 from tempmem.wavefront import (EFFECTIVE_BITS_CAP, Wavefront, effective_bits,
-                               fidelity, kendall_tau, normalize, rank_of,
-                               timing_error)
+                               fidelity, normalize, rank_of)
+
+from reference_scoring import kendall_tau_of, timing_error_of
 
 P = DeviceParams()
 
@@ -64,9 +66,9 @@ def reference_rows(cfg, base, spec, n_trials, s):
             c_line = s.scale_cap
         recalled, energy = recall(state, replace(cfg, c_line=c_line), s.column)
         in_n, out_n = normalize(w), normalize(recalled)
-        rms, max_abs = timing_error(in_n, out_n)
+        rms, max_abs = timing_error_of(in_n, out_n)
         rows.append(TrialRow(
-            trial=i, tau=kendall_tau(rank_of(in_n), rank_of(out_n)), rms_ns=rms,
+            trial=i, tau=kendall_tau_of(rank_of(in_n), rank_of(out_n)), rms_ns=rms,
             max_abs_ns=max_abs,
             bits=effective_bits(w.span, rms) if w.span > 0 else EFFECTIVE_BITS_CAP,
             write_energy_j=cap.write_energy,
@@ -260,7 +262,8 @@ class TestDerivedStreams:
 
 
 class TestFidelity:
-    """`wavefront.fidelity` row by row against the scalar scores."""
+    """`wavefront.fidelity` row by row against the scalar scores of
+    `reference_scoring`."""
 
     @pytest.mark.parametrize("n", ROWS)
     def test_rows_equal_scalar_scores(self, n):
@@ -271,10 +274,11 @@ class TestFidelity:
         want = []
         for a, b in zip(inputs.tolist(), recalled.tolist()):
             in_n, out_n = normalize(Wavefront(a)), normalize(Wavefront(b))
-            rms, max_abs = timing_error(in_n, out_n)
+            rms, max_abs = timing_error_of(in_n, out_n)
             span = Wavefront(a).span
-            want.append((kendall_tau(rank_of(in_n), rank_of(out_n)), rms, max_abs,
-                         effective_bits(span, rms) if span > 0 else EFFECTIVE_BITS_CAP))
+            want.append((kendall_tau_of(rank_of(in_n), rank_of(out_n)), rms,
+                         max_abs, effective_bits(span, rms) if span > 0
+                         else EFFECTIVE_BITS_CAP))
         assert list(zip(*got)) == want
 
     def test_bits_are_math_log2(self):
@@ -318,11 +322,11 @@ class TestTies:
     def test_many_ties_keep_channel_order(self):
         # Beyond 16 channels numpy's default argsort is no longer stable;
         # on integer times with many ties the batched tau must still equal
-        # `kendall_tau` of the stable `rank_of`s.
+        # the pair count of the stable `rank_of`s.
         rng = np.random.default_rng(8)
         inputs = rng.integers(0, 6, (20, 40)).astype(float)
         recalled = rng.integers(0, 4, (20, 40)).astype(float)
         tau = fidelity(inputs, recalled)[0]
         assert tau.tolist() == [
-            kendall_tau(rank_of(Wavefront(a)), rank_of(Wavefront(b)))
+            kendall_tau_of(rank_of(Wavefront(a)), rank_of(Wavefront(b)))
             for a, b in zip(inputs.tolist(), recalled.tolist())]

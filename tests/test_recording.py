@@ -53,6 +53,11 @@ class TestQuantize:
         q = QuantizerSpec(kind="counter", t_clk=2.0)
         assert quantize(Wavefront((10.0, 14.1, 18.0)), q).coarse == (0, 2, 4)
 
+    def test_count_beyond_a_float_raises(self):
+        q = QuantizerSpec(kind="counter", t_clk=1e-300)
+        with pytest.raises(ValueError, match="overflows"):
+            quantize(Wavefront((0.0, 1e10)), q)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuantizerSpec(kind="sar")
@@ -428,17 +433,19 @@ class TestKernelsMatchScalarLaw:
             capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)),
                            pulse_noise=lambda d: d - 1.0)
 
-    def test_nan_noise_raises_in_capture_native(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_noise_raises_in_capture_native(self, bad):
         cfg = cfg_for(2)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="non-negative and finite"):
             capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)),
-                           pulse_noise=lambda d: np.where(d > 0, math.nan, d))
+                           pulse_noise=lambda d: np.where(d > 0, bad, d))
 
-    def test_nan_noise_raises_in_closed_loop(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_noise_raises_in_closed_loop(self, bad):
         cfg = cfg_for(2)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="non-negative and finite"):
             program_closed_loop(new_array(cfg, P), cfg, P, 0, [20e3, 20e3],
-                                pulse_noise=lambda d: np.full(d.shape, math.nan))
+                                pulse_noise=lambda d: np.full(d.shape, bad))
 
     def test_noise_giving_the_wrong_count_raises(self):
         cfg = cfg_for(2)

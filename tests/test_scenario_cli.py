@@ -373,6 +373,20 @@ class TestCliErrors:
         assert "variation.seed must be a non-negative integer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["capture", "sweep"])
+    def test_quantizer_count_overflow_exits_1(self, tmp_path, capsys, command):
+        scen = tmp_path / "s.txt"
+        scen.write_text("quantizer.t_clk_ns = 1e-300\nrun.path = digital\n"
+                        "run.channels = 2\narray.rows = 2\nrun.span_ns = 1e10\n"
+                        "run.trials = 1\n")
+        wf_path = tmp_path / "in.csv"
+        write_wavefront_csv(wf_path, Wavefront((0.0, 1e10)))
+        extra = ["--input", str(wf_path)] if command == "capture" else []
+        assert run_cli(command, "--scenario", str(scen), *extra,
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("roundtrip", "--input", str(tmp_path / "none.csv"),
                        "--out", str(tmp_path / "o")) == 2

@@ -10,6 +10,8 @@ from tempmem.wavefront import (RankOrder, Wavefront, effective_bits,
                                read_wavefront_csv, timing_error,
                                write_csv, write_wavefront_csv)
 
+from reference_scoring import kendall_tau_of
+
 
 def wf(*times):
     return Wavefront(tuple(times))
@@ -112,6 +114,12 @@ class TestKendallTau:
         pos_b = np.argsort(b)
         expected = stats.kendalltau(pos_a, pos_b).statistic
         assert ours == pytest.approx(expected, abs=1e-12)
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.permutations(range(n)))))
+    def test_matches_the_pair_count(self, orders):
+        a, b = (RankOrder(tuple(o)) for o in orders)
+        assert kendall_tau(a, b) == kendall_tau_of(a, b)
 
     @given(st.permutations(list(range(5))), st.permutations(list(range(5))))
     def test_symmetric(self, a, b):
