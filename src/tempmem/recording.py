@@ -18,6 +18,8 @@ of nominal pulse durations to as many effective durations, one draw per
 element in order.  Native capture calls it once per column; the closed
 loop calls it once per block of pulses and may read ahead of the pulses
 it applies (see `program_closed_loop`).
+
+Both routes integrate each device's write energy once, ON to final stress.
 """
 
 from __future__ import annotations
@@ -224,6 +226,13 @@ def _add(total: float, energies: np.ndarray) -> np.ndarray:
     return run.cumsum(axis=-1)[..., -1]
 
 
+def _write_energy(stress, resistance, r_on, v_write, rate, params):
+    """Energy (J) of writes from ON to these end points, summed along the last axis."""
+    e = device.reset_energy(np.stack((np.zeros_like(stress), stress), -1),
+                            np.stack((r_on, resistance), -1), -v_write, rate, r_on, params)
+    return _add(0.0, e[..., 0])
+
+
 def _effective(nominal: np.ndarray, pulse_noise: PulseNoise) -> np.ndarray:
     """The effective durations of pulses of the given nominal durations
     after the noise, checked: one per pulse, each finite and none negative."""
@@ -253,11 +262,8 @@ def _native_write(times: np.ndarray, r_on: np.ndarray, params: DeviceParams,
     dur = _effective(times - times.min(axis=-1, keepdims=True), pulse_noise)
     stress = dur * rate
     resistance = device.resistance(stress, r_on, params)
-    # Each row's trajectory is its two points, from ON to the end of its pulse.
-    energies = device.reset_energy(np.stack((np.zeros(stress.shape), stress), -1),
-                                   np.stack((r_on, resistance), -1), -v_write,
-                                   rate, r_on, params)
-    return dur, resistance, _add(0.0, energies[..., 0])
+    return dur, resistance, _write_energy(stress, resistance, r_on, v_write,
+                                          rate, params)
 
 
 def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
@@ -312,25 +318,24 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     max_iters steps can reach are flagged after the budget runs out.
 
     The loop runs in blocks of pulses.  For each block it takes that many
-    effective durations in one `pulse_noise` call, evaluates the whole
-    block (stress as a running sum from the device's current stress, then
-    resistance from each stress) and applies its pulses up to the first
-    one that lands in the band or beyond it, or that uses up max_iters;
-    the block size is the noiseless pulse count to the band plus a small
-    margin.  Durations drawn but not applied go to the next device of the
-    column, so each device gets the draws one call per pulse would give
-    it.  Read-ahead: when the function returns, the noise may have drawn
-    up to one block more than the pulses applied, and those draws are
-    discarded; a caller that draws from the same stream afterwards sees
-    it further on than pulse-by-pulse calls would leave it.  After the
-    loop, `device.reset_energy` integrates each device's write energy over
-    its trajectory.  Results are bit-identical to pulsing with the scalar
-    reference law's `apply_pulse` and summing its `pulse_energy` pulse by
-    pulse (`tests/reference_law.py`).  A zero-length pulse adds exactly
-    0.0 stress, so the law repeats its device's last point (r_on before
-    any real pulse) and the pulse costs exactly 0.0 J; it still counts as
-    an iteration.  A negative, infinite or nan duration anywhere in a
-    drawn block raises ValueError.
+    effective durations in one `pulse_noise` call, sums the stresses from
+    the device's current stress, evaluates the law from its guard stress
+    on (no pulse below it can reach the band) and applies the pulses up to
+    the first one that lands in the band or beyond it, or that uses up
+    max_iters; the block size is the noiseless pulse count to the band
+    plus a small margin.  Durations drawn but not applied go to the next
+    device of the column, so each device gets the draws one call per pulse
+    would give it.  Read-ahead: when the function returns, the noise may
+    have drawn up to one block more than the pulses applied, and those
+    draws are discarded; a caller that draws from the same stream
+    afterwards sees it further on than pulse-by-pulse calls would leave
+    it.  Pulses, resistances, iterations and convergence are those of the
+    scalar reference law's `apply_pulse` (`tests/reference_law.py`), bit
+    for bit; the write energy, one integral per device from ON summed in
+    row order, is the sum of its `pulse_energy` up to rounding.  A
+    zero-length pulse adds exactly 0.0 stress and still counts as an
+    iteration.  A negative, infinite or nan duration anywhere in a drawn
+    block raises ValueError.
     """
     r_ons = _on_column(state, cfg, params, col)
     if len(targets) != cfg.rows:
@@ -349,18 +354,24 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     band_low = np.array(targets, dtype=float) * (1.0 - tol)
     s_lows = np.where(band_low < params.r_off_max,
                       device.stress_at(band_low, r_ons, params), math.inf)
+    # Each guard stress sits a relative 1e-9 under its band (or the clamp):
+    # about 10^6 times the few ulps by which the law and its inverse round,
+    # so no pulse below it can land in or above the band; -inf at r_on.
+    guard_r = np.minimum(band_low, params.r_off_max) * (1.0 - 1e-9)
+    guards = np.where(guard_r > r_ons, device.stress_at(guard_r, r_ons, params),
+                      -math.inf)
     step_stress = step * rate
     spare = np.empty(0)  # durations drawn and not applied yet, in draw order
     pulses = []
+    stresses = []
     resistances = []
     iterations = []
     converged = []
-    energy = 0.0
-    for r_on, target, s_low in zip(r_ons.tolist(), targets, s_lows.tolist()):
+    for r_on, target, s_low, guard in zip(r_ons.tolist(), targets,
+                                          s_lows.tolist(), guards.tolist()):
         target = float(target)
         band_top = target * (1.0 + tol)
         s, r = 0.0, r_on
-        trajectory_s, trajectory_r = [np.zeros(1)], [np.array([r_on])]
         applied = 0.0
         iters = 0
         # Stop in the band, above it (overshot, or started there: a reverse
@@ -374,27 +385,25 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
                 spare = np.concatenate((spare, more))
             dur = spare[:n]
             stress = np.cumsum(np.concatenate(([s], dur * rate)))[1:]
-            res = device.resistance(stress, r_on, params)
+            # Stress only rises; the last pulse always gets a resistance.
+            lo = min(int(np.searchsorted(stress, guard)), n - 1)
+            res = device.resistance(stress[lo:], r_on, params)
             done = ~(np.abs(res - target) / target > tol) | (res > band_top)
-            m = int(done.argmax()) + 1 if done.any() else n
-            trajectory_s.append(stress[:m])
-            trajectory_r.append(res[:m])
+            m = lo + int(done.argmax()) + 1 if done.any() else n
             applied = float(_add(applied, dur[:m]))
-            s, r = float(stress[m - 1]), float(res[m - 1])
+            s, r = float(stress[m - 1]), float(res[m - 1 - lo])
             iters += m
             spare = spare[m:]
-        if iters:
-            energy = float(_add(energy, device.reset_energy(
-                np.concatenate(trajectory_s), np.concatenate(trajectory_r),
-                -v_write, rate, r_on, params)))
         pulses.append(applied)
+        stresses.append(s)
         resistances.append(r)
         iterations.append(iters)
         converged.append(abs(r - target) / target <= tol)
     result = CaptureResult(
         pulses=tuple(pulses),
         final_resistances=tuple(resistances),
-        write_energy=energy,
+        write_energy=float(_write_energy(np.array(stresses), np.array(resistances),
+                                         r_ons, v_write, rate, params)),
         iterations=tuple(iterations),
         converged=tuple(converged),
     )

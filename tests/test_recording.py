@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from tempmem import device
@@ -228,10 +228,14 @@ def one_pulse(pulse_noise, duration):
 
 
 def reference_closed_loop(params, col, targets, *, tol, step, max_iters,
-                          pulse_noise=None):
+                          pulse_noise=None, pulse_by_pulse=False):
     """The closed loop pulse by pulse through the scalar device law, one
-    noise call per pulse."""
+    noise call per pulse.  The write energy integrates each device's RESET
+    energy once, over its trajectory from (0, r_on) to its final stress and
+    resistance, summed in device order; with `pulse_by_pulse` it is instead
+    the sum of every pulse's `pulse_energy` in pulse order."""
     v = -params.v_write_nominal
+    rate = device.programming_rate(v, params)
     pulses, finals, iterations, converged = [], [], [], []
     energy = 0.0
     for i, target in enumerate(targets):
@@ -243,10 +247,15 @@ def reference_closed_loop(params, col, targets, *, tol, step, max_iters,
             if dev.resistance > target * (1.0 + tol) or iters >= max_iters:
                 break
             dur = one_pulse(pulse_noise, step) if pulse_noise is not None else step
-            energy += pulse_energy(dev, v, dur, p)
+            if pulse_by_pulse:
+                energy += pulse_energy(dev, v, dur, p)
             dev = apply_pulse(dev, v, dur, p)
             applied += dur
             iters += 1
+        if not pulse_by_pulse:
+            energy += float(device.reset_energy(
+                np.array([0.0, dev.stress]), np.array([p.r_on, dev.resistance]),
+                v, rate, p.r_on, p)[0])
         pulses.append(applied)
         finals.append(dev.resistance)
         iterations.append(iters)
@@ -474,6 +483,80 @@ class TestKernelsMatchScalarLaw:
         assert state.resistance[:, 1].tolist() == finals
         if r_off_max < 1e6:
             assert finals.count(r_off_max) >= 2
+
+    @staticmethod
+    def draw_target(data, r_on, r_off_max, tol):
+        """A target whose band lies below the device's start, around it, on
+        the way up, at the clamp, with its bottom at the clamp, or beyond."""
+        kind = data.draw(st.sampled_from(["below", "around", "reach", "clamp",
+                                          "band_at_clamp", "beyond"]))
+        u = data.draw(st.floats(0.0, 1.0))
+        return {"below": r_on / (1.0 + tol) * (1.0 - 0.5 * u),
+                "around": r_on * (1.0 + tol * (u - 0.5)),
+                "reach": r_on + u * (r_off_max - r_on),
+                "clamp": r_off_max,
+                "band_at_clamp": r_off_max / (1.0 - tol),
+                "beyond": r_off_max * (1.0 + u)}[kind]
+
+    @staticmethod
+    def draw_noise(data):
+        """None, c2c noise, c2c noise at half length, or a repeating pattern
+        of length factors that may hold zeros."""
+        kind = data.draw(st.sampled_from(["none", "c2c", "half", "pattern"]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        c2c = lambda: c2c_noise(VariationSpec(c2c_sigma=0.2),
+                                np.random.default_rng(seed))
+        if kind == "c2c":
+            return c2c
+        if kind == "half":
+            return lambda: (lambda d, noise=c2c(): 0.5 * noise(d))
+        if kind == "pattern":
+            factors = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                         min_size=1, max_size=5))
+            def make_noise():
+                lengths = itertools.cycle(factors)
+                return lambda d: d * np.array([next(lengths) for _ in range(d.size)])
+            return make_noise
+        return None
+
+    # The kernel evaluates the law only from each device's guard stress
+    # on; these draws put the guard below the start, on the way and at the
+    # clamp, with blocks that end short of it.
+    @settings(max_examples=60, deadline=None)
+    @given(r_off_max=st.sampled_from([1e6] + CLAMPS), tol=st.floats(1e-4, 0.5),
+           step=st.floats(0.005, 1.0), max_iters=st.integers(0, 2000),
+           data=st.data())
+    def test_guard_skips_no_stopping_pulse(self, r_off_max, tol, step,
+                                           max_iters, data):
+        rows = data.draw(st.integers(1, 4))
+        r_ons = [data.draw(st.sampled_from([10e3, 13e3, r_off_max * (1 - 1e-10)]))
+                 for _ in range(rows)]
+        params = replace(P, r_off_max=r_off_max, r_on=np.array([r_ons]).T)
+        targets = [self.draw_target(data, r_on, r_off_max, tol) for r_on in r_ons]
+        self.run_both(params, targets, make_noise=self.draw_noise(data), tol=tol,
+                      step=step, max_iters=max_iters)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.042])
+    def test_energy_near_the_pulse_by_pulse_sum(self, sigma):
+        # At criterion 6's settings, one integral per device moves only the
+        # last bits of the energy summed pulse by pulse.
+        cfg, q = cfg_for(8), QuantizerSpec(kind="counter", t_clk=1.0)
+        rng = np.random.default_rng(4)
+        for seed in range(2):
+            vals = np.concatenate(([0.0, 40.0], rng.uniform(0.0, 40.0, 6)))
+            w = Wavefront(tuple(vals[rng.permutation(8)]))
+            targets = [P.r_on + default_slope(q.t_clk) * c
+                       for c in quantize(w, q).effective_counts(q)]
+            kw = dict(tol=1e-3, step=0.01, max_iters=8000)
+            noises = [c2c_noise(VariationSpec(c2c_sigma=sigma),
+                                np.random.default_rng(seed)) for _ in range(2)]
+            _, got = program_closed_loop(new_array(cfg, P), cfg, P, 0, targets,
+                                         pulse_noise=noises[0], **kw)
+            want = reference_closed_loop(P, 0, targets, pulse_noise=noises[1],
+                                         pulse_by_pulse=True, **kw)
+            assert got.iterations == want.iterations
+            assert got.write_energy == pytest.approx(want.write_energy,
+                                                     rel=1e-12, abs=0)
 
 
 class TestClosedLoopArguments:
