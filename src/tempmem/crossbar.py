@@ -151,9 +151,12 @@ def reset_lines(state: ArrayState) -> ArrayState:
 
 
 def dynamic_range(cfg: ArrayConfig, params: DeviceParams, r_max: float) -> float:
-    """Recall time span (ns) covered by resistances in [r_on, r_max]."""
-    if r_max < params.r_on:
-        raise ValueError("r_max must be at least r_on")
+    """Recall time span (ns) covered by one device's resistances in [r_on, r_max]."""
+    if np.ndim(params.r_on):
+        raise ValueError("dynamic_range needs one device's base_params(params)")
+    # Written so that nan fails it.
+    if not params.r_on <= r_max <= params.r_off_max:
+        raise ValueError("r_max must lie in [r_on, r_off_max]")
     return (r_max - params.r_on) * cfg.c_line * ln_factor(cfg.theta) * 1e9
 
 

@@ -20,20 +20,20 @@ r_on at stress 0, so a grid is read without the law.
 
 The law is written once, here: `resistance` is R(s) and `stress_at` its
 inverse below the clamp.  Native capture, the closed loop and
-`reset_energy`'s clamp constants (`_reset_constants`) call them, and no
+`write_energy`'s clamp constants (`_reset_constants`) call them, and no
 other code restates them.  The tests state the law one device at a time
 (`resistance_of`, `stress_of`, `apply_pulse` and `pulse_energy` in
 `tests/reference_law.py`) as their reference.
 
-`resistance`, `stress_at` and `reset_energy` work on arrays of any shape
+`resistance`, `stress_at` and `write_energy` work on arrays of any shape
 (trials x rows for the batched Monte Carlo engine, a block of pulses for
-the closed loop's law, a column's two-point trajectories from ON for the
-write energy of either capture) and give the scalar reference's bits.
-Only `+ - * /`, `min`/`max`, comparisons, `cumsum` along the last axis
-and `scipy.special.expi` are vectorised, as numpy gives the same bits
-for them; `exp`, `expm1` and `log1p` stay `math.*`, applied per element
-by `per_element`, because numpy's SIMD versions differ in the last bit
-for some inputs.
+the closed loop's law, a column of devices for the write energy of
+either capture) and give the scalar reference's bits.  Only `+ - * /`,
+`min`/`max`, comparisons, `cumsum` along the last axis and
+`scipy.special.expi` are vectorised, as numpy gives the same bits for
+them; `exp`, `expm1` and `log1p` stay `math.*`, applied per element by
+`per_element`, because numpy's SIMD versions differ in the last bit for
+some inputs.
 """
 
 from __future__ import annotations
@@ -145,42 +145,25 @@ def _reset_constants(r_on: float | np.ndarray, params: DeviceParams):
     """Of devices whose ON resistances are r_on: the stress at which
     resistance reaches r_off_max, the resistance the law gives there, and
     the prefactor (tau/A) e^(-r_on/A) of the Ei antiderivative, as arrays
-    of r_on's shape (0-d for a float, as the closed loop gives one device
-    at a time), with `math.*` per element."""
+    of r_on's shape (0-d for a float), with `math.*` per element."""
     a, tau = params.amp_a, params.tau_w
     s_clamp = stress_at(params.r_off_max, r_on, params)
     return (s_clamp, resistance(s_clamp, r_on, params),
             (tau / a) * per_element(math.exp, -r_on / a))
 
 
-def reset_energy(s: np.ndarray, r: np.ndarray, v: float, rate: float,
-                 r_on: float | np.ndarray, params: DeviceParams) -> np.ndarray:
-    """Energy (J) of each RESET pulse along stress trajectories at voltage v.
-
-    s and r hold the points of one or more trajectories along their last
-    axis: s[..., k] is a stress (ns), r[..., k] the law's resistance at it,
-    and pulse k takes its device from point k to point k + 1 at stress
-    rate `rate`.  The result has one element per pulse, so one point
-    fewer along the last axis.  r_on is the devices' ON resistance, one
-    float for all trajectories or one per trajectory (an array of the
-    leading shape of s).
-
-    The integral of ds / R(s) has the antiderivative
-    (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp, evaluated once per
-    point; above it R is r_off_max.  The pulses crossing the clamp are
-    split there.
-    """
+def write_energy(s, r, r_on, v: float, rate: float,
+                 params: DeviceParams) -> np.ndarray:
+    """Energy (J) of RESET writes at voltage v and stress rate `rate` from
+    ON (stress 0, r_on) to stress s (ns) at the law's resistance r, floats
+    or arrays of one shape: v^2 / rate times the integral of ds / R(s),
+    (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp, s / r_off_max beyond."""
     s_clamp, r_clamp, pref = _reset_constants(r_on, params)
-    if np.ndim(r_on):  # one set per trajectory, alike along its points
-        s_clamp, r_clamp, pref = s_clamp[..., None], r_clamp[..., None], pref[..., None]
-    # Ei of each point's resistance, taken at the clamp beyond it
-    ei = expi(np.where(s <= s_clamp, r, r_clamp) / params.amp_a)
-    s0, s1 = s[..., :-1], s[..., 1:]
-    below = np.minimum(s1, s_clamp) > s0
-    # Subtracted only below the clamp, so that no inf - inf is ever formed
-    total = pref * np.subtract(ei[..., 1:], ei[..., :-1], out=np.zeros(s1.shape),
-                               where=below)
-    above = s1 > s_clamp
-    if above.any():
-        total[above] += (s1 - np.maximum(s0, s_clamp))[above] / params.r_off_max
-    return (v * v / rate) * total * 1e-9
+    a, shape = params.amp_a, np.broadcast(s, r_on).shape
+    # Subtracted only where the write moves below the clamp, so that no
+    # inf - inf is ever formed
+    total = pref * np.subtract(expi(np.where(s <= s_clamp, r, r_clamp) / a),
+                               expi(r_on / a), out=np.zeros(shape),
+                               where=np.minimum(s, s_clamp) > 0)
+    beyond = np.subtract(s, s_clamp, out=np.zeros(shape), where=s > s_clamp)
+    return (v * v / rate) * (total + beyond / params.r_off_max) * 1e-9

@@ -1,8 +1,13 @@
 """Wavefront capture into a crossbar column, by either route.
 
-`capture` is the one entry to both, set by a `SweepSettings`; both take
-the device law from `device.resistance` and `device.stress_at`.  Native
-capture mimics timing-difference plasticity: the first arriving edge
+`_capture_column` captures into a column of ON devices by the route a
+`SweepSettings` names, for `capture` (which writes the column into an
+array) and the Monte Carlo engine alike; `capture_native` and
+`program_closed_loop` are `capture`'s two routes, set by keywords.  Both
+routes take the law from `device.resistance` and `device.stress_at`, and
+integrate each device's write energy once from ON (`device.write_energy`).
+
+Native capture mimics timing-difference plasticity: the first arriving edge
 raises the source line, and every later channel sees a reverse write
 voltage for exactly the interval between its own edge and the first one,
 so its device accumulates stress proportional to its delay.  The first
@@ -11,15 +16,13 @@ channel's device never sees a net voltage and stays put.
 Digital capture measures the wavefront with a counter (optionally
 refined by a vernier stage), converts counts to resistance targets on a
 fixed slope, and drives each device to its target with an iterative
-program/verify loop (`program_closed_loop`).
+program/verify loop (`_closed_loop`).
 
 Cycle-to-cycle noise enters as a `PulseNoise`: a function from an array
 of nominal pulse durations to as many effective durations, one draw per
 element in order.  Native capture calls it once per column; the closed
 loop calls it once per block of pulses and may read ahead of the pulses
-it applies (see `program_closed_loop`).
-
-Both routes integrate each device's write energy once, ON to final stress.
+it applies (see `_closed_loop`).
 """
 
 from __future__ import annotations
@@ -206,13 +209,12 @@ def _write_column(state: ArrayState, col: int, resistance) -> ArrayState:
 
 
 def _reset_rate(params: DeviceParams, v_write: float | None) -> tuple[float, float]:
-    """The write level (nominal by default) and the stress rate it gives."""
+    """The write level (nominal by default) and the stress rate it gives; a
+    `SweepSettings` has checked v_write finite, and nan fails this check."""
     if v_write is None:
         v_write = params.v_write_nominal
-    # Written so that nan fails it.
-    if not params.v_prog_threshold <= v_write < math.inf:
-        raise ValueError("v_write must be finite and at least the programming "
-                         "threshold")
+    if not params.v_prog_threshold <= v_write:
+        raise ValueError("v_write must be at least the programming threshold")
     return v_write, device.programming_rate(-v_write, params)
 
 
@@ -224,13 +226,6 @@ def _add(total: float, energies: np.ndarray) -> np.ndarray:
     run[..., 0] = total
     run[..., 1:] = energies
     return run.cumsum(axis=-1)[..., -1]
-
-
-def _write_energy(stress, resistance, r_on, v_write, rate, params):
-    """Energy (J) of writes from ON to these end points, summed along the last axis."""
-    e = device.reset_energy(np.stack((np.zeros_like(stress), stress), -1),
-                            np.stack((r_on, resistance), -1), -v_write, rate, r_on, params)
-    return _add(0.0, e[..., 0])
 
 
 def _effective(nominal: np.ndarray, pulse_noise: PulseNoise) -> np.ndarray:
@@ -262,37 +257,8 @@ def _native_write(times: np.ndarray, r_on: np.ndarray, params: DeviceParams,
     dur = _effective(times - times.min(axis=-1, keepdims=True), pulse_noise)
     stress = dur * rate
     resistance = device.resistance(stress, r_on, params)
-    return dur, resistance, _write_energy(stress, resistance, r_on, v_write,
-                                          rate, params)
-
-
-def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
-                   col: int, w: Wavefront, v_write: float | None = None, *,
-                   window_ns: float = DEFAULT_WINDOW_NS,
-                   pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
-    """Record a wavefront into column `col` by timing-difference writes.
-
-    Channel i receives a reverse pulse lasting t_i - min(t); the first
-    arriving channel gets none and its device stays exactly at r_on.  A
-    span beyond the calibrated linear window is flagged, not rejected.
-    The write is `_native_write` on the one column, the batched Monte
-    Carlo engine's too: the noise is one call on the column's nominal
-    durations, drawing in row order.
-    """
-    r_on = _on_column(state, cfg, params, col)
-    if len(w) != cfg.rows:
-        raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
-    dur, resistance, energy = _native_write(np.array(w.times), r_on, params,
-                                            v_write, pulse_noise)
-    result = CaptureResult(
-        pulses=tuple(dur.tolist()),
-        final_resistances=tuple(resistance.tolist()),
-        write_energy=float(energy),
-        iterations=(1,) * cfg.rows,
-        converged=(True,) * cfg.rows,
-        window_exceeded=w.span > window_ns,
-    )
-    return _write_column(state, col, resistance), result
+    return dur, resistance, _add(0.0, device.write_energy(
+        stress, resistance, r_on, -v_write, rate, params))
 
 
 def _block_size(gap: float, left: int) -> int:
@@ -305,13 +271,11 @@ def _block_size(gap: float, left: int) -> int:
     return min(want + 8 + want // 64, left, _BLOCK_MAX)
 
 
-def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
-                        col: int, targets: Sequence[float], *,
-                        tol: float = 0.01, v_write: float | None = None,
-                        step: float = 1.0, max_iters: int = 500,
-                        pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
-    """Drive each device in a column to a resistance target by repeated
-    fixed-step reverse pulses with a verify read after each one.
+def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DeviceParams,
+                 settings: SweepSettings, pulse_noise: PulseNoise) -> CaptureResult:
+    """Drive each device of a column, ON at r_ons, to its target within a
+    relative settings.tol by reverse pulses of settings.step_ns at
+    settings.v_write, each followed by a verify read.
 
     The loop only moves resistance upward, so a target already below the
     verify band is flagged unreachable immediately; targets beyond what
@@ -337,19 +301,12 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     iteration.  A negative, infinite or nan duration anywhere in a drawn
     block raises ValueError.
     """
-    r_ons = _on_column(state, cfg, params, col)
-    if len(targets) != cfg.rows:
-        raise ValueError(f"{len(targets)} targets for {cfg.rows} rows")
+    if len(targets) != len(r_ons):
+        raise ValueError(f"{len(targets)} targets for {len(r_ons)} rows")
     if any(not math.isfinite(t) or t <= 0 for t in targets):
         raise ValueError("targets must be positive and finite")
-    # Written so that nan fails them.
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if not 0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
-    if not (isinstance(max_iters, Integral) and max_iters >= 0):
-        raise ValueError("max_iters must be a non-negative integer")
-    v_write, rate = _reset_rate(params, v_write)
+    tol, step, max_iters = settings.tol, settings.step_ns, settings.max_iters
+    v_write, rate = _reset_rate(params, settings.v_write)
     # Each band's bottom as a stress; inf at or beyond the clamp.
     band_low = np.array(targets, dtype=float) * (1.0 - tol)
     s_lows = np.where(band_low < params.r_off_max,
@@ -399,20 +356,79 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
         resistances.append(r)
         iterations.append(iters)
         converged.append(abs(r - target) / target <= tol)
-    result = CaptureResult(
-        pulses=tuple(pulses),
-        final_resistances=tuple(resistances),
-        write_energy=float(_write_energy(np.array(stresses), np.array(resistances),
-                                         r_ons, v_write, rate, params)),
-        iterations=tuple(iterations),
-        converged=tuple(converged),
-    )
-    return _write_column(state, col, resistances), result
+    energy = _add(0.0, device.write_energy(np.array(stresses), np.array(resistances),
+                                           r_ons, -v_write, rate, params))
+    return CaptureResult(tuple(pulses), tuple(resistances), float(energy),
+                         tuple(iterations), tuple(converged))
 
 
 def default_slope(t_clk: float) -> float:
     """Ohm per count aligning counter codes to the calibrated window."""
     return device.R_SPAN_DEFAULT / (device.T_SPAN_DEFAULT / t_clk)
+
+
+def _capture_column(r_on: np.ndarray, r_base: float, w: Wavefront,
+                    params: DeviceParams, s: SweepSettings,
+                    pulse_noise: PulseNoise) -> CaptureResult:
+    """Capture w into a column of devices ON at r_on by the route s.path
+    names: `_native_write`, or `_closed_loop` to the targets
+    r_base + slope * count of `s.quantizer`'s counts (`default_slope`
+    unless s.slope is set).  A span beyond s.window_ns is flagged, not
+    rejected."""
+    if s.path == "native":
+        dur, resistance, energy = _native_write(np.array(w.times), r_on, params,
+                                                s.v_write, pulse_noise)
+        result = CaptureResult(tuple(dur.tolist()), tuple(resistance.tolist()),
+                               float(energy), (1,) * len(r_on), (True,) * len(r_on))
+    else:
+        q = s.quantizer
+        slope = default_slope(q.t_clk) if s.slope is None else s.slope
+        result = _closed_loop(
+            r_on, [r_base + slope * c for c in quantize(w, q).effective_counts(q)],
+            params, s, pulse_noise)
+    return replace(result, window_exceeded=w.span > s.window_ns)
+
+
+def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+            w: Wavefront, settings: SweepSettings, *,
+            pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
+    """Record a wavefront into the ON column `settings.column` by
+    `_capture_column`; digital targets start from device (0, 0)'s r_on."""
+    col = settings.column
+    r_on = _on_column(state, cfg, params, col)
+    if len(w) != cfg.rows:
+        raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
+    result = _capture_column(r_on, base_params(params).r_on, w, params, settings,
+                             pulse_noise)
+    return _write_column(state, col, result.final_resistances), result
+
+
+def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+                   col: int, w: Wavefront, v_write: float | None = None, *,
+                   window_ns: float = DEFAULT_WINDOW_NS,
+                   pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
+    """Record a wavefront into column `col` by timing-difference writes:
+    `capture` on the native route, its arguments checked as the
+    `SweepSettings` fields they fill.  Channel i receives a reverse pulse
+    lasting t_i - min(t); the first arriving channel gets none and its
+    device stays exactly at r_on."""
+    return capture(state, cfg, params, w, SweepSettings(
+        column=col, v_write=v_write, window_ns=window_ns), pulse_noise=pulse_noise)
+
+
+def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+                        col: int, targets: Sequence[float], *,
+                        tol: float = 0.01, v_write: float | None = None,
+                        step: float = 1.0, max_iters: int = 500,
+                        pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
+    """Drive each device in the ON column `col` to a resistance target by
+    `_closed_loop`, the digital route's program/verify loop, its arguments
+    checked as the `SweepSettings` fields they fill (run.step_ns for step)."""
+    r_ons = _on_column(state, cfg, params, col)
+    result = _closed_loop(r_ons, targets, params, SweepSettings(
+        path="digital", column=col, tol=tol, step_ns=step, max_iters=max_iters,
+        v_write=v_write), pulse_noise)
+    return _write_column(state, col, result.final_resistances), result
 
 
 @dataclass(frozen=True)
@@ -478,29 +494,6 @@ def recall_and_score(times: np.ndarray, resistances: np.ndarray,
             raise ValueError("wavefront times must be finite and non-negative")
         return Recalled(c_used, recalled, c_used * cfg.v_read ** 2,
                         *fidelity(times, recalled))
-
-
-def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
-            w: Wavefront, settings: SweepSettings, *,
-            pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
-    """Record a wavefront into column `settings.column` by the route
-    `settings.path` names: native timing-difference writes, or digital:
-    `settings.quantizer`'s counts become targets r_on + slope * count
-    (r_on of device (0, 0); `default_slope` unless `settings.slope` is
-    set) for the closed loop."""
-    s = settings
-    if s.path == "native":
-        return capture_native(state, cfg, params, s.column, w, s.v_write,
-                              window_ns=s.window_ns, pulse_noise=pulse_noise)
-    q = s.quantizer
-    slope = default_slope(q.t_clk) if s.slope is None else s.slope
-    r_on = base_params(params).r_on
-    new_state, result = program_closed_loop(
-        state, cfg, params, s.column,
-        [r_on + slope * c for c in quantize(w, q).effective_counts(q)],
-        tol=s.tol, v_write=s.v_write, step=s.step_ns, max_iters=s.max_iters,
-        pulse_noise=pulse_noise)
-    return new_state, replace(result, window_exceeded=w.span > s.window_ns)
 
 
 def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,

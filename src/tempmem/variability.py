@@ -24,12 +24,13 @@ everything else works on arrays with a leading trials axis: the r_on
 grids and noise factors, native capture, recall and scoring.  Native
 capture is `recording._native_write`, the write `capture_native` makes,
 on the whole block at once with the block's c2c draws as its noise;
-recall and scoring are `recording.recall_and_score`.  A native capture
-reads one column, so only that column's d2d draws are spread into r_on;
-the rest of the grid keeps its r_on check (`_check_spread`) from the
-block's extreme draws.  A digital capture runs its closed loop per
-trial, on that trial's stream and its whole spread grid.  Each trial's
-row is bit-identical to a `round_trip` of the same draws.
+recall and scoring are `recording.recall_and_score`.  A capture writes
+one column, so on either route only that column's d2d draws are spread
+into r_on; the rest of the grid keeps its r_on check (`_check_spread`)
+from the block's extreme draws.  A digital capture runs its closed loop
+per trial (`recording._capture_column`), on that trial's stream and
+spread column.  Each trial's row is bit-identical to a `round_trip` of
+the same draws.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from typing import Callable
 
 import numpy as np
 
-from .crossbar import ArrayConfig, new_array, r_on_grid
+from .crossbar import ArrayConfig, r_on_grid
 from .device import DeviceParams, check_r_on, per_element
-from .recording import SweepSettings, capture, recall_and_score, _native_write
+from .recording import (SweepSettings, recall_and_score, _capture_column,
+                        _native_write)
 from .wavefront import Wavefront, write_csv
 
 # Success threshold for exact-timing codes: rms no worse than half an LSB
@@ -276,26 +278,25 @@ def _run_block(args) -> list[TrialRow]:
     # np.take_along_axis(vals, order, -1), without its index building
     times = vals[np.arange(count)[:, None], order]
     z_grid = z[:, :cells].reshape(count, cfg.rows, cfg.cols)
+    # Only the captured column is spread; the grid keeps its r_on check.
+    _check_spread(base, spec.d2d_sigma, z_grid)
+    nominal = r_on_grid(base, cfg)
+    r_on = _spread(nominal[:, s.column], spec.d2d_sigma, z_grid[..., s.column])
     if native:
-        # Only the captured column is spread; the grid keeps its r_on check.
-        _check_spread(base, spec.d2d_sigma, z_grid)
-        r_on = _spread(r_on_grid(base, cfg)[:, s.column], spec.d2d_sigma,
-                       z_grid[..., s.column])
         _, resistances, write_energy = _native_write(
             times, r_on, base, s.v_write,
             lambda d: _spread(d, spec.c2c_sigma, z[:, cells:]))
         converged = [True] * count
     else:
-        grids = _spread(base.r_on, spec.d2d_sigma, z_grid)
-        check_r_on(grids, base.r_off_max)
+        # Targets start from device (0, 0)'s spread r_on, as `capture` takes
+        # it, until they suit each device (ROADMAP item 3).
+        r_base = _spread(nominal[0, 0], spec.d2d_sigma, z_grid[:, 0, 0]).tolist()
         caps = []
-        for t, grid, state in zip(times, grids, resume):
+        for t, column, r0, state in zip(times, r_on, r_base, resume):
             gen.bit_generator.state = state
-            params = replace(base, r_on=grid)
             # The last use of the stream: the closed loop reads the noise ahead.
-            caps.append(capture(new_array(cfg, params), cfg, params,
-                                Wavefront(tuple(t.tolist())), s,
-                                pulse_noise=c2c_noise(spec, gen))[1])
+            caps.append(_capture_column(column, r0, Wavefront(tuple(t.tolist())),
+                                        base, s, c2c_noise(spec, gen)))
         resistances = np.array([c.final_resistances for c in caps])
         write_energy = np.array([c.write_energy for c in caps])
         converged = [all(c.converged) for c in caps]

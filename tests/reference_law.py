@@ -3,18 +3,21 @@ kernels of `tempmem.device` and `tempmem.recording` are tested against.
 
 `resistance_of`, `apply_pulse` and `pulse_energy` apply the law of the
 `tempmem.device` module docstring to one device's scalar state, and
-`stress_of` inverts it.  The simulator runs the same law on arrays, bit
-for bit; these functions are kept here, outside the package, as the
-tests' oracle.
+`stress_of` inverts it.  `reset_energy` integrates the energy of every
+pulse along trajectories of any number of points; the simulator only
+needs one integral from ON per device (`device.write_energy`).  The
+simulator runs the same law on arrays, bit for bit; these functions are
+kept here, outside the package, as the tests' oracle.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expi
 
-from tempmem.device import (R_ON_DEFAULT, DeviceParams, programming_rate,
-                            reset_energy)
+from tempmem.device import (R_ON_DEFAULT, DeviceParams, _reset_constants,
+                            programming_rate)
 
 
 @dataclass(frozen=True)
@@ -86,3 +89,36 @@ def pulse_energy(state: DeviceState, v: float, duration: float,
     # float() keeps numpy's float64 out of downstream serialization
     return float(reset_energy(np.array([s0, s1]), np.array([r0, r1]), v, rate,
                               params.r_on, params)[0])
+
+
+def reset_energy(s: np.ndarray, r: np.ndarray, v: float, rate: float,
+                 r_on: float | np.ndarray, params: DeviceParams) -> np.ndarray:
+    """Energy (J) of each RESET pulse along stress trajectories at voltage v.
+
+    s and r hold the points of one or more trajectories along their last
+    axis: s[..., k] is a stress (ns), r[..., k] the law's resistance at it,
+    and pulse k takes its device from point k to point k + 1 at stress
+    rate `rate`.  The result has one element per pulse, so one point
+    fewer along the last axis.  r_on is the devices' ON resistance, one
+    float for all trajectories or one per trajectory (an array of the
+    leading shape of s).
+
+    The integral of ds / R(s) has the antiderivative
+    (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp, evaluated once per
+    point; above it R is r_off_max.  The pulses crossing the clamp are
+    split there.
+    """
+    s_clamp, r_clamp, pref = _reset_constants(r_on, params)
+    if np.ndim(r_on):  # one set per trajectory, alike along its points
+        s_clamp, r_clamp, pref = s_clamp[..., None], r_clamp[..., None], pref[..., None]
+    # Ei of each point's resistance, taken at the clamp beyond it
+    ei = expi(np.where(s <= s_clamp, r, r_clamp) / params.amp_a)
+    s0, s1 = s[..., :-1], s[..., 1:]
+    below = np.minimum(s1, s_clamp) > s0
+    # Subtracted only below the clamp, so that no inf - inf is ever formed
+    total = pref * np.subtract(ei[..., 1:], ei[..., :-1], out=np.zeros(s1.shape),
+                               where=below)
+    above = s1 > s_clamp
+    if above.any():
+        total[above] += (s1 - np.maximum(s0, s_clamp))[above] / params.r_off_max
+    return (v * v / rate) * total * 1e-9

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tempmem.crossbar import (ArrayConfig, ArrayState, dynamic_range,
-                              new_array, read_grid_csv, recall, reset_lines,
-                              write_grid_csv)
+                              ln_factor, new_array, read_grid_csv, recall,
+                              reset_lines, write_grid_csv)
 from tempmem.device import DeviceParams
 from tempmem.wavefront import rank_of
 
@@ -186,6 +187,21 @@ class TestDynamicRange:
     def test_rejects_r_max_below_r_on(self):
         with pytest.raises(ValueError):
             dynamic_range(ArrayConfig(rows=1, cols=1), P, 5e3)
+
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf, 1e6 * (1 + 1e-15)])
+    def test_rejects_r_max_beyond_r_off_max(self, r_max):
+        with pytest.raises(ValueError, match="r_off_max"):
+            dynamic_range(ArrayConfig(rows=1, cols=1), P, r_max)
+
+    def test_reaches_r_off_max(self):
+        cfg = ArrayConfig(rows=1, cols=1)
+        assert dynamic_range(cfg, P, P.r_off_max) == \
+            (P.r_off_max - P.r_on) * cfg.c_line * ln_factor(cfg.theta) * 1e9
+
+    def test_rejects_an_r_on_grid(self):
+        grid = replace(P, r_on=np.full((2, 2), 1e4))
+        with pytest.raises(ValueError, match="base_params"):
+            dynamic_range(ArrayConfig(rows=2, cols=2), grid, 40e3)
 
 
 class TestConfigValidation:

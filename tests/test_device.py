@@ -3,17 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings as hsettings, strategies as st
 from scipy.integrate import quad
 from scipy.special import expi
 
 from tempmem.crossbar import base_params
 from tempmem.device import (AMP_A_DEFAULT, DeviceParams, _reset_constants,
                             calibrate_amp, per_element, programming_rate,
-                            reset_energy, resistance, stress_at)
+                            resistance, stress_at, write_energy)
 
-from reference_law import (DeviceState, apply_pulse, pulse_energy, resistance_of,
-                           stress_of)
+from reference_law import (DeviceState, apply_pulse, pulse_energy, reset_energy,
+                           resistance_of, stress_of)
 
 P = DeviceParams()
 
@@ -346,7 +346,7 @@ class TestPulseEnergy:
         P, DeviceParams(amp_a=1000.0, r_off_max=710e3)])
     def test_reset_constants_are_math_per_element(self, params, r_on):
         # The second params put the expm1 argument on both sides of 700.  A
-        # float r_on, as the closed loop passes one, gives 0-d arrays.
+        # float r_on gives 0-d arrays.
         got = _reset_constants(r_on, params)
         assert all(np.shape(c) == np.shape(r_on) for c in got)
         r_on = np.asarray(r_on)
@@ -375,6 +375,42 @@ class TestPulseEnergy:
             [self.scalar_formula(0.0, -1.4, d, replace(params, r_on=x))
              for d, x in zip(row_d, row_r)]
             for row_d, row_r in zip(durations.tolist(), r_on.tolist())]
+
+
+class TestWriteEnergy:
+    """`write_energy` is the reference's `reset_energy` on two-point
+    trajectories from (0, r_on), bit for bit."""
+
+    @hsettings(max_examples=80, deadline=None)
+    @given(params=st.sampled_from([
+               P, DeviceParams(r_off_max=35011.01752498446),
+               DeviceParams(r_off_max=57001.45528267501),
+               # The clamp stress of the 10 kohm devices is beyond expm1's
+               # range (inf), that of the 30 kohm ones within it.
+               DeviceParams(amp_a=1000.0, r_off_max=720e3)]),
+           shape=st.sampled_from([(), (8,), (3, 8)]),
+           seed=st.integers(0, 2**32 - 1),
+           v=st.floats(min_value=1.0, max_value=2.2))
+    def test_equals_reset_energy_from_on(self, params, shape, seed, v):
+        rng = np.random.default_rng(seed)
+        r_on = rng.choice([9e3, 10e3, 11e3, 30e3], shape)
+        s_clamp = _reset_constants(r_on, params)[0]
+        reach = np.where(np.isfinite(s_clamp), s_clamp, 400.0)
+        # Stress 0, exactly the clamp stress, below it and beyond it
+        kind = rng.integers(0, 4, shape)
+        stress = np.select([kind == 0, kind == 1, kind == 2],
+                           [0.0, reach, reach * rng.uniform(0.0, 1.0, shape)],
+                           reach * rng.uniform(1.0, 3.0, shape))
+        if not shape:
+            r_on, stress = float(r_on), float(stress)
+        r = resistance(stress, r_on, params)
+        rate = programming_rate(-v, params)
+        got = write_energy(stress, r, r_on, -v, rate, params)
+        want = reset_energy(np.stack((np.zeros(shape), stress), -1),
+                            np.stack((np.broadcast_to(r_on, shape), r), -1),
+                            -v, rate, r_on, params)[..., 0]
+        assert np.shape(got) == shape
+        assert np.asarray(got).tolist() == want.tolist()
 
 
 class TestNumpyFacts:

@@ -114,12 +114,13 @@ class TestEngineEqualsLayers:
         assert serial == reference_rows(cfg, P, spec, block + 1, s)
         assert monte_carlo(cfg, P, spec, block + 1, s, workers=2) == (report, serial)
 
-    def test_grid_base_params(self):
+    @pytest.mark.parametrize("path", ["native", "digital"])
+    def test_grid_base_params(self, path):
         # A base that already holds an r_on grid is spread device by device.
         cfg = ArrayConfig(rows=8, cols=2)
         base = replace(P, r_on=np.linspace(9e3, 11e3, 16).reshape(8, 2))
         spec = VariationSpec(seed=4)
-        s = sweep_settings("native", 8, "matched", 40.0)
+        s = sweep_settings(path, 8, "matched", 40.0)
         assert monte_carlo(cfg, base, spec, 5, s)[1] == \
             reference_rows(cfg, base, spec, 5, s)
 
@@ -131,11 +132,12 @@ class TestEngineEqualsLayers:
             random_wavefront(rng, s.channels, s.span_ns)
             yield rng
 
-    def test_r_on_just_below_r_off_max_passes(self):
+    @pytest.mark.parametrize("path", ["native", "digital"])
+    def test_r_on_just_below_r_off_max_passes(self, path):
         # Within the check's slack of the bound the grid is checked in full,
         # which passes it.
         cfg = ArrayConfig(rows=4, cols=2)
-        s = sweep_settings("native", 4, "matched", 40.0)
+        s = sweep_settings(path, 4, "matched", 40.0)
         for r_on in (1e4 * (1 - 1e-12), np.array([[1e4 * (1 - 1e-12), 9e3]] * 4)):
             base = replace(P, r_on=r_on, r_off_max=1e4)
             spec = VariationSpec(d2d_sigma=0.0, seed=2)
@@ -156,10 +158,18 @@ class TestEngineEqualsLayers:
         with pytest.raises(ValueError, match="threshold"):
             monte_carlo(cfg, P, VariationSpec(), 2,
                         SweepSettings(channels=4, v_write=0.5))
+        # A recall line capacitance so large the edge times overflow
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo(cfg, P, VariationSpec(), 2,
+                        SweepSettings(channels=4, scale_cap=1e300))
+
+    @pytest.mark.parametrize("path", ["native", "digital"])
+    def test_r_on_checked_off_the_captured_column(self, path):
         # Spreads that put an r_on only outside the captured column at or
         # above r_off_max: the whole grid is checked, not just the column.
+        cfg = ArrayConfig(rows=4, cols=2)
         spec = VariationSpec(d2d_sigma=0.03, seed=45)
-        s = SweepSettings(channels=4, column=1)
+        s = SweepSettings(path=path, channels=4, column=1)
         tight = replace(P, r_off_max=1.1e4)
         grids = [sample_array(P, spec, 4, 2, rng=rng) for rng in
                  self._streams(spec.seed, 3, s)]
@@ -170,10 +180,6 @@ class TestEngineEqualsLayers:
         grid_base = replace(tight, r_on=np.array([[1.099e4, 1e4]] * 4))
         with pytest.raises(ValueError, match="r_off_max"):
             monte_carlo(cfg, grid_base, VariationSpec(d2d_sigma=0.01), 2, s)
-        # A recall line capacitance so large the edge times overflow
-        with pytest.raises(ValueError, match="finite"):
-            monte_carlo(cfg, P, VariationSpec(), 2,
-                        SweepSettings(channels=4, scale_cap=1e300))
 
 
 class TestDerivedStreams:

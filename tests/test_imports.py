@@ -1,8 +1,10 @@
-"""Every name imported into a `tempmem` module is used in it.
+"""Every name imported into a `tempmem` module is used in it, and every
+private module-level name a `tempmem` module defines is read somewhere in
+the package.
 
-No linter runs over the package, so this is the check that a refactor
-leaves no import behind.  `__init__` is left out: its imports are the
-package's exports.
+No linter runs over the package, so these are the checks that a refactor
+leaves no import and no helper behind.  `__init__` is left out of the
+import check: its imports are the package's exports.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tempmem"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +37,39 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The `_name`s (not dunders) that the module `source` binds at its top
+    level: functions, classes and assignments."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def reads(source: str) -> set[str]:
+    """The names and attributes that the module `source` reads."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_finds_an_orphaned_helper():
+    source = "_A, (_B, c) = 1, (2, 3)\n_C: int = _A\ndef _f(): pass\nclass _K: pass\n"
+    assert private_definitions(source) == ["_A", "_B", "_C", "_f", "_K"]
+    assert [n for n in private_definitions(source) if n not in reads(source)] == \
+        ["_B", "_C", "_f", "_K"]
+
+
+def test_no_orphaned_private_helpers():
+    read = set().union(*(reads(p.read_text()) for p in SOURCES))
+    orphans = [f"{p.name}: {name}" for p in SOURCES
+               for name in private_definitions(p.read_text()) if name not in read]
+    assert orphans == []

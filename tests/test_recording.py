@@ -17,7 +17,8 @@ from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
                                quantize, round_trip, write_capture_csv)
 from tempmem.variability import VariationSpec, c2c_noise, sample_array
 
-from reference_law import DeviceState, apply_pulse, pulse_energy, resistance_of
+from reference_law import (DeviceState, apply_pulse, pulse_energy, reset_energy,
+                           resistance_of)
 from tempmem.wavefront import Wavefront, rank_of
 
 P = DeviceParams()
@@ -253,7 +254,7 @@ def reference_closed_loop(params, col, targets, *, tol, step, max_iters,
             applied += dur
             iters += 1
         if not pulse_by_pulse:
-            energy += float(device.reset_energy(
+            energy += float(reset_energy(
                 np.array([0.0, dev.stress]), np.array([p.r_on, dev.resistance]),
                 v, rate, p.r_on, p)[0])
         pulses.append(applied)
@@ -560,16 +561,32 @@ class TestKernelsMatchScalarLaw:
 
 
 class TestClosedLoopArguments:
-    @pytest.mark.parametrize("kw", [
-        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0},
-        {"step": math.nan}, {"step": math.inf}, {"step": 0.0},
-        {"max_iters": -1}, {"max_iters": 2.5}, {"v_write": math.nan}, {"v_write": math.inf},
-        {"v_write": 0.5},
+    # The arguments are checked as the settings they become are, so each
+    # message names the settings field.
+    @pytest.mark.parametrize("kw, match", [
+        ({"tol": math.nan}, "run.tol"), ({"tol": math.inf}, "run.tol"),
+        ({"tol": 0.0}, "run.tol"), ({"tol": -1.0}, "run.tol"),
+        ({"step": math.nan}, "run.step_ns"), ({"step": math.inf}, "run.step_ns"),
+        ({"step": 0.0}, "run.step_ns"),
+        ({"max_iters": -1}, "run.max_iters"), ({"max_iters": 2.5}, "run.max_iters"),
+        ({"v_write": math.nan}, "run.v_write"), ({"v_write": math.inf}, "run.v_write"),
+        ({"v_write": 0.5}, "threshold"),
     ])
-    def test_rejected(self, kw):
+    def test_rejected(self, kw, match):
         cfg = cfg_for(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             program_closed_loop(new_array(cfg, P), cfg, P, 0, [20e3, 20e3], **kw)
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"window_ns": math.nan}, "run.window_ns"),
+        ({"v_write": math.nan}, "run.v_write"),
+    ])
+    def test_capture_native_rejected(self, kw, match):
+        # A nan window would compare false with every span and hide every
+        # overrun.
+        cfg = cfg_for(2)
+        with pytest.raises(ValueError, match=match):
+            capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)), **kw)
 
     def test_zero_max_iters_pulses_nothing(self):
         cfg = cfg_for(1)
