@@ -68,11 +68,9 @@ def _load(args) -> Scenario:
     if args.seed is not None:
         scenario = replace(scenario,
                            variation=replace(scenario.variation, seed=args.seed))
-    if getattr(args, "path", None):
-        scenario = replace(scenario, run=replace(scenario.run, path=args.path))
-    if getattr(args, "trials", None) is not None:
-        scenario = replace(scenario, run=replace(scenario.run, trials=args.trials))
-    return scenario
+    flags = {name: getattr(args, name) for name in ("path", "trials")
+             if getattr(args, name, None) is not None}
+    return replace(scenario, run=replace(scenario.run, **flags))
 
 
 def _fj(energy_j: float) -> str:
@@ -144,9 +142,7 @@ def _cmd_roundtrip(args, scenario: Scenario, outdir: Path) -> int:
 
 
 def _cmd_sweep(args, scenario: Scenario, outdir: Path) -> int:
-    cfg = scenario.array
-    if scenario.run.channels != cfg.rows:
-        cfg = replace(cfg, rows=scenario.run.channels)
+    cfg = replace(scenario.array, rows=scenario.run.channels)
     report, rows = variability.monte_carlo(
         cfg, scenario.device, scenario.variation, scenario.run.trials,
         scenario.run, workers=scenario.run.workers)
@@ -194,10 +190,7 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, scenario, outdir)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -78,14 +78,6 @@ class ArrayState:
     resistance: np.ndarray
     lines_charged: bool = False
 
-    @property
-    def rows(self) -> int:
-        return self.resistance.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.resistance.shape[1]
-
 
 def base_params(params: DeviceParams) -> DeviceParams:
     """Scalar params of device (0, 0)."""
@@ -116,7 +108,7 @@ def ln_factor(theta: float) -> float:
 
 
 def _check_col(state: ArrayState, cfg: ArrayConfig, col: int) -> None:
-    if state.rows != cfg.rows or state.cols != cfg.cols:
+    if state.resistance.shape != (cfg.rows, cfg.cols):
         raise ValueError("array state dimensions do not match config")
     if not 0 <= col < cfg.cols:
         raise ValueError(f"column {col} out of range 0..{cfg.cols - 1}")

@@ -84,6 +84,16 @@ class DeviceParams:
             raise ValueError("need 0 < v_prog_threshold < v_write_nominal < inf")
         if not 0 < self.v_zero < math.inf:
             raise ValueError("v_zero must be positive and finite")
+        if not 0 < _sinh(self.v_write_nominal / self.v_zero) < math.inf:
+            raise ValueError("sinh(v_write_nominal / v_zero) must be positive and finite")
+
+
+def _sinh(x: float) -> float:
+    """math.sinh, but inf where it overflows."""
+    try:
+        return math.sinh(x)
+    except OverflowError:
+        return math.inf
 
 
 def check_r_on(r_on: float | np.ndarray, r_off_max: float) -> None:
@@ -124,11 +134,15 @@ def programming_rate(v: float, params: DeviceParams) -> float:
     """Stress accumulation rate multiplier at device voltage v.
 
     Zero below the programming threshold, exactly 1 at the nominal write
-    voltage, sinh-shaped in between and beyond.
+    voltage, sinh-shaped in between and beyond; ValueError where it
+    overflows (DeviceParams keeps the nominal sinh positive and finite).
     """
     if abs(v) < params.v_prog_threshold:
         return 0.0
-    return math.sinh(abs(v) / params.v_zero) / math.sinh(params.v_write_nominal / params.v_zero)
+    rate = _sinh(abs(v) / params.v_zero) / math.sinh(params.v_write_nominal / params.v_zero)
+    if not rate < math.inf:
+        raise ValueError(f"write level {abs(v)!r} V is beyond the sinh rate's range")
+    return rate
 
 
 def calibrate_amp(r_span: float, t_span: float, params: DeviceParams) -> DeviceParams:

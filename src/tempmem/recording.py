@@ -2,10 +2,12 @@
 
 `_capture_column` captures into a column of ON devices by the route a
 `SweepSettings` names, for `capture` (which writes the column into an
-array) and the Monte Carlo engine alike; `capture_native` and
-`program_closed_loop` are `capture`'s two routes, set by keywords.  Both
-routes take the law from `device.resistance` and `device.stress_at`, and
-integrate each device's write energy once from ON (`device.write_energy`).
+array) and the Monte Carlo engine's digital trials; the engine writes
+native trials a block at a time with `_native_write`, and flags
+`window_exceeded` itself.  `capture_native` and `program_closed_loop`
+are `capture`'s two routes, set by keywords.  Both routes take the law
+from `device.resistance` and `device.stress_at`, and integrate each
+device's write energy once from ON (`device.write_energy`).
 
 Native capture mimics timing-difference plasticity: the first arriving edge
 raises the source line, and every later channel sees a reverse write
@@ -118,8 +120,8 @@ class SweepSettings:
                 isinstance(self.scale_cap, (int, float))
                 and 0 < self.scale_cap < math.inf):
             raise ValueError("run.scale_cap capacitance must be positive and finite")
-        if self.trials < 1:
-            raise ValueError("run.trials must be at least 1")
+        if not 1 <= self.trials < 1 << 32:  # one 32-bit word per spawn key
+            raise ValueError("run.trials must be at least 1 and below 2**32")
         if self.channels < 1:
             raise ValueError("run.channels must be at least 1")
         if not 0 <= self.span_ns < math.inf:
@@ -319,11 +321,7 @@ def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DevicePara
                       -math.inf)
     step_stress = step * rate
     spare = np.empty(0)  # durations drawn and not applied yet, in draw order
-    pulses = []
-    stresses = []
-    resistances = []
-    iterations = []
-    converged = []
+    pulses, stresses, resistances, iterations, converged = [], [], [], [], []
     for r_on, target, s_low, guard in zip(r_ons.tolist(), targets,
                                           s_lows.tolist(), guards.tolist()):
         target = float(target)

@@ -60,6 +60,12 @@ def _parse_scale_cap(text: str):
         raise ValueError("expected 'matched', 'none' or a capacitance in pF") from None
 
 
+# Each key prefix and its defaults, in the order a scenario checks them;
+# quantizer.* keys are the fields of run.quantizer, which run takes.
+_SECTIONS = {name: getattr(Scenario.run if name == "quantizer" else Scenario, name)
+             for name in ("array", "device", "variation", "quantizer", "run", "calibrate")}
+
+
 def _keys() -> dict:
     """key -> (converter, section, field).  Each field of a section is a key
     but run.quantizer (whose fields are the quantizer.* keys) and run.slope;
@@ -68,8 +74,7 @@ def _keys() -> dict:
               "t_clk": "_ns", "t_fine": "_ns"}
     special = {"c_line": lambda s: float(s) * 1e-12, "scale_cap": _parse_scale_cap}
     keys = {}
-    for section in ("array", "device", "variation", "quantizer", "run", "calibrate"):
-        value = getattr(Scenario.run if section == "quantizer" else Scenario, section)
+    for section, value in _SECTIONS.items():
         for name in (f.name for f in fields(value) if f.name not in ("quantizer", "slope")):
             kind = type(getattr(value, name))  # None defaults take floats
             keys[f"{section}.{name}{suffix.get(name, '')}"] = (special.get(
@@ -82,8 +87,7 @@ _KEYS = _keys()
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
     """Parse scenario text; raises ScenarioError with line numbers."""
-    overrides: dict[str, dict] = {"array": {}, "device": {}, "variation": {},
-                                  "quantizer": {}, "run": {}, "calibrate": {}}
+    overrides: dict[str, dict] = {section: {} for section in _SECTIONS}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,16 +108,13 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{source}: line {lineno}: bad value for "
                                 f"'{key}': {exc}") from None
-    scenario = Scenario()
+    values = {}
     try:
-        return Scenario(
-            array=replace(scenario.array, **overrides["array"]),
-            device=replace(scenario.device, **overrides["device"]),
-            variation=replace(scenario.variation, **overrides["variation"]),
-            run=replace(scenario.run, **overrides["run"], quantizer=replace(
-                scenario.run.quantizer, **overrides["quantizer"])),
-            calibrate=replace(scenario.calibrate, **overrides["calibrate"]),
-        )
+        for section, default in _SECTIONS.items():
+            values[section] = replace(default, **overrides[section])
+            if section == "quantizer":
+                overrides["run"]["quantizer"] = values.pop(section)
+        return Scenario(**values)
     except ValueError as exc:
         raise ScenarioError(f"{source}: invalid scenario: {exc}") from None
 

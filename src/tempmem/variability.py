@@ -15,6 +15,8 @@ A block derives its trials' generator states from (seed, k) as numpy
 would (`_trial_states`): the 32-bit hashing of the spawn keys runs over
 the whole block in numpy, and only the two 128-bit LCG steps of PCG64's
 seeding run per trial.  Each state is loaded into one reused generator.
+A key is one 32-bit word, as `SweepSettings` keeps trials below 2**32:
+a sweep holds every row in memory, and 2**32 rows would take terabytes.
 So a sweep gives bit-identical results whether trials run serially or
 across worker processes, and whatever blocks they run in.
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, reduce
 from itertools import chain
 from operator import add
@@ -66,14 +68,6 @@ _MIX_L, _MIX_R, _PCG_MULT = 0xca01f9dd, 0x4973f715, 0x2360ed051fc65da44385df649f
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 
 
-def _words(n: int) -> list[int]:
-    """n's 32-bit words as SeedSequence reads an int: low first, at least one."""
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
 @cache
 def _hash_steps(h: int, mult: int, skip: int, n: int) -> np.ndarray:
     """(xor, multiplier) of n SeedSequence hash steps after `skip` steps from
@@ -88,27 +82,21 @@ def _hash_steps(h: int, mult: int, skip: int, n: int) -> np.ndarray:
 def _trial_states(seed: int, first: int, count: int):
     """The PCG64 states of `default_rng(SeedSequence(seed).spawn(n)[k])`
     for k = first .. first + count - 1, derived with no object per trial.
-    Every child shares the root's entropy pool; child k mixes in each
-    32-bit word of its spawn key k (numpy's `hashmix` and `mix`), hashes
-    the pool into 4 64-bit words (`generate_state`) and PCG64 takes two
-    LCG steps from them.  The 32-bit hashing runs over the whole block at
-    once, in uint64 masked to 32 bits: a product of two 32-bit values fits
-    in 64 bits and 2**32 divides 2**64, so the low word is exact.  Only the
-    128-bit LCG steps run per trial, on Python ints."""
+    Every child shares the root's entropy pool; child k mixes in its spawn
+    key k, one 32-bit word as trials stay below 2**32 (numpy's `hashmix`
+    and `mix`), hashes the pool into 4 64-bit words (`generate_state`) and
+    PCG64 takes two LCG steps from them.  The 32-bit hashing runs over the
+    whole block at once, in uint64 masked to 32 bits: a product of two
+    32-bit values fits in 64 bits and 2**32 divides 2**64, so the low word
+    is exact.  Only the 128-bit LCG steps run per trial, on Python ints."""
     keys = np.arange(first, first + count, dtype=np.uint64)
-    pool = np.empty((4, count), np.uint64)
-    pool[:] = np.random.SeedSequence(seed).pool[:, None]
-    # The root's pool took 16 hash steps, 4 more per seed word beyond 4.
-    keyed = _hash_steps(_INIT_A, _MULT_A, 4 * max(4, len(_words(int(seed)))),
-                        4 * len(_words(first + count - 1)))
-    for j in range(len(keyed) // 4):
-        # Key k has word j > 0 only from 2**(32 j) on: the block's tail.
-        # Its 4 hash steps (x, m) mix it into the 4 pool words at once.
-        tail = slice(max(0, (1 << 32 * j) - first) if j else 0, None)
-        x, m = keyed[4 * j:4 * j + 4, :1], keyed[4 * j:4 * j + 4, 1:]
-        v = ((keys[tail] >> 32 * j & _M32) ^ x) * m & _M32
-        v = _MIX_L * pool[:, tail] - _MIX_R * (v ^ v >> 16) & _M32
-        pool[:, tail] = v ^ v >> 16
+    root = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    # The root's pool took 4 hash steps per seed word, at least 16; the
+    # key's 4 more (x, m) mix it into the 4 pool words at once.
+    keyed = _hash_steps(_INIT_A, _MULT_A, 4 * max(4, -(-int(seed).bit_length() // 32)), 4)
+    v = (keys ^ keyed[:, :1]) * keyed[:, 1:] & _M32
+    v = _MIX_L * root - _MIX_R * (v ^ v >> 16) & _M32
+    pool = v ^ v >> 16
     hashed = _hash_steps(_INIT_B, _MULT_B, 0, 8)
     o = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hashed[:, :1]) * hashed[:, 1:] & _M32
     o ^= o >> 16
@@ -357,19 +345,14 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
     return report, rows
 
 
-_REPORT_FIELDS = ["n_trials", "rank_exact_rate", "mean_tau", "rms_timing_ns",
-                  "effective_bits_mean", "timing_success_rate", "energy_mean_j"]
-
-
 def write_trial_report_csv(path, report: TrialReport) -> None:
-    write_csv(path, _REPORT_FIELDS, [[report.n_trials] + [
-        repr(getattr(report, k)) for k in _REPORT_FIELDS[1:]]])
+    names = [f.name for f in fields(TrialReport)]
+    write_csv(path, names, [[report.n_trials] + [
+        repr(getattr(report, k)) for k in names[1:]]])
 
 
 def write_trials_csv(path, rows) -> None:
-    write_csv(path, ["trial", "tau", "rms_ns", "max_abs_ns", "bits",
-                     "write_energy_j", "recall_energy_j", "converged",
-                     "window_exceeded"],
+    write_csv(path, [f.name for f in fields(TrialRow)],
               ([r.trial, repr(r.tau), repr(r.rms_ns), repr(r.max_abs_ns),
                 repr(r.bits), repr(r.write_energy_j), repr(r.recall_energy_j),
                 int(r.converged), int(r.window_exceeded)] for r in rows))

@@ -80,6 +80,18 @@ class TestApplyPulse:
         assert programming_rate(-1.4, P) == 1.0
         assert programming_rate(0.99, P) == 0.0
 
+    @pytest.mark.parametrize("v", [-400.0, 400.0, -1e300])
+    def test_rate_beyond_sinhs_range_raises_value_error(self, v):
+        with pytest.raises(ValueError, match="beyond the sinh rate's range"):
+            programming_rate(v, P)
+
+    def test_rate_quotient_overflow_raises_value_error(self):
+        # Both sinhs are finite, their quotient is not.
+        params = DeviceParams(v_zero=1.0, v_write_nominal=0.5, v_prog_threshold=0.1)
+        assert programming_rate(-700.0, params) < math.inf
+        with pytest.raises(ValueError, match="beyond the sinh rate's range"):
+            programming_rate(-710.0, params)
+
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=0, max_value=10_000))
@@ -223,6 +235,20 @@ class TestParamsValidation:
             DeviceParams(tau_w=-1.0)
         with pytest.raises(ValueError):
             DeviceParams(v_zero=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(v_write_nominal=400.0), dict(v_zero=1e-3),
+        # v_write_nominal / v_zero underflows to 0, and so does its sinh
+        dict(v_zero=1e300, v_write_nominal=1e-290, v_prog_threshold=1e-300)])
+    def test_rejects_nominal_sinh_out_of_range(self, kwargs):
+        with pytest.raises(ValueError, match=r"sinh\(v_write_nominal / v_zero\)"):
+            DeviceParams(**kwargs)
+
+    def test_accepts_nominal_sinh_at_its_extremes(self):
+        # sinh(700) is finite, and sinh of a subnormal ratio is positive.
+        assert programming_rate(-700.0, DeviceParams(v_zero=1.0, v_write_nominal=700.0,
+                                                     v_prog_threshold=1.0)) == 1.0
+        DeviceParams(v_zero=1e10, v_write_nominal=1e-300, v_prog_threshold=1e-301)
 
     def test_r_on_grid_checked_per_device(self):
         grid = np.array([[9e3, 8e3, 7e3], [6e3, 5e3, 4e3]])

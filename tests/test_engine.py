@@ -209,23 +209,31 @@ class TestDerivedStreams:
         assert list(variability._trial_states(seed, 0, self.BLOCK)) == [
             np.random.default_rng(c).bit_generator.state for c in children]
 
-    # Blocks that straddle spawn key 2**32, where keys gain a second word,
-    # and blocks wholly past it.
+    # Sweeps whose spawn keys would reach 2**32, where keys gain a second
+    # word, and sweeps wholly past it: rejected before any draw.
     @pytest.mark.parametrize("first, count", [
         (2**32 - 2, 4), (2**32 - 1000, 2048), (2**32, 3), (2**40 + 7, 5),
         (2**64 - 3, 3)])
     @pytest.mark.parametrize("seed", [7, 2**96 + 5])
-    def test_spawn_keys_past_one_word(self, seed, first, count):
-        assert list(variability._trial_states(seed, first, count)) == [
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-            .bit_generator.state for k in range(first, first + count)]
+    def test_spawn_keys_past_one_word_rejected(self, seed, first, count,
+                                               monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew trial states")
+
+        monkeypatch.setattr(variability, "_trial_states", no_draws)
+        with pytest.raises(ValueError, match=r"below 2\*\*32"):
+            SweepSettings(trials=first + count)
+        with pytest.raises(ValueError, match=r"below 2\*\*32"):
+            monte_carlo(ArrayConfig(rows=8, cols=4), P, VariationSpec(seed=seed),
+                        first + count)
 
     # One-trial blocks (digital sweeps at scale) from seeds of 1 to 8
-    # 32-bit words, numpy integer seeds among them.
+    # 32-bit words, numpy integer seeds among them, up to the largest key
+    # of one word.
     @pytest.mark.parametrize("seed", [
         *(2**(32 * w) - 1 - w for w in range(1, 9)), 2**(32 * 7),
         np.int64(2**63 - 1), np.int64(0), np.uint64(2**64 - 1), np.uint64(2**32)])
-    @pytest.mark.parametrize("first", [0, 1, BLOCK - 1, 2**32 + 1])
+    @pytest.mark.parametrize("first", [0, 1, BLOCK - 1, 2**32 - 1])
     def test_one_trial_blocks(self, seed, first):
         assert list(variability._trial_states(seed, first, 1)) == [
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first,)))

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import tempmem
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tempmem"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -73,3 +75,13 @@ def test_no_orphaned_private_helpers():
     orphans = [f"{p.name}: {name}" for p in SOURCES
                for name in private_definitions(p.read_text()) if name not in read]
     assert orphans == []
+
+
+def test_exports_are_the_imported_names():
+    """`tempmem.__all__` lists each name `__init__` imports, once."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names}
+    assert len(tempmem.__all__) == len(set(tempmem.__all__))
+    assert set(tempmem.__all__) == imported

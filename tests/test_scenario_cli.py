@@ -142,6 +142,20 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="s.txt: invalid scenario"):
             parse_scenario_text(line + "\n", source="s.txt")
 
+    # Sections are checked in the order array, device, variation, quantizer,
+    # run, calibrate, whatever the order of the lines: the first bad
+    # section is the one named.
+    @pytest.mark.parametrize("text, named", [
+        ("quantizer.t_clk_ns = -1\narray.theta = 2\n", "theta"),
+        ("run.tol = -1\nquantizer.t_clk_ns = -1\n", "t_clk"),
+        ("variation.seed = -1\ndevice.amp_a = -1\n", "amp_a"),
+        ("calibrate.span_ns = inf\nrun.trials = 0\n", "run.trials"),
+        ("quantizer.kind = vernier\ncalibrate.energy_fj = nan\n", "vernier")])
+    def test_first_bad_section_in_check_order_is_named(self, text, named):
+        with pytest.raises(ScenarioError, match="invalid scenario") as err:
+            parse_scenario_text(text)
+        assert named in str(err.value)
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -386,6 +400,36 @@ class TestCliErrors:
                        "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflows" in err
+
+    def test_trials_past_one_word_spawn_keys_exit_1(self, tmp_path, capsys):
+        assert run_cli("sweep", "--trials", "4294967296",
+                       "--out", str(tmp_path / "o")) == 1
+        assert "run.trials must be at least 1 and below 2**32" in \
+            capsys.readouterr().err
+
+    # Device values whose nominal sinh overflows or underflows are invalid
+    # scenarios; a write level beyond sinh's range fails the run.
+    @pytest.mark.parametrize("lines, status, message", [
+        ("run.v_write = 400.0\n", 1, "beyond the sinh rate's range"),
+        ("device.v_write_nominal = 400.0\n", 2, "sinh(v_write_nominal / v_zero)"),
+        ("device.v_zero = 1e-3\n", 2, "sinh(v_write_nominal / v_zero)"),
+        ("device.v_zero = 1e300\ndevice.v_write_nominal = 1e-290\n"
+         "device.v_prog_threshold = 1e-300\n", 2, "sinh(v_write_nominal / v_zero)")])
+    @pytest.mark.parametrize("command", ["capture", "roundtrip", "sweep"])
+    def test_sinh_out_of_range_exits_cleanly(self, tmp_path, capsys, command,
+                                             lines, status, message):
+        scen = tmp_path / "s.txt"
+        scen.write_text(lines + "array.rows = 2\nrun.channels = 2\nrun.trials = 2\n")
+        wf_path = tmp_path / "in.csv"
+        write_wavefront_csv(wf_path, Wavefront((0.0, 10.0)))
+        extra = [] if command == "sweep" else ["--input", str(wf_path)]
+        assert run_cli(command, "--scenario", str(scen), *extra,
+                       "--out", str(tmp_path / "o")) == status
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert len(err.splitlines()) == 1
+        if status == 2:
+            assert "s.txt: invalid scenario" in err
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("roundtrip", "--input", str(tmp_path / "none.csv"),
