@@ -42,8 +42,6 @@ from .crossbar import (ArrayConfig, ArrayState, EnergyReport, base_params,
 from .device import DeviceParams
 from .wavefront import Wavefront, fidelity, normalize, write_csv
 
-DEFAULT_WINDOW_NS = device.T_SPAN_DEFAULT  # calibrated near-linear pulse window
-
 PulseNoise = Optional[Callable[[np.ndarray], np.ndarray]]
 
 # Most pulses one closed-loop block evaluates at once: a memory bound for
@@ -79,6 +77,8 @@ class QuantizerSpec:
             raise ValueError("t_clk must be positive and finite")
         if self.t_fine is not None and not 0 < self.t_fine < math.inf:
             raise ValueError("t_fine must be positive and finite")
+        if self.kind == "counter" and self.t_fine is not None:
+            raise ValueError("a counter quantizer takes no t_fine")
         if self.kind == "vernier" and (self.t_fine is None
                                        or not self.t_fine < self.t_clk):
             raise ValueError("vernier needs 0 < t_fine < t_clk")
@@ -88,13 +88,12 @@ class QuantizerSpec:
 class SweepSettings:
     """How to run a capture, a round trip or a sweep: a scenario's `run.*`
     and `quantizer.*` values, checked the same way whether parsed from a
-    file or built in code.  scale_cap is "matched", "none" or a line
-    capacitance in F (see `round_trip`); slope is ohm per count on the
-    digital route, None for `default_slope`."""
+    file or built in code.  scale_cap is "matched" or "none" (see
+    `round_trip`); the digital route's ohm per count is `slope`."""
 
     path: str = "native"                 # "native" | "digital"
     column: int = 0
-    scale_cap: str | float = "matched"   # "matched" | "none" | F
+    scale_cap: str = "matched"           # "matched" | "none"
     trials: int = 100
     channels: int = 8
     span_ns: float = 40.0
@@ -102,10 +101,9 @@ class SweepSettings:
     step_ns: float = 1.0
     max_iters: int = 500
     v_write: float | None = None
-    window_ns: float = DEFAULT_WINDOW_NS
+    window_ns: float = device.T_SPAN_DEFAULT  # calibrated near-linear window
     workers: int = 1
     quantizer: QuantizerSpec = QuantizerSpec()
-    slope: float | None = None
 
     def __post_init__(self):
         # Checks are written so that nan fails them.
@@ -116,10 +114,9 @@ class SweepSettings:
                 raise ValueError(f"run.{name} must be an integer")
         if not self.column >= 0:
             raise ValueError("run.column must be non-negative")
-        if self.scale_cap not in ("matched", "none") and not (
-                isinstance(self.scale_cap, (int, float))
-                and 0 < self.scale_cap < math.inf):
-            raise ValueError("run.scale_cap capacitance must be positive and finite")
+        if self.scale_cap not in ("matched", "none"):
+            raise ValueError("run.scale_cap must be matched or none "
+                             "(array.c_line_pf sets a fixed recall capacitance)")
         if not 1 <= self.trials < 1 << 32:  # one 32-bit word per spawn key
             raise ValueError("run.trials must be at least 1 and below 2**32")
         if self.channels < 1:
@@ -138,8 +135,11 @@ class SweepSettings:
             raise ValueError("run.window_ns must be non-negative and finite")
         if self.workers < 1:
             raise ValueError("run.workers must be at least 1")
-        if self.slope is not None and not 0 < self.slope < math.inf:
-            raise ValueError("slope must be positive and finite")
+
+    @property
+    def slope(self) -> float:
+        """Ohm per count on the digital route, from the quantizer's t_clk."""
+        return default_slope(self.quantizer.t_clk)
 
     @property
     def n_channels(self) -> int:
@@ -370,9 +370,8 @@ def _capture_column(r_on: np.ndarray, r_base: float, w: Wavefront,
                     pulse_noise: PulseNoise) -> CaptureResult:
     """Capture w into a column of devices ON at r_on by the route s.path
     names: `_native_write`, or `_closed_loop` to the targets
-    r_base + slope * count of `s.quantizer`'s counts (`default_slope`
-    unless s.slope is set).  A span beyond s.window_ns is flagged, not
-    rejected."""
+    r_base + s.slope * count of `s.quantizer`'s counts.  A span beyond
+    s.window_ns is flagged, not rejected."""
     if s.path == "native":
         dur, resistance, energy = _native_write(np.array(w.times), r_on, params,
                                                 s.v_write, pulse_noise)
@@ -380,9 +379,8 @@ def _capture_column(r_on: np.ndarray, r_base: float, w: Wavefront,
                                float(energy), (1,) * len(r_on), (True,) * len(r_on))
     else:
         q = s.quantizer
-        slope = default_slope(q.t_clk) if s.slope is None else s.slope
         result = _closed_loop(
-            r_on, [r_base + slope * c for c in quantize(w, q).effective_counts(q)],
+            r_on, [r_base + s.slope * c for c in quantize(w, q).effective_counts(q)],
             params, s, pulse_noise)
     return replace(result, window_exceeded=w.span > s.window_ns)
 
@@ -403,7 +401,7 @@ def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
 
 def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
                    col: int, w: Wavefront, v_write: float | None = None, *,
-                   window_ns: float = DEFAULT_WINDOW_NS,
+                   window_ns: float = SweepSettings.window_ns,
                    pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
     """Record a wavefront into column `col` by timing-difference writes:
     `capture` on the native route, its arguments checked as the
@@ -471,11 +469,12 @@ class Recalled(NamedTuple):
 
 
 def recall_and_score(times: np.ndarray, resistances: np.ndarray,
-                     cfg: ArrayConfig, scale_cap: str | float) -> Recalled:
+                     cfg: ArrayConfig, scale_cap: str) -> Recalled:
     """Reset lines, recall and score, batched over trials: row k of `times`
     is trial k's input wavefront and row k of `resistances` the column it
     was captured into.  The line capacitance follows `scale_cap` as in
-    `round_trip`, with the checks `ArrayConfig` and `Wavefront` make."""
+    `round_trip`: each trial's matched value, or cfg.c_line for "none";
+    the checks are those `ArrayConfig` and `Wavefront` make."""
     # Python float arithmetic overflows to inf without a warning; so does this.
     with np.errstate(over="ignore"):
         if scale_cap == "matched":
@@ -483,8 +482,7 @@ def recall_and_score(times: np.ndarray, resistances: np.ndarray,
                 times.max(axis=-1) - times.min(axis=-1),
                 resistances.max(axis=-1) - resistances.min(axis=-1), cfg)
         else:
-            c_used = np.full(len(times), cfg.c_line if scale_cap == "none"
-                             else float(scale_cap))
+            c_used = np.full(len(times), cfg.c_line)
         if not ((0 < c_used) & (c_used < math.inf)).all():
             raise ValueError("c_line must be positive and finite")
         recalled = edge_times(resistances, c_used[:, None], cfg)
@@ -502,9 +500,9 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
 
     `settings.scale_cap` chooses the recall line capacitance: "matched"
     derives it from the captured resistance spread so the recalled span
-    equals the recorded one, "none" keeps the configured c_line, and a
-    float is used directly (F).  Recall and scoring are the one-trial case
-    of `recall_and_score`, the batched engine of `variability.monte_carlo`.
+    equals the recorded one, and "none" keeps cfg.c_line (a scenario's
+    array.c_line_pf).  Recall and scoring are the one-trial case of
+    `recall_and_score`, the batched engine of `variability.monte_carlo`.
     """
     _, cap = capture(new_array(cfg, params), cfg, params, w, settings,
                      pulse_noise=pulse_noise)

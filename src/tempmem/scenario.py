@@ -51,15 +51,6 @@ class Scenario:
         return self.run
 
 
-def _parse_scale_cap(text: str):
-    if text in ("matched", "none"):
-        return text
-    try:
-        return float(text) * 1e-12  # pF in the file, F internally
-    except ValueError:
-        raise ValueError("expected 'matched', 'none' or a capacitance in pF") from None
-
-
 # Each key prefix and its defaults, in the order a scenario checks them;
 # quantizer.* keys are the fields of run.quantizer, which run takes.
 _SECTIONS = {name: getattr(Scenario.run if name == "quantizer" else Scenario, name)
@@ -68,14 +59,15 @@ _SECTIONS = {name: getattr(Scenario.run if name == "quantizer" else Scenario, na
 
 def _keys() -> dict:
     """key -> (converter, section, field).  Each field of a section is a key
-    but run.quantizer (whose fields are the quantizer.* keys) and run.slope;
-    a suffix gives the unit that a field's name leaves out."""
+    but run.quantizer, whose fields are the quantizer.* keys, and converts
+    as its default's type (None takes a float); a suffix gives the unit that
+    a field's name leaves out."""
     suffix = {"c_line": "_pf", "t_shifter": "_ns", "tau_w": "_ns",
               "t_clk": "_ns", "t_fine": "_ns"}
-    special = {"c_line": lambda s: float(s) * 1e-12, "scale_cap": _parse_scale_cap}
+    special = {"c_line": lambda s: float(s) * 1e-12}
     keys = {}
     for section, value in _SECTIONS.items():
-        for name in (f.name for f in fields(value) if f.name not in ("quantizer", "slope")):
+        for name in (f.name for f in fields(value) if f.name != "quantizer"):
             kind = type(getattr(value, name))  # None defaults take floats
             keys[f"{section}.{name}{suffix.get(name, '')}"] = (special.get(
                 name, kind if kind in (int, str) else float), section, name)

@@ -189,10 +189,9 @@ def _check_spread(base: DeviceParams, sigma_rel: float, z: np.ndarray) -> None:
 
 
 def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
-                 rng: np.random.Generator | None = None) -> DeviceParams:
-    """`base` with a rows x cols r_on grid, lognormally spread per device."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+                 rng: np.random.Generator) -> DeviceParams:
+    """`base` with a rows x cols r_on grid, lognormally spread per device by
+    draws from `rng`."""
     return replace(base, r_on=_spread(base.r_on, spec.d2d_sigma,
                                       rng.standard_normal((rows, cols))))
 
@@ -214,14 +213,12 @@ def c2c_noise(spec: VariationSpec,
 
 
 def perturb_pulse(duration: float | np.ndarray, spec: VariationSpec,
-                  rng: np.random.Generator | None = None) -> float | np.ndarray:
-    """Programming pulses' effective durations after c2c noise: a float for
-    a float, an array of the same shape for an array."""
+                  rng: np.random.Generator) -> float | np.ndarray:
+    """Programming pulses' effective durations after c2c noise drawn from
+    `rng`: a float for a float, an array of the same shape for an array."""
     durations = np.asarray(duration, dtype=float)
     if (durations < 0).any():
         raise ValueError("duration must be non-negative")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     out = c2c_noise(spec, rng)(durations)
     return out if durations.ndim else float(out)
 

@@ -9,10 +9,9 @@ arrival, which survives any monotone distortion of the timings.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -148,17 +147,10 @@ def fidelity(inputs: np.ndarray, recalled: np.ndarray):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV file, the header row and then each of `rows`, formatted
-    in memory and written 4096 rows at a time: one write call per row
-    costs more, and one per file holds the whole file in memory."""
-    rows = chain([header], rows)
+    """Write a CSV file, the header row and then each of `rows`, streamed
+    through the file's buffer."""
     with open(path, "w", newline="") as f:
-        while True:
-            text = io.StringIO()
-            csv.writer(text).writerows(islice(rows, 4096))
-            if not text.tell():
-                return
-            f.write(text.getvalue())
+        csv.writer(f).writerows(chain([header], rows))
 
 
 def write_wavefront_csv(path, w: Wavefront) -> None:

@@ -32,7 +32,8 @@ P = DeviceParams()
 # numpy's pairwise sum unrolls by 8, so row counts around 8 and 16 check
 # that the batched reductions keep the 1-D summation order.
 ROWS = (1, 2, 7, 8, 9, 17)
-SCALE_CAPS = ("matched", "none", 0.7e-12)
+# (run.scale_cap, array c_line): "none" recalls at the configured c_line.
+SCALES = (("matched", 1e-12), ("none", 1e-12), ("none", 0.7e-12))
 
 
 def reference_rows(cfg, base, spec, n_trials, s):
@@ -49,21 +50,18 @@ def reference_rows(cfg, base, spec, n_trials, s):
                                         window_ns=s.window_ns, pulse_noise=noise)
         else:
             q = s.quantizer
-            slope = s.slope if s.slope is not None else default_slope(q.t_clk)
             r_on = base_params(grid).r_on
-            targets = [r_on + slope * c for c in quantize(w, q).effective_counts(q)]
+            targets = [r_on + default_slope(q.t_clk) * c
+                       for c in quantize(w, q).effective_counts(q)]
             state, cap = program_closed_loop(
                 state, cfg, grid, s.column, targets, tol=s.tol, v_write=s.v_write,
                 step=s.step_ns, max_iters=s.max_iters, pulse_noise=noise)
         state = reset_lines(state)
         delta_r = max(cap.final_resistances) - min(cap.final_resistances)
-        if s.scale_cap == "none" or (s.scale_cap == "matched"
-                                     and not (delta_r > 0 and w.span > 0)):
-            c_line = cfg.c_line
-        elif s.scale_cap == "matched":
+        if s.scale_cap == "matched" and delta_r > 0 and w.span > 0:
             c_line = w.span * 1e-9 / (delta_r * ln_factor(cfg.theta))
         else:
-            c_line = s.scale_cap
+            c_line = cfg.c_line
         recalled, energy = recall(state, replace(cfg, c_line=c_line), s.column)
         in_n, out_n = normalize(w), normalize(recalled)
         rms, max_abs = timing_error_of(in_n, out_n)
@@ -88,7 +86,7 @@ def sweep_settings(path, rows, scale_cap, span_ns):
 
 
 class TestEngineEqualsLayers:
-    @pytest.mark.parametrize("scale_cap", SCALE_CAPS)
+    @pytest.mark.parametrize("scale_cap, c_line", SCALES)
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("path", ["native", "digital"])
     @hsettings(max_examples=6, deadline=None)
@@ -96,8 +94,9 @@ class TestEngineEqualsLayers:
            d2d=st.sampled_from([0.0, 0.01, 0.2]),
            c2c=st.sampled_from([0.0, 0.042, 0.3]),
            span_ns=st.sampled_from([0.0, 1.5, 40.0]))
-    def test_rows_equal(self, path, rows, scale_cap, seed, d2d, c2c, span_ns):
-        cfg = ArrayConfig(rows=rows, cols=2)
+    def test_rows_equal(self, path, rows, scale_cap, c_line, seed, d2d, c2c,
+                        span_ns):
+        cfg = ArrayConfig(rows=rows, cols=2, c_line=c_line)
         spec = VariationSpec(d2d_sigma=d2d, c2c_sigma=c2c, seed=seed)
         s = sweep_settings(path, rows, scale_cap, span_ns)
         _, got = monte_carlo(cfg, P, spec, 3, s)
@@ -160,8 +159,8 @@ class TestEngineEqualsLayers:
                         SweepSettings(channels=4, v_write=0.5))
         # A recall line capacitance so large the edge times overflow
         with pytest.raises(ValueError, match="finite"):
-            monte_carlo(cfg, P, VariationSpec(), 2,
-                        SweepSettings(channels=4, scale_cap=1e300))
+            monte_carlo(replace(cfg, c_line=1e300), P, VariationSpec(), 2,
+                        SweepSettings(channels=4, scale_cap="none"))
 
     @pytest.mark.parametrize("path", ["native", "digital"])
     def test_r_on_checked_off_the_captured_column(self, path):

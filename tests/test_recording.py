@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from tempmem import device
-from tempmem.crossbar import ArrayConfig, ln_factor, new_array, reset_lines
+from tempmem.crossbar import ArrayConfig, ln_factor, new_array, recall, reset_lines
 from tempmem.device import DeviceParams
 from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
                                capture, capture_native, default_slope,
@@ -68,6 +68,10 @@ class TestQuantize:
             QuantizerSpec(kind="vernier", t_clk=1.0, t_fine=1.0)
         with pytest.raises(ValueError):
             QuantizerSpec(kind="vernier", t_clk=1.0)
+
+    def test_counter_takes_no_t_fine(self):
+        with pytest.raises(ValueError, match="a counter quantizer takes no t_fine"):
+            QuantizerSpec(kind="counter", t_clk=1.0, t_fine=0.1)
 
 
 class TestCaptureNative:
@@ -672,12 +676,15 @@ class TestRoundTrip:
         assert rt.tau == 1.0
         assert rt.recalled.span == 0.0
 
-    def test_fixed_capacitance_and_explicit_float(self):
+    def test_fixed_capacitance_is_the_configured_c_line(self):
         w = Wavefront((0.0, 10.0, 40.0))
-        rt_none = round_trip(w, cfg_for(3), P, SweepSettings(scale_cap="none"))
-        rt_same = round_trip(w, cfg_for(3), P, SweepSettings(scale_cap=1e-12))
-        assert rt_none.c_used == 1e-12
-        assert rt_same.recalled == rt_none.recalled
+        cfg = replace(cfg_for(3), c_line=0.7e-12)
+        rt = round_trip(w, cfg, P, SweepSettings(scale_cap="none"))
+        assert rt.c_used == 0.7e-12
+        state, _ = capture_native(new_array(cfg, P), cfg, P, 0, w)
+        recalled, energy = recall(reset_lines(state), cfg, 0)
+        assert rt.recalled == recalled
+        assert rt.recall_energy == energy
 
     def test_rejects_unknown_path(self):
         with pytest.raises(ValueError, match="path"):
@@ -686,7 +693,6 @@ class TestRoundTrip:
 
     def test_recall_without_reset_is_rejected(self):
         # the round trip inserts the reset; doing it by hand without one fails
-        from tempmem.crossbar import recall
         cfg = cfg_for(2)
         state, _ = capture_native(new_array(cfg, P), cfg, P, 0,
                                   Wavefront((0.0, 10.0)))
@@ -705,7 +711,7 @@ class TestSweepSettings:
         ("scale_cap", None), ("scale_cap", "Matched"), ("tol", 0.0),
         ("step_ns", math.nan), ("max_iters", -3), ("column", -1),
         ("v_write", 0.0), ("trials", 0), ("channels", 0), ("workers", 0),
-        ("slope", 0.0), ("slope", math.nan)])
+        ("scale_cap", 1e-12), ("scale_cap", math.nan)])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             SweepSettings(**{field: value})

@@ -9,7 +9,7 @@ import pytest
 
 from tempmem import cli
 from tempmem.cli import main
-from tempmem.recording import QuantizerSpec
+from tempmem.recording import QuantizerSpec, default_slope
 from tempmem.scenario import _KEYS, Scenario, ScenarioError, parse_scenario_text
 from tempmem.wavefront import Wavefront, read_wavefront_csv, write_wavefront_csv
 
@@ -95,25 +95,35 @@ class TestScenarioParsing:
 
     def test_scale_cap_forms(self):
         assert parse_scenario_text("run.scale_cap = none\n").run.scale_cap == "none"
-        assert parse_scenario_text("run.scale_cap = 2.0\n").run.scale_cap == 2e-12
-        with pytest.raises(ScenarioError):
-            parse_scenario_text("run.scale_cap = -1.0\n")
+        assert parse_scenario_text("run.scale_cap = matched\n").run.scale_cap == \
+            "matched"
+
+    # A fixed recall capacitance is array.c_line_pf, not a run.scale_cap value.
+    @pytest.mark.parametrize("value", ["2.0", "-1.0", "nan", "inf", "Matched"])
+    def test_scale_cap_takes_only_matched_or_none(self, value):
+        with pytest.raises(ScenarioError, match="invalid scenario") as err:
+            parse_scenario_text(f"run.scale_cap = {value}\n")
+        assert "run.scale_cap must be matched or none" in str(err.value)
+        assert "array.c_line_pf" in str(err.value)
 
     def test_inline_comments_allowed(self):
         s = parse_scenario_text("array.rows = 3  # three bit lines\n")
         assert s.array.rows == 3
 
-    def test_sweep_settings_translate_pf(self):
+    def test_sweep_settings_read_by_the_traced_runner(self):
         # The names bench/traced.py reads from a parsed scenario.
-        s = parse_scenario_text("run.scale_cap = 2.0\nrun.channels = 5\n"
+        s = parse_scenario_text("array.c_line_pf = 2.0\nrun.channels = 5\n"
                                 "quantizer.kind = vernier\n"
+                                "quantizer.t_clk_ns = 0.5\n"
                                 "quantizer.t_fine_ns = 0.25\n")
         settings = s.sweep_settings()
         assert settings is s.run
-        assert settings.scale_cap == pytest.approx(2e-12)
+        assert s.array.c_line == pytest.approx(2e-12)
+        assert settings.scale_cap == "matched"
         assert settings.n_channels == settings.channels == 5
-        assert settings.slope is None
-        assert settings.quantizer == QuantizerSpec(kind="vernier", t_fine=0.25)
+        assert settings.slope == default_slope(0.5)
+        assert settings.quantizer == QuantizerSpec(kind="vernier", t_clk=0.5,
+                                                   t_fine=0.25)
         for name in ("trials", "span_ns", "path", "column", "v_write",
                      "window_ns", "tol", "step_ns", "max_iters"):
             assert getattr(settings, name) == getattr(Scenario().run, name)
@@ -125,7 +135,7 @@ class TestScenarioParsing:
     def test_float_keys_cover_every_section(self):
         assert {key.split(".")[0] for key in self.FLOAT_KEYS} == {
             "array", "device", "variation", "quantizer", "run", "calibrate"}
-        assert "run.scale_cap" in self.FLOAT_KEYS
+        assert _KEYS["run.scale_cap"][0] is str
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -400,6 +410,15 @@ class TestCliErrors:
                        "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflows" in err
+
+    def test_t_fine_on_a_counter_exits_2(self, tmp_path, capsys):
+        scen = tmp_path / "s.txt"
+        scen.write_text("quantizer.t_fine_ns = 0.1\n")
+        assert run_cli("sweep", "--scenario", str(scen), "--trials", "2",
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "s.txt: invalid scenario" in err
+        assert "a counter quantizer takes no t_fine" in err
 
     def test_trials_past_one_word_spawn_keys_exit_1(self, tmp_path, capsys):
         assert run_cli("sweep", "--trials", "4294967296",
