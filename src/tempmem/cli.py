@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import crossbar, device, recording, variability
 from .scenario import Scenario, ScenarioError, load_scenario
-from .wavefront import read_wavefront_csv, write_csv, write_wavefront_csv
+from .wavefront import normalize, read_wavefront_csv, write_csv, write_wavefront_csv
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -73,10 +73,6 @@ def _load(args) -> Scenario:
     return replace(scenario, run=replace(scenario.run, **flags))
 
 
-def _fj(energy_j: float) -> str:
-    return repr(energy_j / 1e-15)
-
-
 def _read_input(args, scenario: Scenario):
     """The --input wavefront, and the scenario with one array row per
     channel of it."""
@@ -97,7 +93,8 @@ def _cmd_recall(args, scenario: Scenario, outdir: Path) -> int:
     write_wavefront_csv(outdir / "wavefront.csv", w)
     write_csv(outdir / "energy.csv",
               ["per_line_fj", "stored_fj", "dissipated_fj"],
-              [[_fj(energy.per_line), _fj(energy.stored), _fj(energy.dissipated)]])
+              [[energy.per_line / 1e-15, energy.stored / 1e-15,
+                energy.dissipated / 1e-15]])
     print(f"recalled column {scenario.run.column}: "
           f"span {w.span:.3f} ns, {energy.per_line / 1e-15:.1f} fJ/line")
     return 0
@@ -125,17 +122,16 @@ def _cmd_capture(args, scenario: Scenario, outdir: Path) -> int:
 def _cmd_roundtrip(args, scenario: Scenario, outdir: Path) -> int:
     w, scenario = _read_input(args, scenario)
     rt = recording.round_trip(w, scenario.array, scenario.device, scenario.run)
-    write_wavefront_csv(outdir / "input_wavefront.csv", rt.input_normalized)
+    write_wavefront_csv(outdir / "input_wavefront.csv", normalize(w))
     write_wavefront_csv(outdir / "recalled_wavefront.csv", rt.recalled)
     write_csv(
         outdir / "metrics.csv",
         ["tau", "rms_ns", "max_abs_ns", "effective_bits", "span_ns",
          "c_scale_pf", "write_energy_fj", "recall_per_line_fj",
          "window_exceeded", "all_converged"],
-        [[repr(rt.tau), repr(rt.rms_ns), repr(rt.max_abs_ns), repr(rt.bits),
-          repr(w.span), repr(rt.c_used / 1e-12), _fj(rt.capture.write_energy),
-          _fj(rt.recall_energy.per_line), str(int(rt.capture.window_exceeded)),
-          str(int(all(rt.capture.converged)))]])
+        [[rt.tau, rt.rms_ns, rt.max_abs_ns, rt.bits, w.span, rt.c_used / 1e-12,
+          rt.capture.write_energy / 1e-15, rt.recall_energy.per_line / 1e-15,
+          int(rt.capture.window_exceeded), int(all(rt.capture.converged))]])
     print(f"round trip ({scenario.run.path}): tau {rt.tau:.3f}, "
           f"rms {rt.rms_ns:.3f} ns, {rt.bits:.2f} bits")
     return 0
@@ -159,18 +155,20 @@ def _cmd_calibrate(args, scenario: Scenario, outdir: Path) -> int:
     dev = scenario.device
     cfg = scenario.array
     amp_a = device.calibrate_amp(cal.r_span_ohm, cal.span_ns, dev).amp_a
+    if not cal.energy_fj > 0:
+        raise ValueError("calibrate.energy_fj must be positive")
     lnf = cal.span_ns * 1e-9 / (cal.r_span_ohm * cfg.c_line)
-    theta = 1.0 - math.exp(-lnf)
-    v_read = math.sqrt(cal.energy_fj * 1e-15 / cfg.c_line)
+    # ArrayConfig checks the derived values as it checks a scenario's.
+    cfg = replace(cfg, theta=1.0 - math.exp(-lnf),
+                  v_read=math.sqrt(cal.energy_fj * 1e-15 / cfg.c_line))
     write_csv(
         outdir / "calibration.csv",
         ["amp_a_ohm", "theta", "v_read_v", "span_ns", "r_span_ohm",
          "energy_fj", "c_line_pf", "tau_w_ns"],
-        [[repr(amp_a), repr(theta), repr(v_read), repr(cal.span_ns),
-          repr(cal.r_span_ohm), repr(cal.energy_fj), repr(cfg.c_line / 1e-12),
-          repr(dev.tau_w)]])
-    print(f"amp_a = {amp_a:.2f} ohm, theta = {theta:.4f}, "
-          f"v_read = {v_read:.4f} V")
+        [[amp_a, cfg.theta, cfg.v_read, cal.span_ns, cal.r_span_ohm, cal.energy_fj,
+          cfg.c_line / 1e-12, dev.tau_w]])
+    print(f"amp_a = {amp_a:.2f} ohm, theta = {cfg.theta:.4f}, "
+          f"v_read = {cfg.v_read:.4f} V")
     return 0
 
 
@@ -196,7 +194,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,15 +25,17 @@ from .device import DeviceParams
 from .wavefront import Wavefront, read_csv, write_csv
 
 
+V_DD = 1.8  # V, the digital rail; the read voltage stays below it
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Crossbar geometry, line capacitance, rails and threshold."""
+    """Crossbar geometry, line capacitance, threshold and v_read < V_DD."""
 
     rows: int                 # bit lines / channels
     cols: int                 # source lines / stored wavefronts
     c_line: float = 1e-12     # F per bit line
     v_read: float = 0.7746    # V
-    v_dd: float = 1.8         # V, digital rail
     theta: float = 0.7364     # threshold fraction V_th / v_read
     t_shifter: float = 0.0    # ns, fixed level-shifter delay per edge
 
@@ -48,8 +50,8 @@ class ArrayConfig:
             raise ValueError("theta must lie strictly between 0 and 1")
         if not 0 < self.c_line < math.inf:
             raise ValueError("c_line must be positive and finite")
-        if not 0 < self.v_read < self.v_dd < math.inf:
-            raise ValueError("need 0 < v_read < v_dd < inf")
+        if not 0 < self.v_read < V_DD:
+            raise ValueError(f"need 0 < v_read < {V_DD} V, the digital rail")
         if not 0 <= self.t_shifter < math.inf:
             raise ValueError("t_shifter must be non-negative and finite")
 
@@ -142,20 +144,10 @@ def reset_lines(state: ArrayState) -> ArrayState:
     return replace(state, lines_charged=False)
 
 
-def dynamic_range(cfg: ArrayConfig, params: DeviceParams, r_max: float) -> float:
-    """Recall time span (ns) covered by one device's resistances in [r_on, r_max]."""
-    if np.ndim(params.r_on):
-        raise ValueError("dynamic_range needs one device's base_params(params)")
-    # Written so that nan fails it.
-    if not params.r_on <= r_max <= params.r_off_max:
-        raise ValueError("r_max must lie in [r_on, r_off_max]")
-    return (r_max - params.r_on) * cfg.c_line * ln_factor(cfg.theta) * 1e9
-
-
 def write_grid_csv(path, state: ArrayState) -> None:
     """Export the resistance grid as `row,col,resistance_ohm`."""
     write_csv(path, ["row", "col", "resistance_ohm"],
-              ([i, j, repr(r)] for i, row in enumerate(state.resistance)
+              ([i, j, r] for i, row in enumerate(state.resistance)
                for j, r in enumerate(row.tolist())))
 
 

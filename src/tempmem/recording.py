@@ -3,8 +3,8 @@
 `_capture_column` captures into a column of ON devices by the route a
 `SweepSettings` names, for `capture` (which writes the column into an
 array) and the Monte Carlo engine's digital trials; the engine writes
-native trials a block at a time with `_native_write`, and flags
-`window_exceeded` itself.  `capture_native` and `program_closed_loop`
+native trials a block at a time with `_native_write`.  `capture` and the
+engine flag `window_exceeded`.  `capture_native` and `program_closed_loop`
 are `capture`'s two routes, set by keywords.  Both routes take the law
 from `device.resistance` and `device.stress_at`, and integrate each
 device's write energy once from ON (`device.write_energy`).
@@ -40,7 +40,7 @@ from . import device
 from .crossbar import (ArrayConfig, ArrayState, EnergyReport, base_params,
                        edge_times, new_array, ln_factor, r_on_grid, _check_col)
 from .device import DeviceParams
-from .wavefront import Wavefront, fidelity, normalize, write_csv
+from .wavefront import Wavefront, fidelity, write_csv
 
 PulseNoise = Optional[Callable[[np.ndarray], np.ndarray]]
 
@@ -370,32 +370,33 @@ def _capture_column(r_on: np.ndarray, r_base: float, w: Wavefront,
                     pulse_noise: PulseNoise) -> CaptureResult:
     """Capture w into a column of devices ON at r_on by the route s.path
     names: `_native_write`, or `_closed_loop` to the targets
-    r_base + s.slope * count of `s.quantizer`'s counts.  A span beyond
-    s.window_ns is flagged, not rejected."""
+    r_base + s.slope * count of `s.quantizer`'s counts.  window_exceeded
+    is left False: its callers flag it."""
     if s.path == "native":
         dur, resistance, energy = _native_write(np.array(w.times), r_on, params,
                                                 s.v_write, pulse_noise)
-        result = CaptureResult(tuple(dur.tolist()), tuple(resistance.tolist()),
-                               float(energy), (1,) * len(r_on), (True,) * len(r_on))
-    else:
-        q = s.quantizer
-        result = _closed_loop(
-            r_on, [r_base + s.slope * c for c in quantize(w, q).effective_counts(q)],
-            params, s, pulse_noise)
-    return replace(result, window_exceeded=w.span > s.window_ns)
+        return CaptureResult(tuple(dur.tolist()), tuple(resistance.tolist()),
+                             float(energy), (1,) * len(r_on), (True,) * len(r_on))
+    q = s.quantizer
+    return _closed_loop(
+        r_on, [r_base + s.slope * c for c in quantize(w, q).effective_counts(q)],
+        params, s, pulse_noise)
 
 
 def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
             w: Wavefront, settings: SweepSettings, *,
             pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
     """Record a wavefront into the ON column `settings.column` by
-    `_capture_column`; digital targets start from device (0, 0)'s r_on."""
+    `_capture_column`; digital targets start from device (0, 0)'s r_on.
+    A span beyond settings.window_ns is flagged in the result's
+    window_exceeded, not rejected."""
     col = settings.column
     r_on = _on_column(state, cfg, params, col)
     if len(w) != cfg.rows:
         raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
-    result = _capture_column(r_on, base_params(params).r_on, w, params, settings,
-                             pulse_noise)
+    result = replace(_capture_column(r_on, base_params(params).r_on, w, params,
+                                     settings, pulse_noise),
+                     window_exceeded=w.span > settings.window_ns)
     return _write_column(state, col, result.final_resistances), result
 
 
@@ -432,8 +433,6 @@ class RoundTripResult:
     """Capture-then-recall outcome with fidelity and energy bookkeeping."""
 
     recalled: Wavefront            # absolute recall edge times
-    recalled_normalized: Wavefront
-    input_normalized: Wavefront
     tau: float
     rms_ns: float
     max_abs_ns: float
@@ -503,6 +502,7 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
     equals the recorded one, and "none" keeps cfg.c_line (a scenario's
     array.c_line_pf).  Recall and scoring are the one-trial case of
     `recall_and_score`, the batched engine of `variability.monte_carlo`.
+    The recalled edges are absolute; `normalize` starts them at 0 ns.
     """
     _, cap = capture(new_array(cfg, params), cfg, params, w, settings,
                      pulse_noise=pulse_noise)
@@ -511,11 +511,9 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
     c_used, per_line, tau, rms, max_abs, bits = (
         float(x[0]) for x in (rt.c_used, rt.per_line, rt.tau, rt.rms_ns,
                               rt.max_abs_ns, rt.bits))
-    recalled = Wavefront(tuple(rt.recalled[0].tolist()))
     return RoundTripResult(
-        recalled=recalled, recalled_normalized=normalize(recalled),
-        input_normalized=normalize(w), tau=tau, rms_ns=rms, max_abs_ns=max_abs,
-        bits=bits, capture=cap, c_used=c_used,
+        recalled=Wavefront(tuple(rt.recalled[0].tolist())), tau=tau, rms_ns=rms,
+        max_abs_ns=max_abs, bits=bits, capture=cap, c_used=c_used,
         recall_energy=EnergyReport(per_line, cfg.rows))
 
 
@@ -523,5 +521,5 @@ def write_capture_csv(path, result: CaptureResult) -> None:
     """Export per-channel capture data as
     `channel,pulse_ns,resistance_ohm,iterations`."""
     write_csv(path, ["channel", "pulse_ns", "resistance_ohm", "iterations"],
-              ([ch, repr(p), repr(r), n] for ch, (p, r, n) in enumerate(zip(
+              ([ch, p, r, n] for ch, (p, r, n) in enumerate(zip(
                   result.pulses, result.final_resistances, result.iterations))))

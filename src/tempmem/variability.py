@@ -344,15 +344,14 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
 
 def write_trial_report_csv(path, report: TrialReport) -> None:
     names = [f.name for f in fields(TrialReport)]
-    write_csv(path, names, [[report.n_trials] + [
-        repr(getattr(report, k)) for k in names[1:]]])
+    write_csv(path, names, [[getattr(report, k) for k in names]])
 
 
 def write_trials_csv(path, rows) -> None:
     write_csv(path, [f.name for f in fields(TrialRow)],
-              ([r.trial, repr(r.tau), repr(r.rms_ns), repr(r.max_abs_ns),
-                repr(r.bits), repr(r.write_energy_j), repr(r.recall_energy_j),
-                int(r.converged), int(r.window_exceeded)] for r in rows))
+              ([r.trial, r.tau, r.rms_ns, r.max_abs_ns, r.bits, r.write_energy_j,
+                r.recall_energy_j, int(r.converged), int(r.window_exceeded)]
+               for r in rows))
 
 
 def format_trial_report(report: TrialReport) -> str:

@@ -154,8 +154,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_wavefront_csv(path, w: Wavefront) -> None:
-    write_csv(path, ["channel", "time_ns"],
-              ([ch, repr(t)] for ch, t in enumerate(w.times)))
+    write_csv(path, ["channel", "time_ns"], enumerate(w.times))
 
 
 def read_csv(path, header):

@@ -53,7 +53,6 @@ def test_criterion_2_recall_linearity_and_range():
     for t, expected in zip(w.times, [13.33, 26.67, 40.00, 53.33]):
         assert abs(t - expected) <= 0.01, (t, expected)
     assert abs(w.span - 40.0) <= 0.01
-    assert tm.dynamic_range(cfg, P, 40e3) == pytest.approx(40.0, abs=0.01)
     gaps = [b - a for a, b in zip(w.times, w.times[1:])]
     assert max(gaps) - min(gaps) < 1e-9, "linear R must recall linearly"
     report(2, "10-40 kohm column recalls 13.33/26.67/40.00/53.33 ns", t0, 1.0)

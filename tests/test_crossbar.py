@@ -1,13 +1,12 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tempmem.crossbar import (ArrayConfig, ArrayState, dynamic_range,
-                              ln_factor, new_array, read_grid_csv, recall,
-                              reset_lines, write_grid_csv)
+from tempmem.crossbar import (ArrayConfig, ArrayState, edge_times, ln_factor,
+                              new_array, read_grid_csv, recall, reset_lines,
+                              write_grid_csv)
 from tempmem.device import DeviceParams
 from tempmem.wavefront import rank_of
 
@@ -172,36 +171,30 @@ class TestResetLines:
 
 
 class TestDynamicRange:
+    """The recall span of one device's resistances from r_on up to r_max:
+    (r_max - r_on) * c_line * ln(1/(1-theta)), in ns."""
+
     def test_default_window_spans_40ns(self):
-        cfg = ArrayConfig(rows=1, cols=1)
-        assert dynamic_range(cfg, P, 40e3) == pytest.approx(40.0, abs=1e-3)
+        w, _ = recall(column_state([P.r_on, 40e3]), ArrayConfig(rows=2, cols=1), 0)
+        assert w.span == pytest.approx(40.0, abs=1e-3)
 
     def test_zero_at_r_on(self):
-        assert dynamic_range(ArrayConfig(rows=1, cols=1), P, P.r_on) == 0.0
+        cfg = ArrayConfig(rows=3, cols=1)
+        w, _ = recall(new_array(cfg, P), cfg, 0)
+        assert w.span == 0.0
 
     def test_monotone_in_theta(self):
-        spans = [dynamic_range(ArrayConfig(rows=1, cols=1, theta=th), P, 40e3)
+        spans = [np.ptp(edge_times(np.array([P.r_on, 40e3]), 1e-12,
+                                   ArrayConfig(rows=2, cols=1, theta=th)))
                  for th in (0.3, 0.5, 0.7364, 0.9)]
         assert all(a < b for a, b in zip(spans, spans[1:]))
 
-    def test_rejects_r_max_below_r_on(self):
-        with pytest.raises(ValueError):
-            dynamic_range(ArrayConfig(rows=1, cols=1), P, 5e3)
-
-    @pytest.mark.parametrize("r_max", [math.nan, math.inf, 1e6 * (1 + 1e-15)])
-    def test_rejects_r_max_beyond_r_off_max(self, r_max):
-        with pytest.raises(ValueError, match="r_off_max"):
-            dynamic_range(ArrayConfig(rows=1, cols=1), P, r_max)
-
     def test_reaches_r_off_max(self):
-        cfg = ArrayConfig(rows=1, cols=1)
-        assert dynamic_range(cfg, P, P.r_off_max) == \
-            (P.r_off_max - P.r_on) * cfg.c_line * ln_factor(cfg.theta) * 1e9
-
-    def test_rejects_an_r_on_grid(self):
-        grid = replace(P, r_on=np.full((2, 2), 1e4))
-        with pytest.raises(ValueError, match="base_params"):
-            dynamic_range(ArrayConfig(rows=2, cols=2), grid, 40e3)
+        cfg = ArrayConfig(rows=2, cols=1)
+        t_on, t_off = edge_times(np.array([P.r_on, P.r_off_max]), cfg.c_line, cfg)
+        assert t_off - t_on == pytest.approx(
+            (P.r_off_max - P.r_on) * cfg.c_line * ln_factor(cfg.theta) * 1e9,
+            rel=1e-12)
 
 
 class TestConfigValidation:
@@ -226,7 +219,7 @@ class TestConfigValidation:
 
     def test_rejects_read_voltage_above_rail(self):
         with pytest.raises(ValueError):
-            ArrayConfig(rows=1, cols=1, v_read=2.0, v_dd=1.8)
+            ArrayConfig(rows=1, cols=1, v_read=2.0)
 
     def test_rejects_nonpositive_capacitance(self):
         with pytest.raises(ValueError):

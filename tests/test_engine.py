@@ -320,7 +320,7 @@ class TestTies:
         taus = []
         for times in self.INPUTS:
             rt = round_trip(Wavefront(times), self.CFG, P, self.S)
-            out = rt.recalled_normalized.times
+            out = normalize(rt.recalled).times
             assert out[1] == out[2] == pytest.approx(5.7)
             taus.append(rt.tau)
         assert taus == [1.0, 1 / 3]

@@ -19,7 +19,7 @@ from tempmem.variability import VariationSpec, c2c_noise, sample_array
 
 from reference_law import (DeviceState, apply_pulse, pulse_energy, reset_energy,
                            resistance_of)
-from tempmem.wavefront import Wavefront, rank_of
+from tempmem.wavefront import Wavefront, normalize, rank_of
 
 P = DeviceParams()
 
@@ -170,7 +170,7 @@ class TestCaptureNative:
         times = [f * 1e-6 for f in femtos]
         w = Wavefront(tuple(times))
         rt = round_trip(w, cfg_for(len(times)), P)
-        assert rank_of(rt.recalled_normalized) == rank_of(w)
+        assert rank_of(normalize(rt.recalled)) == rank_of(w)
         assert rt.tau == 1.0
 
 
@@ -650,7 +650,7 @@ class TestRoundTrip:
         assert rt.tau == 1.0
         assert rt.rms_ns <= 0.10 * w.span
         # matched capacitance reproduces the recorded span
-        assert rt.recalled_normalized.span == pytest.approx(w.span, rel=1e-9)
+        assert normalize(rt.recalled).span == pytest.approx(w.span, rel=1e-9)
 
     def test_matched_capacitance_formula(self):
         cfg = cfg_for(4)

@@ -19,7 +19,6 @@ array.rows = 4
 array.cols = 2
 array.c_line_pf = 1.0
 array.v_read = 0.7746
-array.v_dd = 1.8
 array.theta = 0.7364
 array.t_shifter_ns = 0.5
 
@@ -74,6 +73,10 @@ class TestScenarioParsing:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ScenarioError, match="line 2.*unknown key"):
             parse_scenario_text("array.rows = 2\narray.bogus = 1\n")
+
+    def test_rail_is_a_constant_not_a_key(self):
+        with pytest.raises(ScenarioError, match="line 1.*unknown key 'array.v_dd'"):
+            parse_scenario_text("array.v_dd = 1.8\n")
 
     def test_duplicate_key_reports_both_lines(self):
         with pytest.raises(ScenarioError, match="line 3.*duplicate.*line 1"):
@@ -367,6 +370,24 @@ class TestCliErrors:
         assert run_cli("calibrate", "--scenario", str(scen),
                        "--out", str(tmp_path / "o")) == 1
         assert "r_span must be positive" in capsys.readouterr().err
+
+    # Calibration targets whose derived theta or v_read no array could use.
+    @pytest.mark.parametrize("lines, message", [
+        ("calibrate.energy_fj = 0\n", "calibrate.energy_fj must be positive"),
+        ("calibrate.energy_fj = -5\n", "calibrate.energy_fj must be positive"),
+        ("calibrate.energy_fj = 5000\n", "v_read < 1.8 V, the digital rail"),
+        ("calibrate.span_ns = 1e6\ncalibrate.r_span_ohm = 1\n",
+         "theta must lie strictly between 0 and 1")],
+        ids=["zero_energy", "negative_energy", "v_read_above_rail", "theta_of_1"])
+    def test_unusable_calibration_exits_1(self, tmp_path, capsys, lines, message):
+        scen = tmp_path / "s.txt"
+        scen.write_text(lines)
+        out = tmp_path / "o"
+        assert run_cli("calibrate", "--scenario", str(scen), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "calibration.csv").exists()
 
     def test_bad_scenario_exits_2_with_line(self, tmp_path, capsys):
         scen = tmp_path / "s.txt"

@@ -178,6 +178,15 @@ class TestCsvRoundTrip:
         write_csv(path, ["a", "b"], ([i, repr(i / 4)] for i in range(2)))
         assert path.read_bytes() == b"a,b\r\n0,0.0\r\n1,0.25\r\n"
 
+    # The writers hand floats to the csv module as they are: a cell must
+    # read as repr of the float, on every supported Python.
+    @pytest.mark.parametrize("x", [0.1, 1 / 3, 1e-20, 5e300, -0.0, math.inf,
+                                   np.float64(0.1)])
+    def test_float_cells_are_their_repr(self, tmp_path, x):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x"], [[x]])
+        assert path.read_text() == f"x\n{float(x)!r}\n"
+
     def test_write_read_identity(self, tmp_path):
         w = wf(0.0, 9.700000000000001, 20.3, 1e-3)
         path = tmp_path / "w.csv"
