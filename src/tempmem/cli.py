@@ -27,7 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Behavioral simulator of a memristive temporal memory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(run=handler)
         p.add_argument("--scenario", metavar="FILE", help="scenario file")
         p.add_argument("--out", metavar="DIR", default="out",
                        help="output directory (default: out)")
@@ -35,31 +36,31 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override variation.seed")
 
     p = sub.add_parser("recall", help="recall a stored column as a wavefront")
-    common(p)
+    common(p, _cmd_recall)
     p.add_argument("--grid", metavar="CSV",
                    help="resistance grid (row,col,resistance_ohm); "
                         "default: fresh ON array")
 
     p = sub.add_parser("capture", help="record a wavefront into a column")
-    common(p)
+    common(p, _cmd_capture)
     p.add_argument("--input", metavar="CSV", required=True,
                    help="wavefront file (channel,time_ns)")
     p.add_argument("--path", choices=["native", "digital"],
                    help="override run.path")
 
     p = sub.add_parser("roundtrip", help="capture, reset, recall and score")
-    common(p)
+    common(p, _cmd_roundtrip)
     p.add_argument("--input", metavar="CSV", required=True)
     p.add_argument("--path", choices=["native", "digital"])
 
     p = sub.add_parser("sweep", help="Monte Carlo round trips with variation")
-    common(p)
+    common(p, _cmd_sweep)
     p.add_argument("--trials", type=int, metavar="N", help="override run.trials")
     p.add_argument("--path", choices=["native", "digital"])
 
     p = sub.add_parser("calibrate",
                        help="derive amp_a, theta and v_read from targets")
-    common(p)
+    common(p, _cmd_calibrate)
     return parser
 
 
@@ -172,22 +173,13 @@ def _cmd_calibrate(args, scenario: Scenario, outdir: Path) -> int:
     return 0
 
 
-_COMMANDS = {
-    "recall": _cmd_recall,
-    "capture": _cmd_capture,
-    "roundtrip": _cmd_roundtrip,
-    "sweep": _cmd_sweep,
-    "calibrate": _cmd_calibrate,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = _load(args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, scenario, outdir)
+        return args.run(args, scenario, outdir)
     except (ScenarioError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -160,20 +160,20 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     r_on = r_on_grid(params, cfg)
     resistance = np.empty((cfg.rows, cfg.cols))
     cells = set()
-    for lineno, fields in read_csv(path, ["row", "col", "resistance_ohm"]):
-        try:
-            i, j, r = int(fields[0]), int(fields[1]), float(fields[2])
-            if not 0 <= i < cfg.rows or not 0 <= j < cfg.cols:
-                raise ValueError(f"cell ({i},{j}) outside {cfg.rows}x{cfg.cols} array")
-            if (i, j) in cells:
-                raise ValueError(f"duplicate cell ({i},{j})")
-            if not r_on[i, j] <= r <= params.r_off_max:
-                raise ValueError(f"cell ({i},{j}): resistance {r} outside "
-                                 f"[r_on, r_off_max]")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+    def row(fields):
+        i, j, r = int(fields[0]), int(fields[1]), float(fields[2])
+        if not 0 <= i < cfg.rows or not 0 <= j < cfg.cols:
+            raise ValueError(f"cell ({i},{j}) outside {cfg.rows}x{cfg.cols} array")
+        if (i, j) in cells:
+            raise ValueError(f"duplicate cell ({i},{j})")
+        if not r_on[i, j] <= r <= params.r_off_max:
+            raise ValueError(f"cell ({i},{j}): resistance {r} outside "
+                             f"[r_on, r_off_max]")
         cells.add((i, j))
         resistance[i, j] = r
+
+    read_csv(path, ["row", "col", "resistance_ohm"], row)
     missing = cfg.rows * cfg.cols - len(cells)
     if missing:
         raise ValueError(f"{path}: {missing} cells missing from the grid")

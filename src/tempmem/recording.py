@@ -415,12 +415,14 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
 
 def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
                         col: int, targets: Sequence[float], *,
-                        tol: float = 0.01, v_write: float | None = None,
-                        step: float = 1.0, max_iters: int = 500,
+                        tol: float = SweepSettings.tol, v_write: float | None = None,
+                        step: float = SweepSettings.step_ns,
+                        max_iters: int = SweepSettings.max_iters,
                         pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
     """Drive each device in the ON column `col` to a resistance target by
     `_closed_loop`, the digital route's program/verify loop, its arguments
-    checked as the `SweepSettings` fields they fill (run.step_ns for step)."""
+    checked as the `SweepSettings` fields they fill and defaulting to them
+    (run.step_ns for step)."""
     r_ons = _on_column(state, cfg, params, col)
     result = _closed_loop(r_ons, targets, params, SweepSettings(
         path="digital", column=col, tol=tol, step_ns=step, max_iters=max_iters,

@@ -9,7 +9,7 @@ percentage-level spreads.
 Trial k of a sweep draws from the PCG64 stream of
 `SeedSequence(seed).spawn(n)[k]`, in this order: the input wavefront
 (`random_wavefront`'s draws), the rows x cols r_on grid (`sample_array`'s),
-then the cycle-to-cycle noise of its capture (`c2c_noise`'s: one draw per
+then the cycle-to-cycle noise of its capture (`perturb_pulse`'s: one draw per
 row for a native capture, the closed loop's blocks for a digital one).
 A block derives its trials' generator states from (seed, k) as numpy
 would (`_trial_states`): the 32-bit hashing of the spawn keys runs over
@@ -40,10 +40,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import chain
 from operator import add
-from typing import Callable
 
 import numpy as np
 
@@ -196,30 +195,18 @@ def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
                                       rng.standard_normal((rows, cols))))
 
 
-def c2c_noise(spec: VariationSpec,
-              rng: np.random.Generator) -> Callable[[np.ndarray], np.ndarray]:
-    """The cycle-to-cycle noise of a stream of programming pulses: each
-    call maps an array of non-negative durations to their effective
-    durations after one lognormal draw from `rng` per element, in order.
-    One call on n durations takes the same draws, and gives the same
-    values, as n calls on one duration each.  A draw is taken even at
-    sigma 0, so the stream position is independent of sigma."""
-    draw = rng.standard_normal
-
-    def noise(durations: np.ndarray) -> np.ndarray:
-        return _spread(durations, spec.c2c_sigma, draw(durations.shape))
-
-    return noise
-
-
 def perturb_pulse(duration: float | np.ndarray, spec: VariationSpec,
                   rng: np.random.Generator) -> float | np.ndarray:
-    """Programming pulses' effective durations after c2c noise drawn from
-    `rng`: a float for a float, an array of the same shape for an array."""
+    """Non-negative pulse durations after cycle-to-cycle noise, one lognormal
+    draw from `rng` per duration in order: a float for a float, an array of
+    its shape for an array.  One call on n durations takes the same draws,
+    and gives the same values, as n calls on one each.  A draw is taken even
+    at sigma 0, so the stream position is independent of sigma.  With `spec`
+    and `rng` bound (`functools.partial`) it is a `PulseNoise`."""
     durations = np.asarray(duration, dtype=float)
     if (durations < 0).any():
         raise ValueError("duration must be non-negative")
-    out = c2c_noise(spec, rng)(durations)
+    out = _spread(durations, spec.c2c_sigma, rng.standard_normal(durations.shape))
     return out if durations.ndim else float(out)
 
 
@@ -277,11 +264,12 @@ def _run_block(args) -> list[TrialRow]:
         # it, until they suit each device (ROADMAP item 3).
         r_base = _spread(nominal[0, 0], spec.d2d_sigma, z_grid[:, 0, 0]).tolist()
         caps = []
+        noise = partial(perturb_pulse, spec=spec, rng=gen)
         for t, column, r0, state in zip(times, r_on, r_base, resume):
             gen.bit_generator.state = state
             # The last use of the stream: the closed loop reads the noise ahead.
             caps.append(_capture_column(column, r0, Wavefront(tuple(t.tolist())),
-                                        base, s, c2c_noise(spec, gen)))
+                                        base, s, noise))
         resistances = np.array([c.final_resistances for c in caps])
         write_energy = np.array([c.write_energy for c in caps])
         converged = [all(c.converged) for c in caps]

@@ -15,8 +15,6 @@ from itertools import chain
 
 import numpy as np
 
-from .device import per_element
-
 EFFECTIVE_BITS_CAP = 8.0  # declared precision ceiling of the bits metric
 
 
@@ -121,15 +119,14 @@ def fidelity(inputs: np.ndarray, recalled: np.ndarray):
     two arrays of event times (trials x channels): (tau, rms, max_abs,
     bits), each an array with one element per row.
 
-    Row by row they equal, bit for bit, Kendall's tau of the `rank_of`s,
-    the rms and max abs timing error of the wavefronts normalized to their
-    first edges, and `effective_bits` of the input's span and that rms,
-    with EFFECTIVE_BITS_CAP as the bits of an input of zero span: ties
-    keep channel order (a stable argsort), the mean of squares sums along
-    the last axis of a C-contiguous array, in numpy's 1-D pairwise order,
-    and log2 is `math.log2` per element.  `tests/reference_scoring.py`
-    states tau and the timing error one wavefront at a time;
-    `kendall_tau` and `timing_error` are the one-row case.
+    Row by row they equal, bit for bit, Kendall's tau of the `rank_of`s
+    and the rms and max abs timing error of the wavefronts normalized to
+    their first edges: ties keep channel order (a stable argsort), and the
+    mean of squares sums along the last axis of a C-contiguous array, in
+    numpy's 1-D pairwise order.  The bits are `effective_bits` row by row
+    (EFFECTIVE_BITS_CAP for an input of zero span).  `kendall_tau` and
+    `timing_error` are the one-row case; `tests/reference_scoring.py`
+    states tau and the timing error one wavefront at a time.
     """
     in_n = inputs - inputs.min(axis=-1, keepdims=True)
     out_n = recalled - recalled.min(axis=-1, keepdims=True)
@@ -139,10 +136,8 @@ def fidelity(inputs: np.ndarray, recalled: np.ndarray):
     rms = np.sqrt(np.mean(diff * diff, axis=-1))
     max_abs = np.abs(diff).max(axis=-1)
     span = inputs.max(axis=-1) - inputs.min(axis=-1)
-    scored = (span > 0) & (rms > 0)
-    ratio = np.divide(span, 2.0 * rms, out=np.ones(rms.shape), where=scored)
-    bits = np.where(scored, np.minimum(per_element(math.log2, ratio),
-                                       EFFECTIVE_BITS_CAP), EFFECTIVE_BITS_CAP)
+    bits = np.array([effective_bits(a, r) if a > 0 else EFFECTIVE_BITS_CAP
+                     for a, r in zip(span.tolist(), rms.tolist())])
     return tau, rms, max_abs, bits
 
 
@@ -157,8 +152,9 @@ def write_wavefront_csv(path, w: Wavefront) -> None:
     write_csv(path, ["channel", "time_ns"], enumerate(w.times))
 
 
-def read_csv(path, header):
-    """(line number, fields) of each non-blank row below the `header` row."""
+def read_csv(path, header, row) -> None:
+    """Call `row(fields)` on each non-blank row below the `header` row; its
+    ValueError, or a wrong field count, gets the prefix "{path}: line {n}: "."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         if next(reader, None) != header:
@@ -166,24 +162,26 @@ def read_csv(path, header):
         for fields in reader:
             if not fields:
                 continue
-            if len(fields) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: "
-                                 f"expected {len(header)} fields")
-            yield reader.line_num, fields
+            try:
+                if len(fields) != len(header):
+                    raise ValueError(f"expected {len(header)} fields")
+                row(fields)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def read_wavefront_csv(path) -> Wavefront:
     """Parse a `channel,time_ns` file; channels must be 0..N-1 contiguous."""
     rows = {}
-    for lineno, fields in read_csv(path, ["channel", "time_ns"]):
-        try:
-            # Wavefront parses the time and rejects a nan, inf or negative one.
-            ch, t = int(fields[0]), Wavefront(fields[1:]).times[0]
-            if ch in rows:
-                raise ValueError(f"duplicate channel {ch}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+    def row(fields):
+        # Wavefront parses the time and rejects a nan, inf or negative one.
+        ch, t = int(fields[0]), Wavefront(fields[1:]).times[0]
+        if ch in rows:
+            raise ValueError(f"duplicate channel {ch}")
         rows[ch] = t
+
+    read_csv(path, ["channel", "time_ns"], row)
     if not rows:
         raise ValueError(f"{path}: no channels")
     if sorted(rows) != list(range(len(rows))):

@@ -286,3 +286,16 @@ class TestGridCsv:
             read_grid_csv(path, ArrayConfig(rows=1, cols=2), P)
         assert str(info.value) == (f"{path}: line 4: cell (0,1): resistance 5.0 "
                                    "outside [r_on, r_off_max]")
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,0,10000.0", "duplicate cell (0,0)"),
+        ("2,0,10000.0", "cell (2,0) outside 2x1 array"),
+        ("1,0", "expected 3 fields"),
+        ("1,0,high", "could not convert string to float: 'high'"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"row,col,resistance_ohm\n0,0,10000.0\n\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            read_grid_csv(path, ArrayConfig(rows=2, cols=1), P)
+        assert str(info.value) == f"{path}: line 4: {message}"

@@ -7,6 +7,7 @@ from the public layer functions and the scalar scores of
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tempmem.recording import (QuantizerSpec, SweepSettings, capture,
                                capture_native, default_slope,
                                program_closed_loop, quantize, recall_and_score,
                                round_trip)
-from tempmem.variability import (TrialRow, VariationSpec, c2c_noise, monte_carlo,
+from tempmem.variability import (TrialRow, VariationSpec, monte_carlo, perturb_pulse,
                                  random_wavefront, sample_array)
 from tempmem.wavefront import (EFFECTIVE_BITS_CAP, Wavefront, effective_bits,
                                fidelity, normalize, rank_of)
@@ -43,7 +44,7 @@ def reference_rows(cfg, base, spec, n_trials, s):
         rng = np.random.default_rng(seed)
         w = random_wavefront(rng, s.channels, s.span_ns)
         grid = sample_array(base, spec, cfg.rows, cfg.cols, rng=rng)
-        noise = c2c_noise(spec, rng)
+        noise = partial(perturb_pulse, spec=spec, rng=rng)
         state = new_array(cfg, grid)
         if s.path == "native":
             state, cap = capture_native(state, cfg, grid, s.column, w, s.v_write,
@@ -258,7 +259,7 @@ class TestDerivedStreams:
             order = g.permutation(4).tolist()
             z = g.standard_normal(5).tolist()
             cap = capture(new_array(cfg, P), cfg, P, w, s,
-                          pulse_noise=c2c_noise(spec, g))[1]
+                          pulse_noise=partial(perturb_pulse, spec=spec, rng=g))[1]
             draws.append((w, order, z, cap))
         assert draws[0] == draws[1]
         assert sum(draws[0][3].iterations) > 4  # the closed loop drew noise

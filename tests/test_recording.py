@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
                                capture, capture_native, default_slope,
                                matched_capacitance, program_closed_loop,
                                quantize, round_trip, write_capture_csv)
-from tempmem.variability import VariationSpec, c2c_noise, sample_array
+from tempmem.variability import VariationSpec, perturb_pulse, sample_array
 
 from reference_law import (DeviceState, apply_pulse, pulse_energy, reset_energy,
                            resistance_of)
@@ -219,6 +220,18 @@ class TestClosedLoop:
         max_step_dr = P.amp_a * 1.0 / P.tau_w
         assert result.final_resistances[0] <= target * (1 + 1e-4) + max_step_dr
 
+    def test_defaults_are_sweep_settings(self):
+        # The sixth 1 ns pulse toward 15 kohm stops 0.9% short: inside a 1%
+        # band but not a 0.1% one, so a looser default tol stops there.
+        cfg = cfg_for(1)
+        s = SweepSettings()
+        _, got = program_closed_loop(new_array(cfg, P), cfg, P, 0, [15e3])
+        _, want = program_closed_loop(new_array(cfg, P), cfg, P, 0, [15e3], tol=s.tol,
+                                      step=s.step_ns, max_iters=s.max_iters)
+        assert got == want
+        _, loose = program_closed_loop(new_array(cfg, P), cfg, P, 0, [15e3], tol=0.01)
+        assert loose != want
+
     def test_rejects_bad_targets(self):
         cfg = cfg_for(1)
         with pytest.raises(ValueError):
@@ -318,7 +331,8 @@ class TestKernelsMatchScalarLaw:
         cfg = ArrayConfig(rows=len(targets), cols=cols)
         if noise_seed is not None:
             spec = VariationSpec(c2c_sigma=0.2)
-            make_noise = lambda: c2c_noise(spec, np.random.default_rng(noise_seed))
+            make_noise = lambda: partial(perturb_pulse, spec=spec,
+                                         rng=np.random.default_rng(noise_seed))
         noises = [None, None]
         if make_noise is not None:
             noises = [LoggedNoise(make_noise()), LoggedNoise(make_noise())]
@@ -418,7 +432,8 @@ class TestKernelsMatchScalarLaw:
         # estimate falls short, so a device needs several blocks, and the
         # second device's budget runs out inside what would be its next.
         def make_noise():
-            c2c = c2c_noise(VariationSpec(c2c_sigma=0.2), np.random.default_rng(8))
+            c2c = partial(perturb_pulse, spec=VariationSpec(c2c_sigma=0.2),
+                          rng=np.random.default_rng(8))
             return lambda d: 0.5 * c2c(d)
         got, noise = self.run_both(P, [15e3, 30e3, 16e3], make_noise=make_noise,
                                    tol=1e-3, step=0.05, max_iters=600)
@@ -478,10 +493,11 @@ class TestKernelsMatchScalarLaw:
         w = Wavefront(tuple(rng.uniform(0.0, 90.0, 8)))
         spec = VariationSpec(c2c_sigma=0.1)
         cfg = ArrayConfig(rows=8, cols=2)
-        state, got = capture_native(new_array(cfg, grid), cfg, grid, 1, w,
-                                    pulse_noise=c2c_noise(spec, np.random.default_rng(1)))
+        state, got = capture_native(
+            new_array(cfg, grid), cfg, grid, 1, w,
+            pulse_noise=partial(perturb_pulse, spec=spec, rng=np.random.default_rng(1)))
         pulses, finals, energy = reference_native(
-            grid, 1, w, c2c_noise(spec, np.random.default_rng(1)))
+            grid, 1, w, partial(perturb_pulse, spec=spec, rng=np.random.default_rng(1)))
         assert got.pulses == tuple(pulses)
         assert got.final_resistances == tuple(finals)
         assert got.write_energy == energy
@@ -509,8 +525,8 @@ class TestKernelsMatchScalarLaw:
         of length factors that may hold zeros."""
         kind = data.draw(st.sampled_from(["none", "c2c", "half", "pattern"]))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        c2c = lambda: c2c_noise(VariationSpec(c2c_sigma=0.2),
-                                np.random.default_rng(seed))
+        c2c = lambda: partial(perturb_pulse, spec=VariationSpec(c2c_sigma=0.2),
+                              rng=np.random.default_rng(seed))
         if kind == "c2c":
             return c2c
         if kind == "half":
@@ -553,8 +569,8 @@ class TestKernelsMatchScalarLaw:
             targets = [P.r_on + default_slope(q.t_clk) * c
                        for c in quantize(w, q).effective_counts(q)]
             kw = dict(tol=1e-3, step=0.01, max_iters=8000)
-            noises = [c2c_noise(VariationSpec(c2c_sigma=sigma),
-                                np.random.default_rng(seed)) for _ in range(2)]
+            noises = [partial(perturb_pulse, spec=VariationSpec(c2c_sigma=sigma),
+                              rng=np.random.default_rng(seed)) for _ in range(2)]
             _, got = program_closed_loop(new_array(cfg, P), cfg, P, 0, targets,
                                          pulse_noise=noises[0], **kw)
             want = reference_closed_loop(P, 0, targets, pulse_noise=noises[1],

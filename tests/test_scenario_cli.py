@@ -70,6 +70,15 @@ class TestScenarioParsing:
         assert s.run.column == 1
         assert s.variation.seed == 42
 
+    def test_readme_example_parses(self):
+        # The example under "Scenario files" in README.md, so that a key
+        # removed from the parser cannot leave it stale.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("## Scenario files", 1)[1].split("```\n", 2)[1]
+        s = parse_scenario_text(example, source="README.md")
+        assert (s.run.path, s.run.channels, s.run.tol) == ("digital", 8, 0.005)
+        assert s.variation.seed == 7
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ScenarioError, match="line 2.*unknown key"):
             parse_scenario_text("array.rows = 2\narray.bogus = 1\n")

@@ -1,6 +1,7 @@
 import csv
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from tempmem import variability
 from tempmem.crossbar import ArrayConfig
 from tempmem.device import DeviceParams
 from tempmem.recording import round_trip
-from tempmem.variability import (SweepSettings, VariationSpec, c2c_noise,
-                                 monte_carlo, perturb_pulse, random_wavefront, sample_array,
+from tempmem.variability import (SweepSettings, VariationSpec, monte_carlo,
+                                 perturb_pulse, random_wavefront, sample_array,
                                  write_trial_report_csv, write_trials_csv)
 
 P = DeviceParams()
@@ -90,9 +91,9 @@ class TestPerturbPulse:
         assert VariationSpec(seed=np.uint64(2**63)).seed == 2**63
 
     @pytest.mark.parametrize("sigma", [0.0, 0.042, 0.3])
-    def test_c2c_noise_equals_perturb_pulse_draw_for_draw(self, sigma):
+    def test_bound_noise_on_one_element_arrays_equals_float_calls(self, sigma):
         spec = VariationSpec(c2c_sigma=sigma)
-        noise = c2c_noise(spec, np.random.default_rng(9))
+        noise = partial(perturb_pulse, spec=spec, rng=np.random.default_rng(9))
         rng = np.random.default_rng(9)
         durations = [0.0, 0.01, 1.0, 17.3, 40.0] * 200
         assert [noise(np.array([d]))[0] for d in durations] == \
@@ -117,7 +118,7 @@ class TestPerturbPulse:
                              np.random.default_rng(9))
         assert grid.shape == (20, 50)
         assert grid.ravel().tolist() == singles
-        noise = c2c_noise(spec, np.random.default_rng(9))
+        noise = partial(perturb_pulse, spec=spec, rng=np.random.default_rng(9))
         parts = [noise(durations[i:j]) for i, j in ((0, 1), (1, 400), (400, 1000))]
         assert np.concatenate(parts).tolist() == singles
 
