@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import crossbar, device, recording, variability
 from .scenario import Scenario, ScenarioError, load_scenario
-from .wavefront import normalize, read_wavefront_csv, write_csv, write_wavefront_csv
+from .wavefront import (normalize, read_csv, read_wavefront_csv, write_csv,
+                        write_wavefront_csv)
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -78,15 +79,18 @@ def _read_input(args, scenario: Scenario):
     """The --input wavefront, and the scenario with one array row per
     channel of it."""
     w = read_wavefront_csv(args.input)
-    if len(w) != scenario.array.rows:
-        scenario = replace(scenario,
-                           array=replace(scenario.array, rows=len(w)))
-    return w, scenario
+    return w, replace(scenario, array=replace(scenario.array, rows=len(w)))
 
 
 def _cmd_recall(args, scenario: Scenario, outdir: Path) -> int:
     cfg = scenario.array
     if args.grid:
+        # One array row per row index the grid names, as capture writes it;
+        # read_grid_csv then checks every cell against that array.
+        rows = set()
+        read_csv(args.grid, ["row", "col", "resistance_ohm"],
+                 lambda fields: rows.add(int(fields[0])))
+        cfg = replace(cfg, rows=max(len(rows), 1))
         state = crossbar.read_grid_csv(args.grid, cfg, scenario.device)
     else:
         state = crossbar.new_array(cfg, scenario.device)

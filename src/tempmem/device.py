@@ -166,6 +166,17 @@ def _reset_constants(r_on: float | np.ndarray, params: DeviceParams):
             (tau / a) * per_element(math.exp, -r_on / a))
 
 
+def ei_on(r_on, params: DeviceParams, moved=True) -> np.ndarray:
+    """Ei(r_on / amp_a), the lower term of the write energy's integral, at
+    each r_on; ValueError where it overflows (r_on / amp_a beyond about
+    709.78) on a device that `moved` flags, as the energy would be nan."""
+    ei = expi(r_on / params.amp_a)
+    if not ((ei < math.inf) | ~np.asarray(moved)).all():
+        raise ValueError("amp_a must be above r_on / 709.78: the write "
+                         "energy's Ei(r_on / amp_a) overflows")
+    return ei
+
+
 def write_energy(s, r, r_on, v: float, rate: float,
                  params: DeviceParams) -> np.ndarray:
     """Energy (J) of RESET writes at voltage v and stress rate `rate` from
@@ -174,10 +185,11 @@ def write_energy(s, r, r_on, v: float, rate: float,
     (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp, s / r_off_max beyond."""
     s_clamp, r_clamp, pref = _reset_constants(r_on, params)
     a, shape = params.amp_a, np.broadcast(s, r_on).shape
+    moved = np.minimum(s, s_clamp) > 0
     # Subtracted only where the write moves below the clamp, so that no
     # inf - inf is ever formed
     total = pref * np.subtract(expi(np.where(s <= s_clamp, r, r_clamp) / a),
-                               expi(r_on / a), out=np.zeros(shape),
-                               where=np.minimum(s, s_clamp) > 0)
+                               ei_on(r_on, params, moved), out=np.zeros(shape),
+                               where=moved)
     beyond = np.subtract(s, s_clamp, out=np.zeros(shape), where=s > s_clamp)
     return (v * v / rate) * (total + beyond / params.r_off_max) * 1e-9

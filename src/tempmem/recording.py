@@ -1,12 +1,12 @@
 """Wavefront capture into a crossbar column, by either route.
 
-`_capture_column` captures into a column of ON devices by the route a
-`SweepSettings` names, for `capture` (which writes the column into an
-array) and the Monte Carlo engine's digital trials; the engine writes
-native trials a block at a time with `_native_write`.  `capture` and the
-engine flag `window_exceeded`.  `capture_native` and `program_closed_loop`
-are `capture`'s two routes, set by keywords.  Both routes take the law
-from `device.resistance` and `device.stress_at`, and integrate each
+`capture` records a wavefront into a column of ON devices by the route a
+`SweepSettings` names and flags `window_exceeded`; `capture_native` and
+`program_closed_loop` are its two routes, set by keywords.  The Monte
+Carlo engine writes native trials a block at a time with `_native_write`
+and runs each digital trial's `_closed_loop` to its `_targets`, the one
+statement of the digital target rule.  Both routes take the law from
+`device.resistance` and `device.stress_at`, and integrate each
 device's write energy once from ON (`device.write_energy`).
 
 Native capture mimics timing-difference plasticity: the first arriving edge
@@ -365,38 +365,33 @@ def default_slope(t_clk: float) -> float:
     return device.R_SPAN_DEFAULT / (device.T_SPAN_DEFAULT / t_clk)
 
 
-def _capture_column(r_on: np.ndarray, r_base: float, w: Wavefront,
-                    params: DeviceParams, s: SweepSettings,
-                    pulse_noise: PulseNoise) -> CaptureResult:
-    """Capture w into a column of devices ON at r_on by the route s.path
-    names: `_native_write`, or `_closed_loop` to the targets
-    r_base + s.slope * count of `s.quantizer`'s counts.  window_exceeded
-    is left False: its callers flag it."""
-    if s.path == "native":
-        dur, resistance, energy = _native_write(np.array(w.times), r_on, params,
-                                                s.v_write, pulse_noise)
-        return CaptureResult(tuple(dur.tolist()), tuple(resistance.tolist()),
-                             float(energy), (1,) * len(r_on), (True,) * len(r_on))
+def _targets(w: Wavefront, r_base: float, s: SweepSettings) -> list[float]:
+    """The digital route's resistance targets for w: r_base + s.slope *
+    count, one per channel, of `s.quantizer`'s counts."""
     q = s.quantizer
-    return _closed_loop(
-        r_on, [r_base + s.slope * c for c in quantize(w, q).effective_counts(q)],
-        params, s, pulse_noise)
+    return [r_base + s.slope * c for c in quantize(w, q).effective_counts(q)]
 
 
 def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
             w: Wavefront, settings: SweepSettings, *,
             pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
-    """Record a wavefront into the ON column `settings.column` by
-    `_capture_column`; digital targets start from device (0, 0)'s r_on.
-    A span beyond settings.window_ns is flagged in the result's
-    window_exceeded, not rejected."""
+    """Record a wavefront into the ON column `settings.column` by the route
+    settings.path names: `_native_write`, or `_closed_loop` to `_targets`
+    from device (0, 0)'s r_on.  A span beyond settings.window_ns is flagged
+    in the result's window_exceeded, not rejected."""
     col = settings.column
     r_on = _on_column(state, cfg, params, col)
     if len(w) != cfg.rows:
         raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
-    result = replace(_capture_column(r_on, base_params(params).r_on, w, params,
-                                     settings, pulse_noise),
-                     window_exceeded=w.span > settings.window_ns)
+    if settings.path == "native":
+        dur, resistance, energy = _native_write(np.array(w.times), r_on, params,
+                                                settings.v_write, pulse_noise)
+        result = CaptureResult(tuple(dur.tolist()), tuple(resistance.tolist()),
+                               float(energy), (1,) * cfg.rows, (True,) * cfg.rows)
+    else:
+        result = _closed_loop(r_on, _targets(w, base_params(params).r_on, settings),
+                              params, settings, pulse_noise)
+    result = replace(result, window_exceeded=w.span > settings.window_ns)
     return _write_column(state, col, result.final_resistances), result
 
 

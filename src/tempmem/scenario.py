@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .crossbar import ArrayConfig
-from .device import DeviceParams
+from .device import DeviceParams, ei_on
 from .recording import SweepSettings
 from .variability import VariationSpec
 
@@ -44,6 +44,11 @@ class Scenario:
     variation: VariationSpec = VariationSpec()
     run: SweepSettings = SweepSettings()   # run.* and quantizer.* keys
     calibrate: CalibrateSettings = CalibrateSettings()
+
+    def __post_init__(self):
+        # Every write energy needs a finite Ei(r_on / amp_a); DeviceParams
+        # leaves it unchecked, as the law alone works at a smaller amp_a.
+        ei_on(self.device.r_on, self.device)
 
     def sweep_settings(self) -> SweepSettings:
         """`run` under the name the benchmark's traced runner calls; it

@@ -30,9 +30,9 @@ recall and scoring are `recording.recall_and_score`.  A capture writes
 one column, so on either route only that column's d2d draws are spread
 into r_on; the rest of the grid keeps its r_on check (`_check_spread`)
 from the block's extreme draws.  A digital capture runs its closed loop
-per trial (`recording._capture_column`), on that trial's stream and
-spread column.  Each trial's row is bit-identical to a `round_trip` of
-the same draws.
+per trial (`recording._closed_loop` to `recording._targets`, as
+`capture` does), on that trial's stream and spread column.  Each trial's
+row is bit-identical to a `round_trip` of the same draws.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import numpy as np
 
 from .crossbar import ArrayConfig, r_on_grid
 from .device import DeviceParams, check_r_on, per_element
-from .recording import (SweepSettings, recall_and_score, _capture_column,
-                        _native_write)
+from .recording import (SweepSettings, recall_and_score, _closed_loop,
+                        _native_write, _targets)
 from .wavefront import Wavefront, write_csv
 
 # Success threshold for exact-timing codes: rms no worse than half an LSB
@@ -268,8 +268,8 @@ def _run_block(args) -> list[TrialRow]:
         for t, column, r0, state in zip(times, r_on, r_base, resume):
             gen.bit_generator.state = state
             # The last use of the stream: the closed loop reads the noise ahead.
-            caps.append(_capture_column(column, r0, Wavefront(tuple(t.tolist())),
-                                        base, s, noise))
+            caps.append(_closed_loop(column, _targets(Wavefront(tuple(t.tolist())),
+                                                      r0, s), base, s, noise))
         resistances = np.array([c.final_resistances for c in caps])
         write_energy = np.array([c.write_energy for c in caps])
         converged = [all(c.converged) for c in caps]

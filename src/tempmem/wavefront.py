@@ -124,17 +124,23 @@ def fidelity(inputs: np.ndarray, recalled: np.ndarray):
     their first edges: ties keep channel order (a stable argsort), and the
     mean of squares sums along the last axis of a C-contiguous array, in
     numpy's 1-D pairwise order.  The bits are `effective_bits` row by row
-    (EFFECTIVE_BITS_CAP for an input of zero span).  `kendall_tau` and
-    `timing_error` are the one-row case; `tests/reference_scoring.py`
-    states tau and the timing error one wavefront at a time.
+    (EFFECTIVE_BITS_CAP for an input of zero span).  Differences whose
+    mean square overflows (beyond about 1e154 ns) raise ValueError.
+    `kendall_tau` and `timing_error` are the one-row case;
+    `tests/reference_scoring.py` states tau and the timing error one
+    wavefront at a time.
     """
     in_n = inputs - inputs.min(axis=-1, keepdims=True)
     out_n = recalled - recalled.min(axis=-1, keepdims=True)
     tau = _taus(np.argsort(in_n, axis=-1, kind="stable"),
                 np.argsort(out_n, axis=-1, kind="stable"))
     diff = np.ascontiguousarray(in_n - out_n)
-    rms = np.sqrt(np.mean(diff * diff, axis=-1))
     max_abs = np.abs(diff).max(axis=-1)
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean(diff * diff, axis=-1))
+    if not (rms < math.inf).all():
+        raise ValueError(f"the rms timing error overflows: timing differences "
+                         f"reach {max_abs.max():g} ns")
     span = inputs.max(axis=-1) - inputs.min(axis=-1)
     bits = np.array([effective_bits(a, r) if a > 0 else EFFECTIVE_BITS_CAP
                      for a, r in zip(span.tolist(), rms.tolist())])

@@ -439,6 +439,28 @@ class TestWriteEnergy:
         assert np.asarray(got).tolist() == want.tolist()
 
 
+class TestEiOverflow:
+    """Where Ei(r_on / amp_a) overflows (r_on / amp_a beyond about 709.78)
+    the write energy of a moved device would be inf - inf."""
+
+    def test_moved_device_raises(self):
+        params = DeviceParams(amp_a=15.0)  # 10 kohm / 15 ohm is 666.7
+        r_on = np.array([10e3, 11e3])
+        stress = np.array([1.0, 1.0])
+        r = resistance(stress, r_on, params)
+        rate = programming_rate(-1.4, params)
+        assert np.isfinite(write_energy(stress[:1], r[:1], r_on[:1], -1.4, rate,
+                                        params)).all()
+        with pytest.raises(ValueError, match=r"amp_a must be above r_on / 709\.78"):
+            write_energy(stress, r, r_on, -1.4, rate, params)
+
+    def test_unmoved_device_takes_no_energy(self):
+        params = DeviceParams(amp_a=15.0)
+        got = write_energy(np.array([0.0]), np.array([11e3]), np.array([11e3]),
+                           -1.4, 1.0, params)
+        assert got.tolist() == [0.0]
+
+
 class TestNumpyFacts:
     """The numpy behaviour the block kernels rest on.  If an upgrade
     changes it, these fail instead of the simulated rows shifting."""

@@ -181,6 +181,15 @@ class TestEngineEqualsLayers:
         with pytest.raises(ValueError, match="r_off_max"):
             monte_carlo(cfg, grid_base, VariationSpec(d2d_sigma=0.01), 2, s)
 
+    @pytest.mark.parametrize("path", ["native", "digital"])
+    def test_spread_past_the_ei_bound_raises(self, path):
+        # 10 kohm / 15 ohm is below Ei's 709.78, but a 20% spread takes
+        # some r_on past 10.65 kohm: a write energy of nan, not a row.
+        with pytest.raises(ValueError, match="amp_a must be above"):
+            monte_carlo(ArrayConfig(rows=4, cols=1), replace(P, amp_a=15.0),
+                        VariationSpec(d2d_sigma=0.2, seed=1), 5,
+                        SweepSettings(path=path, channels=4, max_iters=5))
+
 
 class TestDerivedStreams:
     """A block derives each trial's generator state (`_trial_states`) and
@@ -294,6 +303,13 @@ class TestFidelity:
                          max_abs, effective_bits(span, rms) if span > 0
                          else EFFECTIVE_BITS_CAP))
         assert list(zip(*got)) == want
+
+    def test_overflowing_rms_raises(self):
+        # 1e153 ns squares to a finite 1e306; 1e160 ns overflows.
+        _, rms, _, _ = fidelity(np.array([[0.0, 1e153]]), np.zeros((1, 2)))
+        assert rms.tolist() == [1e153 / 2 ** 0.5]
+        with pytest.raises(ValueError, match="rms timing error overflows"):
+            fidelity(np.array([[0.0, 5.0], [0.0, 1e160]]), np.zeros((2, 2)))
 
     def test_bits_are_math_log2(self):
         # numpy's log2 differs from math.log2 on about 1 in 10^4 inputs, so

@@ -293,6 +293,28 @@ class TestCliCapture:
         recalled = read_wavefront_csv(out2 / "wavefront.csv")
         assert len(recalled) == 4
 
+    def test_grid_of_fewer_channels_than_array_rows_recalls(self, tmp_path):
+        # capture takes its rows from the input and recall --grid from the
+        # grid, whatever array.rows (4 by default) says.
+        wf_path = tmp_path / "in.csv"
+        write_wavefront_csv(wf_path, Wavefront((0.0, 12.5, 30.0)))
+        out1 = tmp_path / "cap"
+        assert run_cli("capture", "--input", str(wf_path), "--out", str(out1)) == 0
+        out2 = tmp_path / "rec"
+        assert run_cli("recall", "--grid", str(out1 / "grid.csv"),
+                       "--out", str(out2)) == 0
+        assert len(read_wavefront_csv(out2 / "wavefront.csv")) == 3
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,0,10000.0", "invalid literal for int() with base 10: 'x'"),
+        ("0,4,10000.0", "cell (0,4) outside 1x4 array"),
+        ("0,0", "expected 3 fields")])
+    def test_bad_grid_line_names_file_and_line(self, tmp_path, capsys, row, message):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"row,col,resistance_ohm\n{row}\n")
+        assert run_cli("recall", "--grid", str(grid), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {grid}: line 2: {message}\n"
+
 
 class TestCliSweep:
     def test_sweep_outputs_and_byte_stability(self, tmp_path):
@@ -456,10 +478,13 @@ class TestCliErrors:
         assert "run.trials must be at least 1 and below 2**32" in \
             capsys.readouterr().err
 
-    # Device values whose nominal sinh overflows or underflows are invalid
-    # scenarios; a write level beyond sinh's range fails the run.
+    # Device values whose nominal sinh overflows or underflows, or whose
+    # write energy's Ei(r_on / amp_a) overflows (10 kohm / 10 ohm is past
+    # 709.78), are invalid scenarios; a write level beyond sinh's range
+    # fails the run.  Warnings are errors, so a nan energy would fail here.
     @pytest.mark.parametrize("lines, status, message", [
         ("run.v_write = 400.0\n", 1, "beyond the sinh rate's range"),
+        ("device.amp_a = 10\n", 2, "amp_a must be above r_on / 709.78"),
         ("device.v_write_nominal = 400.0\n", 2, "sinh(v_write_nominal / v_zero)"),
         ("device.v_zero = 1e-3\n", 2, "sinh(v_write_nominal / v_zero)"),
         ("device.v_zero = 1e300\ndevice.v_write_nominal = 1e-290\n"
@@ -479,6 +504,44 @@ class TestCliErrors:
         assert len(err.splitlines()) == 1
         if status == 2:
             assert "s.txt: invalid scenario" in err
+
+    # Timing differences whose squares overflow: a span, an input time and
+    # a recall line capacitance out of float range for the rms.
+    @pytest.mark.parametrize("lines, times, command", [
+        ("run.span_ns = 1e160\n", None, "sweep"),
+        ("", (0.0, 1e160, 5.0), "roundtrip"),
+        ("run.scale_cap = none\narray.c_line_pf = 1e300\n", (0.0, 12.5, 30.0, 40.0),
+         "roundtrip")], ids=["span", "input", "c_line"])
+    def test_rms_overflow_exits_1(self, tmp_path, capsys, lines, times, command):
+        scen = tmp_path / "s.txt"
+        scen.write_text(lines + "run.trials = 2\n")
+        extra = []
+        if times:
+            write_wavefront_csv(tmp_path / "in.csv", Wavefront(times))
+            extra = ["--input", str(tmp_path / "in.csv")]
+        assert run_cli(command, "--scenario", str(scen), *extra,
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the rms timing error overflows")
+        assert len(err.splitlines()) == 1
+
+    def test_amp_a_within_the_ei_bound_keeps_its_energies(self, tmp_path, capsys):
+        # 10 kohm / 15 ohm is 666.7: the figures the write energy gave
+        # before the bound was checked.
+        scen = tmp_path / "s.txt"
+        scen.write_text("device.amp_a = 15\n")
+        wf_path = tmp_path / "in.csv"
+        write_wavefront_csv(wf_path, Wavefront((0.0, 12.5, 30.0, 40.0)))
+        for command in ("capture", "roundtrip"):
+            assert run_cli(command, "--scenario", str(scen), "--input", str(wf_path),
+                           "--out", str(tmp_path / command)) == 0
+        assert run_cli("sweep", "--scenario", str(scen), "--trials", "3",
+                       "--out", str(tmp_path / "sweep")) == 0
+        assert "write energy:     16168.15 fJ" in capsys.readouterr().out
+        metrics = read_single_row_csv(tmp_path / "roundtrip" / "metrics.csv")
+        assert float(metrics["write_energy_fj"]) == 16168.152465545196
+        report = read_single_row_csv(tmp_path / "sweep" / "trial_report.csv")
+        assert float(report["energy_mean_j"]) == 5.179579657370497e-10
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("roundtrip", "--input", str(tmp_path / "none.csv"),
