@@ -182,7 +182,9 @@ def write_energy(s, r, r_on, v: float, rate: float,
     """Energy (J) of RESET writes at voltage v and stress rate `rate` from
     ON (stress 0, r_on) to stress s (ns) at the law's resistance r, floats
     or arrays of one shape: v^2 / rate times the integral of ds / R(s),
-    (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp, s / r_off_max beyond."""
+    (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp, s / r_off_max beyond.
+    ValueError where an energy is not finite: Ei(R/A) overflows for R/A
+    beyond about 709.78, and so may the product for a vast stress."""
     s_clamp, r_clamp, pref = _reset_constants(r_on, params)
     a, shape = params.amp_a, np.broadcast(s, r_on).shape
     moved = np.minimum(s, s_clamp) > 0
@@ -192,4 +194,10 @@ def write_energy(s, r, r_on, v: float, rate: float,
                                ei_on(r_on, params, moved), out=np.zeros(shape),
                                where=moved)
     beyond = np.subtract(s, s_clamp, out=np.zeros(shape), where=s > s_clamp)
-    return (v * v / rate) * (total + beyond / params.r_off_max) * 1e-9
+    with np.errstate(over="ignore"):
+        energy = (v * v / rate) * (total + beyond / params.r_off_max) * 1e-9
+    # Written so that nan fails it.
+    if not (energy < math.inf).all():
+        raise ValueError("the write energy is not finite: a write reaches R above "
+                         "709.78 amp_a, where Ei(R / amp_a) overflows, or a vast stress")
+    return energy

@@ -117,5 +117,5 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as f:
+    with open(path, encoding="utf-8-sig") as f:  # a leading BOM is dropped
         return parse_scenario_text(f.read(), source=str(path))

@@ -11,10 +11,9 @@ Trial k of a sweep draws from the PCG64 stream of
 (`random_wavefront`'s draws), the rows x cols r_on grid (`sample_array`'s),
 then the cycle-to-cycle noise of its capture (`perturb_pulse`'s: one draw per
 row for a native capture, the closed loop's blocks for a digital one).
-A block derives its trials' generator states from (seed, k) as numpy
-would (`_trial_states`): the 32-bit hashing of the spawn keys runs over
-the whole block in numpy, and only the two 128-bit LCG steps of PCG64's
-seeding run per trial.  Each state is loaded into one reused generator.
+A block hashes its trials' spawn keys into PCG64 seed words as numpy
+would, over the whole block at once, and each trial's PCG64 seeds itself
+from its words (`_trial_generators`).
 A key is one 32-bit word, as `SweepSettings` keeps trials below 2**32:
 a sweep holds every row in memory, and 2**32 rows would take terabytes.
 So a sweep gives bit-identical results whether trials run serially or
@@ -31,7 +30,7 @@ one column, so on either route only that column's d2d draws are spread
 into r_on; the rest of the grid keeps its r_on check (`_check_spread`)
 from the block's extreme draws.  A digital capture runs its closed loop
 per trial (`recording._closed_loop` to `recording._targets`, as
-`capture` does), on that trial's stream and spread column.  Each trial's
+`capture` does), on that trial's generator and spread column.  Each trial's
 row is bit-identical to a `round_trip` of the same draws.
 """
 
@@ -45,6 +44,7 @@ from itertools import chain
 from operator import add
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .crossbar import ArrayConfig, r_on_grid
 from .device import DeviceParams, check_r_on, per_element
@@ -60,11 +60,9 @@ TIMING_SUCCESS_LEVELS = 64.0
 # the memory bound of the batched engine.
 _BLOCK_CELLS = 1 << 16
 
-# numpy's SeedSequence hash constants (NEP 19 keeps its algorithm stable)
-# and PCG64's LCG multiplier.
+# numpy's SeedSequence hash constants (NEP 19 keeps its algorithm stable).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R, _PCG_MULT = 0xca01f9dd, 0x4973f715, 0x2360ed051fc65da44385df649fccf645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_MIX_L, _MIX_R, _M32 = 0xca01f9dd, 0x4973f715, (1 << 32) - 1
 
 
 @cache
@@ -78,16 +76,24 @@ def _hash_steps(h: int, mult: int, skip: int, n: int) -> np.ndarray:
     return steps
 
 
-def _trial_states(seed: int, first: int, count: int):
-    """The PCG64 states of `default_rng(SeedSequence(seed).spawn(n)[k])`
-    for k = first .. first + count - 1, derived with no object per trial.
-    Every child shares the root's entropy pool; child k mixes in its spawn
-    key k, one 32-bit word as trials stay below 2**32 (numpy's `hashmix`
-    and `mix`), hashes the pool into 4 64-bit words (`generate_state`) and
-    PCG64 takes two LCG steps from them.  The 32-bit hashing runs over the
-    whole block at once, in uint64 masked to 32 bits: a product of two
-    32-bit values fits in 64 bits and 2**32 divides 2**64, so the low word
-    is exact.  Only the 128-bit LCG steps run per trial, on Python ints."""
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 its 4 seed words as given."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words  # C-contiguous: PCG64 reads the raw buffer
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _trial_generators(seed: int, first: int, count: int):
+    """`default_rng(SeedSequence(seed).spawn(n)[k])` for k = first ..
+    first + count - 1, one at a time.  Child k mixes its spawn key, one
+    32-bit word, into the root's entropy pool (numpy's `hashmix` and `mix`)
+    and hashes the pool into PCG64's 4 seed words (`generate_state`), here
+    over the whole block at once, in uint64 masked to 32 bits: a product of
+    two 32-bit values fits in 64 bits and 2**32 divides 2**64, so the low
+    word is exact."""
     keys = np.arange(first, first + count, dtype=np.uint64)
     root = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
     # The root's pool took 4 hash steps per seed word, at least 16; the
@@ -99,12 +105,9 @@ def _trial_states(seed: int, first: int, count: int):
     hashed = _hash_steps(_INIT_B, _MULT_B, 0, 8)
     o = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hashed[:, :1]) * hashed[:, 1:] & _M32
     o ^= o >> 16
-    # Little-endian word pairs; PCG64 reads each 128-bit value high first.
-    for s_hi, s_lo, i_hi, i_lo in zip(*(o[0::2] | o[1::2] << 32).tolist()):
-        init_state = s_hi << 64 | s_lo
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-        yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
-            "state": ((inc + init_state) * _PCG_MULT + inc) & _M128, "inc": inc}}
+    # Little-endian word pairs, copied into one C-contiguous row per trial.
+    for words in (o[0::2] | o[1::2] << 32).T.copy():
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 @dataclass(frozen=True)
@@ -223,9 +226,9 @@ def random_wavefront(rng: np.random.Generator, n_channels: int,
 
 
 def _run_block(args) -> list[TrialRow]:
-    """The rows of trials first .. first + count - 1.  One generator takes
-    each trial's state and draws its wavefront, then in one call its r_on
-    grid and, if native, c2c noise; a digital closed loop resumes there."""
+    """The rows of trials first .. first + count - 1.  Each trial's
+    generator draws its wavefront, then in one call its r_on grid and, if
+    native, c2c noise; a digital trial keeps it for its closed loop."""
     first, count, cfg, base, spec, s = args
     n, cells, native = s.channels, cfg.rows * cfg.cols, s.path == "native"
     # Each trial's times before the shuffle (0, span, n - 2 uniforms) and
@@ -236,16 +239,14 @@ def _run_block(args) -> list[TrialRow]:
     order = np.empty((count, n), dtype=np.intp)
     order[:] = np.arange(n)
     z = np.empty((count, cells + cfg.rows * native))
-    gen = np.random.Generator(np.random.PCG64(0))
-    resume = []
-    for k, state in enumerate(_trial_states(spec.seed, first, count)):
-        gen.bit_generator.state = state
+    rngs = []
+    for k, rng in enumerate(_trial_generators(spec.seed, first, count)):
         if n > 1:  # one channel sits at 0 with no draw
-            gen.random(out=vals[k, 2:])
-            gen.shuffle(order[k])
-        gen.standard_normal(out=z[k])
+            rng.random(out=vals[k, 2:])
+            rng.shuffle(order[k])
+        rng.standard_normal(out=z[k])
         if not native:
-            resume.append(gen.bit_generator.state)
+            rngs.append(rng)
     vals[:, 2:] *= s.span_ns
     # np.take_along_axis(vals, order, -1), without its index building
     times = vals[np.arange(count)[:, None], order]
@@ -263,13 +264,9 @@ def _run_block(args) -> list[TrialRow]:
         # Targets start from device (0, 0)'s spread r_on, as `capture` takes
         # it, until they suit each device (ROADMAP item 3).
         r_base = _spread(nominal[0, 0], spec.d2d_sigma, z_grid[:, 0, 0]).tolist()
-        caps = []
-        noise = partial(perturb_pulse, spec=spec, rng=gen)
-        for t, column, r0, state in zip(times, r_on, r_base, resume):
-            gen.bit_generator.state = state
-            # The last use of the stream: the closed loop reads the noise ahead.
-            caps.append(_closed_loop(column, _targets(Wavefront(tuple(t.tolist())),
-                                                      r0, s), base, s, noise))
+        caps = [_closed_loop(column, _targets(Wavefront(tuple(t.tolist())), r0, s),
+                             base, s, partial(perturb_pulse, spec=spec, rng=rng))
+                for t, column, r0, rng in zip(times, r_on, r_base, rngs)]
         resistances = np.array([c.final_resistances for c in caps])
         write_energy = np.array([c.write_energy for c in caps])
         converged = [all(c.converged) for c in caps]

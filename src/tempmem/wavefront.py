@@ -160,8 +160,9 @@ def write_wavefront_csv(path, w: Wavefront) -> None:
 
 def read_csv(path, header, row) -> None:
     """Call `row(fields)` on each non-blank row below the `header` row; its
-    ValueError, or a wrong field count, gets the prefix "{path}: line {n}: "."""
-    with open(path, newline="") as f:
+    ValueError, or a wrong field count, gets the prefix "{path}: line {n}: ".
+    A UTF-8 byte order mark before the header is dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         if next(reader, None) != header:
             raise ValueError(f"{path}: expected header '{','.join(header)}'")

@@ -17,10 +17,9 @@ from tempmem import variability
 from tempmem.crossbar import (ArrayConfig, base_params, ln_factor, new_array,
                               recall, reset_lines)
 from tempmem.device import DeviceParams
-from tempmem.recording import (QuantizerSpec, SweepSettings, capture,
-                               capture_native, default_slope,
-                               program_closed_loop, quantize, recall_and_score,
-                               round_trip)
+from tempmem.recording import (QuantizerSpec, SweepSettings, capture_native,
+                               default_slope, program_closed_loop, quantize,
+                               recall_and_score, round_trip)
 from tempmem.variability import (TrialRow, VariationSpec, monte_carlo, perturb_pulse,
                                  random_wavefront, sample_array)
 from tempmem.wavefront import (EFFECTIVE_BITS_CAP, Wavefront, effective_bits,
@@ -191,10 +190,14 @@ class TestEngineEqualsLayers:
                         SweepSettings(path=path, channels=4, max_iters=5))
 
 
+def states(generators) -> list:
+    return [g.bit_generator.state for g in generators]
+
+
 class TestDerivedStreams:
-    """A block derives each trial's generator state (`_trial_states`) and
-    loads it into one reused generator; both must give numpy's own stream
-    of `SeedSequence(seed).spawn(n)[k]`."""
+    """A block derives each trial's generator (`_trial_generators`) from
+    its seed words; it must give numpy's own stream of
+    `SeedSequence(seed).spawn(n)[k]`."""
 
     BLOCK = variability._BLOCK_CELLS // 32  # trials per block at 8 x 4
 
@@ -209,14 +212,14 @@ class TestDerivedStreams:
            count=st.integers(1, 3))
     def test_states_equal_numpys(self, seed, first, count):
         children = np.random.SeedSequence(seed).spawn(first + count)[first:]
-        assert list(variability._trial_states(seed, first, count)) == [
-            np.random.default_rng(c).bit_generator.state for c in children]
+        assert states(variability._trial_generators(seed, first, count)) == states(
+            map(np.random.default_rng, children))
 
     def test_whole_block_equals_numpys(self):
         seed = 2**64 + 12345
         children = np.random.SeedSequence(seed).spawn(self.BLOCK)
-        assert list(variability._trial_states(seed, 0, self.BLOCK)) == [
-            np.random.default_rng(c).bit_generator.state for c in children]
+        assert states(variability._trial_generators(seed, 0, self.BLOCK)) == states(
+            map(np.random.default_rng, children))
 
     # Sweeps whose spawn keys would reach 2**32, where keys gain a second
     # word, and sweeps wholly past it: rejected before any draw.
@@ -227,9 +230,9 @@ class TestDerivedStreams:
     def test_spawn_keys_past_one_word_rejected(self, seed, first, count,
                                                monkeypatch):
         def no_draws(*args):
-            raise AssertionError("drew trial states")
+            raise AssertionError("seeded trial generators")
 
-        monkeypatch.setattr(variability, "_trial_states", no_draws)
+        monkeypatch.setattr(variability, "_trial_generators", no_draws)
         with pytest.raises(ValueError, match=r"below 2\*\*32"):
             SweepSettings(trials=first + count)
         with pytest.raises(ValueError, match=r"below 2\*\*32"):
@@ -244,34 +247,31 @@ class TestDerivedStreams:
         np.int64(2**63 - 1), np.int64(0), np.uint64(2**64 - 1), np.uint64(2**32)])
     @pytest.mark.parametrize("first", [0, 1, BLOCK - 1, 2**32 - 1])
     def test_one_trial_blocks(self, seed, first):
-        assert list(variability._trial_states(seed, first, 1)) == [
+        assert states(variability._trial_generators(seed, first, 1)) == [
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first,)))
             .bit_generator.state]
 
     @hsettings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**64))
-    def test_reused_generator_draws_as_a_fresh_one(self, seed):
-        first, second = variability._trial_states(seed, 0, 2)
-        gen = np.random.Generator(np.random.PCG64(0))
-        gen.bit_generator.state = first
-        # Leave half a 32-bit draw buffered: the load must drop it.
-        while not gen.bit_generator.state["has_uint32"]:
-            gen.integers(0, 10, dtype=np.uint32)
-        gen.bit_generator.state = second
-        fresh = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-        cfg = ArrayConfig(rows=4, cols=2)
-        s = sweep_settings("digital", 4, "matched", 40.0)
-        spec = VariationSpec(c2c_sigma=0.3)
-        draws = []
-        for g in (gen, fresh):
-            w = Wavefront(tuple(g.uniform(0.0, 40.0, 4).tolist()))
-            order = g.permutation(4).tolist()
-            z = g.standard_normal(5).tolist()
-            cap = capture(new_array(cfg, P), cfg, P, w, s,
-                          pulse_noise=partial(perturb_pulse, spec=spec, rng=g))[1]
-            draws.append((w, order, z, cap))
-        assert draws[0] == draws[1]
-        assert sum(draws[0][3].iterations) > 4  # the closed loop drew noise
+    def test_trial_generators_draw_as_fresh_ones(self, seed):
+        def draws(gens):
+            # A digital block's draws: every trial's wavefront and normals
+            # first, then each trial's closed-loop noise, so that each
+            # generator must hold its own stream.
+            out = []
+            for g in gens:
+                vals, order, z = np.empty(6), np.arange(8), np.empty(40)
+                g.random(out=vals)
+                g.shuffle(order)
+                g.standard_normal(out=z)
+                out.append([vals.tolist(), order.tolist(), z.tolist()])
+            for g, o in zip(gens, out):
+                o.append(g.standard_normal(64).tolist())
+            return out
+
+        children = np.random.SeedSequence(seed).spawn(2)
+        assert draws(list(variability._trial_generators(seed, 0, 2))) == draws(
+            [np.random.default_rng(c) for c in children])
 
     @pytest.mark.parametrize("path", ["native", "digital"])
     def test_one_channel_sweep_across_blocks_and_workers(self, path):

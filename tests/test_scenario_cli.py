@@ -543,9 +543,65 @@ class TestCliErrors:
         report = read_single_row_csv(tmp_path / "sweep" / "trial_report.csv")
         assert float(report["energy_mean_j"]) == 5.179579657370497e-10
 
+    # Writes that reach Ei's overflow (10 kohm + 15 ohm ln(1 + s / tau) is
+    # past 709.78 x 15 ohm long before the 1 Mohm clamp) used to report an
+    # energy of inf; so may a stress of 1e300 ns past a 1e-10 ohm clamp.
+    @pytest.mark.parametrize("command, lines, times", [
+        ("sweep", "device.amp_a = 15\nrun.span_ns = 1e22\n", None),
+        ("roundtrip", "device.amp_a = 15\n", (0.0, 1e22)),
+        ("capture", "device.amp_a = 15\n", (0.0, 1e300)),
+        ("capture", "device.r_on = 1e-12\ndevice.r_off_max = 1e-10\n"
+                    "device.amp_a = 1e-11\n", (0.0, 1e300))],
+        ids=["sweep", "roundtrip", "capture", "vast_stress"])
+    def test_infinite_write_energy_exits_1(self, tmp_path, capsys, command, lines,
+                                           times):
+        scen = tmp_path / "s.txt"
+        scen.write_text(lines + "run.trials = 2\n")
+        extra = []
+        if times:
+            write_wavefront_csv(tmp_path / "in.csv", Wavefront(times))
+            extra = ["--input", str(tmp_path / "in.csv")]
+        assert run_cli(command, "--scenario", str(scen), *extra,
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the write energy is not finite")
+        assert len(err.splitlines()) == 1
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("roundtrip", "--input", str(tmp_path / "none.csv"),
                        "--out", str(tmp_path / "o")) == 2
+
+
+class TestByteOrderMark:
+    """Files saved with a UTF-8 byte order mark read as the same files
+    without one."""
+
+    def test_scenario(self, tmp_path):
+        outs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            scen = tmp_path / f"{encoding}.txt"
+            scen.write_text("run.trials = 3\nvariation.seed = 9\n", encoding=encoding)
+            outs.append(tmp_path / encoding)
+            assert run_cli("sweep", "--scenario", str(scen), "--out", str(outs[-1])) == 0
+        assert (outs[0] / "trials.csv").read_text().count("\n") == 4
+        assert (outs[0] / "trials.csv").read_bytes() == (outs[1] / "trials.csv").read_bytes()
+
+    def test_wavefront_and_grid(self, tmp_path):
+        text = "channel,time_ns\n0,0.0\n1,12.5\n2,30.0\n"
+        for encoding in ("utf-8", "utf-8-sig"):
+            (tmp_path / f"{encoding}.csv").write_text(text, encoding=encoding)
+            assert run_cli("capture", "--input", str(tmp_path / f"{encoding}.csv"),
+                           "--out", str(tmp_path / f"cap-{encoding}")) == 0
+        grid = (tmp_path / "cap-utf-8" / "grid.csv").read_bytes()
+        assert (tmp_path / "cap-utf-8-sig" / "grid.csv").read_bytes() == grid
+        (tmp_path / "bom-grid.csv").write_bytes(b"\xef\xbb\xbf" + grid)
+        for name, path in (("plain", tmp_path / "cap-utf-8" / "grid.csv"),
+                           ("bom", tmp_path / "bom-grid.csv")):
+            assert run_cli("recall", "--grid", str(path),
+                           "--out", str(tmp_path / name)) == 0
+        recalled = (tmp_path / "plain" / "wavefront.csv").read_bytes()
+        assert recalled.count(b"\n") == 4
+        assert (tmp_path / "bom" / "wavefront.csv").read_bytes() == recalled
 
 
 class TestConsoleEntry:
