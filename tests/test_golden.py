@@ -6,9 +6,9 @@ tests/golden/<case>/.  The recorded bytes are the reference behaviour of
 the simulator; a refactor must reproduce them exactly.
 
 Re-record only when an output is meant to change, and say why in the
-change log:
+change log.  With case names it records only those cases:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 import contextlib
@@ -33,11 +33,18 @@ GRID = "row,col,resistance_ohm\n" + "".join(
 # Acceptance criterion 6: a 0.01 ns step lands inside the 0.1% verify band.
 DIGITAL = "run.step_ns = 0.01\nrun.tol = 0.001\nrun.max_iters = 8000\n"
 
+SWEEP_NATIVE = ("array.rows = 8\narray.cols = 4\nrun.channels = 8\n"
+                "run.trials = 50\nrun.column = 2\nvariation.seed = 7\n")
+
 SCENARIOS = {
     "column1": "run.column = 1\n",
     "digital": DIGITAL,
-    "sweep_native": ("array.rows = 8\narray.cols = 4\nrun.channels = 8\n"
-                     "run.trials = 50\nrun.column = 2\nvariation.seed = 7\n"),
+    # WAVEFRONT's 27.8 ns leaves a 0.8 ns residue, on a 0.1 ns bin edge.
+    "vernier": "quantizer.kind = vernier\nquantizer.t_fine_ns = 0.1\n" + DIGITAL,
+    "fixed_scale": "run.scale_cap = none\n",
+    "sweep_native": SWEEP_NATIVE,
+    # Criterion 8: the same files as sweep_native.
+    "sweep_native_workers2": SWEEP_NATIVE + "run.workers = 2\n",
     "sweep_digital": ("array.rows = 8\narray.cols = 4\nrun.channels = 8\n"
                       "run.trials = 2\nrun.column = 1\nrun.path = digital\n"
                       "variation.seed = 11\n" + DIGITAL),
@@ -53,10 +60,15 @@ CASES = {
     "capture_digital": ["capture", "--input", "{wf}", "--path", "digital"],
     "capture_digital_converging": ["capture", "--input", "{wf}", "--path",
                                    "digital", "--scenario", "{digital}"],
+    "capture_vernier": ["capture", "--input", "{wf}", "--path", "digital",
+                        "--scenario", "{vernier}"],
     "roundtrip_native": ["roundtrip", "--input", "{wf}"],
+    "roundtrip_fixed_scale": ["roundtrip", "--input", "{wf}", "--scenario",
+                              "{fixed_scale}"],
     "roundtrip_digital": ["roundtrip", "--input", "{wf}", "--path", "digital",
                           "--scenario", "{digital}"],
     "sweep_native": ["sweep", "--scenario", "{sweep_native}"],
+    "sweep_native_workers2": ["sweep", "--scenario", "{sweep_native_workers2}"],
     "sweep_digital": ["sweep", "--scenario", "{sweep_digital}"],
     "calibrate": ["calibrate", "--scenario", "{calibrate}"],
 }
@@ -90,8 +102,11 @@ def test_outputs_match_golden(case, tmp_path):
             f"{case}/{path.name} differs from the golden copy"
 
 
-def record() -> None:
-    for case in sorted(CASES):
+def record(cases) -> None:
+    unknown = set(cases) - set(CASES)
+    if unknown:
+        raise SystemExit(f"unknown case: {', '.join(sorted(unknown))}")
+    for case in sorted(cases):
         with tempfile.TemporaryDirectory() as tmp:
             out = GOLDEN / case
             shutil.rmtree(out, ignore_errors=True)
@@ -100,4 +115,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:] or CASES)
