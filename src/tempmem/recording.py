@@ -2,10 +2,11 @@
 
 `capture` records a wavefront into a column of ON devices by the route a
 `SweepSettings` names and flags `window_exceeded`; `capture_native` and
-`program_closed_loop` are its two routes, set by keywords.  The Monte
-Carlo engine writes native trials a block at a time with `_native_write`
-and runs each digital trial's `_closed_loop` to its `_targets`, the one
-statement of the digital target rule.  Both routes take the law from
+`program_closed_loop` are its two routes, set by keywords.  The route
+switch is `_capture_rows`, which captures rows of input times (trials x
+channels) at once: `capture` passes it one row, and the Monte Carlo
+engine a block of trials.  It alone states the digital target rule and
+forms `converged` and `window_exceeded`.  Both routes take the law from
 `device.resistance` and `device.stress_at`, and integrate each
 device's write energy once from ON (`device.write_energy`).
 
@@ -20,17 +21,13 @@ refined by a vernier stage), converts counts to resistance targets on a
 fixed slope, and drives each device to its target with an iterative
 program/verify loop (`_closed_loop`).
 
-Cycle-to-cycle noise enters as a `PulseNoise`: a function from an array
-of nominal pulse durations to as many effective durations, one draw per
-element in order.  Native capture calls it once per column; the closed
-loop calls it once per block of pulses and may read ahead of the pulses
-it applies (see `_closed_loop`).
+Cycle-to-cycle noise enters as a `PulseNoise` (see its comment).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -42,6 +39,10 @@ from .crossbar import (ArrayConfig, ArrayState, EnergyReport, base_params,
 from .device import DeviceParams
 from .wavefront import Wavefront, fidelity, write_csv
 
+# Cycle-to-cycle noise: effective pulse durations for an array of nominal
+# ones, of its shape, one draw per element in order.  The native route
+# calls it once on trials x channels (1 x channels for `capture`); the
+# closed loop once per block of pulses, reading ahead (see `_closed_loop`).
 PulseNoise = Optional[Callable[[np.ndarray], np.ndarray]]
 
 # Most pulses one closed-loop block evaluates at once: a memory bound for
@@ -244,25 +245,6 @@ def _effective(nominal: np.ndarray, pulse_noise: PulseNoise) -> np.ndarray:
     return dur
 
 
-def _native_write(times: np.ndarray, r_on: np.ndarray, params: DeviceParams,
-                  v_write: float | None, pulse_noise: PulseNoise):
-    """The native write on whole columns.  times holds each column's input
-    edge times and r_on its devices' ON resistances, arrays of one shape
-    with rows along the last axis and any leading axes (trials).  Each
-    device takes one reverse pulse at v_write (nominal by default) lasting
-    its channel's delay behind its column's first edge, after one
-    `pulse_noise` call on all the nominal durations.  The first channel's
-    pulse has zero length, adds no stress, and the law leaves its device
-    exactly at r_on.  Returns the effective durations (ns), the devices'
-    resistances and each column's write energy (J) summed in row order."""
-    v_write, rate = _reset_rate(params, v_write)
-    dur = _effective(times - times.min(axis=-1, keepdims=True), pulse_noise)
-    stress = dur * rate
-    resistance = device.resistance(stress, r_on, params)
-    return dur, resistance, _add(0.0, device.write_energy(
-        stress, resistance, r_on, -v_write, rate, params))
-
-
 def _block_size(gap: float, left: int) -> int:
     """Pulses to evaluate in one block for a device `gap` noiseless pulses
     short of its band, with `left` pulses of its budget left: the gap plus
@@ -274,10 +256,12 @@ def _block_size(gap: float, left: int) -> int:
 
 
 def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DeviceParams,
-                 settings: SweepSettings, pulse_noise: PulseNoise) -> CaptureResult:
+                 settings: SweepSettings, pulse_noise: PulseNoise) -> tuple:
     """Drive each device of a column, ON at r_ons, to its target within a
     relative settings.tol by reverse pulses of settings.step_ns at
-    settings.v_write, each followed by a verify read.
+    settings.v_write, each followed by a verify read.  Returns the pulses,
+    resistances, write energy, iterations and convergence, in
+    `CaptureResult`'s field order.
 
     The loop only moves resistance upward, so a target already below the
     verify band is flagged unreachable immediately; targets beyond what
@@ -356,8 +340,8 @@ def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DevicePara
         converged.append(abs(r - target) / target <= tol)
     energy = _add(0.0, device.write_energy(np.array(stresses), np.array(resistances),
                                            r_ons, -v_write, rate, params))
-    return CaptureResult(tuple(pulses), tuple(resistances), float(energy),
-                         tuple(iterations), tuple(converged))
+    return (tuple(pulses), tuple(resistances), float(energy), tuple(iterations),
+            tuple(converged))
 
 
 def default_slope(t_clk: float) -> float:
@@ -365,33 +349,55 @@ def default_slope(t_clk: float) -> float:
     return device.R_SPAN_DEFAULT / (device.T_SPAN_DEFAULT / t_clk)
 
 
-def _targets(w: Wavefront, r_base: float, s: SweepSettings) -> list[float]:
-    """The digital route's resistance targets for w: r_base + s.slope *
-    count, one per channel, of `s.quantizer`'s counts."""
-    q = s.quantizer
-    return [r_base + s.slope * c for c in quantize(w, q).effective_counts(q)]
+def _capture_rows(times: np.ndarray, r_on: np.ndarray, r_base: Sequence[float],
+                  params: DeviceParams, s: SweepSettings,
+                  noise: PulseNoise | Sequence[PulseNoise]) -> tuple:
+    """Capture row k of `times` (trial k's input edge times, ns) into the
+    ON devices r_on[k] by the route s.path names.  Native: each device
+    takes one reverse pulse at s.v_write (nominal by default) lasting its
+    channel's delay behind its row's first edge, after one `noise` call on
+    all the nominal durations; the first channel's pulse has zero length
+    and leaves its device exactly at r_on.  Digital: row k runs
+    `_closed_loop` with noise[k] to the targets r_base[k] + s.slope *
+    count of s.quantizer's counts.  Returns `CaptureResult`'s fields as
+    arrays with one row per trial (one element for the write energy, in J
+    summed in row order, and for window_exceeded)."""
+    if s.path == "native":
+        v_write, rate = _reset_rate(params, s.v_write)
+        dur = _effective(times - times.min(axis=-1, keepdims=True), noise)
+        stress = dur * rate
+        resistance = device.resistance(stress, r_on, params)
+        energy = _add(0.0, device.write_energy(stress, resistance, r_on, -v_write,
+                                               rate, params))
+        ones = np.ones(times.shape, dtype=int)
+        rows = dur, resistance, energy, ones, ones.astype(bool)
+    else:
+        q = s.quantizer
+        caps = [_closed_loop(column, [r0 + s.slope * c for c in quantize(
+                    Wavefront(tuple(t)), q).effective_counts(q)], params, s, row_noise)
+                for t, column, r0, row_noise in zip(times.tolist(), r_on, r_base, noise)]
+        rows = tuple(np.array(x) for x in zip(*caps))
+    return (*rows, times.max(axis=-1) - times.min(axis=-1) > s.window_ns)
 
 
 def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
             w: Wavefront, settings: SweepSettings, *,
             pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
-    """Record a wavefront into the ON column `settings.column` by the route
-    settings.path names: `_native_write`, or `_closed_loop` to `_targets`
-    from device (0, 0)'s r_on.  A span beyond settings.window_ns is flagged
-    in the result's window_exceeded, not rejected."""
+    """Record a wavefront into the ON column `settings.column` by
+    `_capture_rows` on one row, digital targets starting from device
+    (0, 0)'s r_on.  A span beyond settings.window_ns is flagged in
+    window_exceeded, not rejected."""
     col = settings.column
     r_on = _on_column(state, cfg, params, col)
     if len(w) != cfg.rows:
         raise ValueError(f"wavefront has {len(w)} channels, array has {cfg.rows} rows")
-    if settings.path == "native":
-        dur, resistance, energy = _native_write(np.array(w.times), r_on, params,
-                                                settings.v_write, pulse_noise)
-        result = CaptureResult(tuple(dur.tolist()), tuple(resistance.tolist()),
-                               float(energy), (1,) * cfg.rows, (True,) * cfg.rows)
-    else:
-        result = _closed_loop(r_on, _targets(w, base_params(params).r_on, settings),
-                              params, settings, pulse_noise)
-    result = replace(result, window_exceeded=w.span > settings.window_ns)
+    noise = pulse_noise if settings.path == "native" else [pulse_noise]
+    pulses, resistances, energy, iterations, converged, exceeded = (
+        x[0].tolist() for x in _capture_rows(
+            np.array([w.times]), r_on[None], [base_params(params).r_on], params,
+            settings, noise))
+    result = CaptureResult(tuple(pulses), tuple(resistances), energy,
+                           tuple(iterations), tuple(converged), exceeded)
     return _write_column(state, col, result.final_resistances), result
 
 
@@ -419,9 +425,9 @@ def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParam
     checked as the `SweepSettings` fields they fill and defaulting to them
     (run.step_ns for step)."""
     r_ons = _on_column(state, cfg, params, col)
-    result = _closed_loop(r_ons, targets, params, SweepSettings(
+    result = CaptureResult(*_closed_loop(r_ons, targets, params, SweepSettings(
         path="digital", column=col, tol=tol, step_ns=step, max_iters=max_iters,
-        v_write=v_write), pulse_noise)
+        v_write=v_write), pulse_noise))
     return _write_column(state, col, result.final_resistances), result
 
 

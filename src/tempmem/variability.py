@@ -22,16 +22,16 @@ across worker processes, and whatever blocks they run in.
 `monte_carlo` runs trials in blocks of at most _BLOCK_CELLS devices
 (trials x rows x cols).  Within a block only the draws loop over trials;
 everything else works on arrays with a leading trials axis: the r_on
-grids and noise factors, native capture, recall and scoring.  Native
-capture is `recording._native_write`, the write `capture_native` makes,
-on the whole block at once with the block's c2c draws as its noise;
-recall and scoring are `recording.recall_and_score`.  A capture writes
-one column, so on either route only that column's d2d draws are spread
-into r_on; the rest of the grid keeps its r_on check (`_check_spread`)
-from the block's extreme draws.  A digital capture runs its closed loop
-per trial (`recording._closed_loop` to `recording._targets`, as
-`capture` does), on that trial's generator and spread column.  Each trial's
-row is bit-identical to a `round_trip` of the same draws.
+grids and noise factors, capture, recall and scoring.  Capture is
+`recording._capture_rows`, the route switch `capture` makes its one-row
+call to, on the whole block at once; recall and scoring are
+`recording.recall_and_score`.  A capture writes one column, so on either
+route only that column's d2d draws are spread into r_on; the rest of the
+grid keeps its r_on check (`_check_spread`) from the block's extreme
+draws.  The native route's noise is one call on the block's c2c draws,
+trials x rows; a digital trial's closed loop draws from that trial's
+generator.  Each trial's row is bit-identical to a `round_trip` of the
+same draws.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .crossbar import ArrayConfig, r_on_grid
 from .device import DeviceParams, check_r_on, per_element
-from .recording import (SweepSettings, recall_and_score, _closed_loop,
-                        _native_write, _targets)
+from .recording import SweepSettings, recall_and_score, _capture_rows
 from .wavefront import Wavefront, write_csv
 
 # Success threshold for exact-timing codes: rms no worse than half an LSB
@@ -255,27 +254,18 @@ def _run_block(args) -> list[TrialRow]:
     _check_spread(base, spec.d2d_sigma, z_grid)
     nominal = r_on_grid(base, cfg)
     r_on = _spread(nominal[:, s.column], spec.d2d_sigma, z_grid[..., s.column])
-    if native:
-        _, resistances, write_energy = _native_write(
-            times, r_on, base, s.v_write,
-            lambda d: _spread(d, spec.c2c_sigma, z[:, cells:]))
-        converged = [True] * count
-    else:
-        # Targets start from device (0, 0)'s spread r_on, as `capture` takes
-        # it, until they suit each device (ROADMAP item 3).
-        r_base = _spread(nominal[0, 0], spec.d2d_sigma, z_grid[:, 0, 0]).tolist()
-        caps = [_closed_loop(column, _targets(Wavefront(tuple(t.tolist())), r0, s),
-                             base, s, partial(perturb_pulse, spec=spec, rng=rng))
-                for t, column, r0, rng in zip(times, r_on, r_base, rngs)]
-        resistances = np.array([c.final_resistances for c in caps])
-        write_energy = np.array([c.write_energy for c in caps])
-        converged = [all(c.converged) for c in caps]
+    # Digital targets start from device (0, 0)'s spread r_on, as `capture`
+    # takes it, until they suit each device (ROADMAP item 3).
+    r_base = _spread(nominal[0, 0], spec.d2d_sigma, z_grid[:, 0, 0]).tolist()
+    noise = (partial(_spread, sigma_rel=spec.c2c_sigma, z=z[:, cells:]) if native
+             else [partial(perturb_pulse, spec=spec, rng=rng) for rng in rngs])
+    _, resistances, write_energy, _, converged, window_exceeded = _capture_rows(
+        times, r_on, r_base, base, s, noise)
     rt = recall_and_score(times, resistances, cfg, s.scale_cap)
-    window_exceeded = (times.max(axis=-1) - times.min(axis=-1)) > s.window_ns
     return [TrialRow(first + k, *fields) for k, fields in enumerate(zip(
         rt.tau.tolist(), rt.rms_ns.tolist(), rt.max_abs_ns.tolist(),
-        rt.bits.tolist(), write_energy.tolist(),
-        (rt.per_line * cfg.rows).tolist(), converged, window_exceeded.tolist()))]
+        rt.bits.tolist(), write_energy.tolist(), (rt.per_line * cfg.rows).tolist(),
+        converged.all(axis=-1).tolist(), window_exceeded.tolist()))]
 
 
 def _mean(values, n: int) -> float:

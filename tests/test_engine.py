@@ -76,19 +76,24 @@ def reference_rows(cfg, base, spec, n_trials, s):
 
 
 def sweep_settings(path, rows, scale_cap, span_ns):
-    s = SweepSettings(path=path, channels=rows, scale_cap=scale_cap,
-                      span_ns=span_ns, column=1, window_ns=30.0)
-    if path == "digital":
+    """Settings for a route: "native", "digital" (a counter), or "vernier",
+    the digital route through a counter and vernier, whose counts are
+    fractional."""
+    s = SweepSettings(channels=rows, scale_cap=scale_cap, span_ns=span_ns,
+                      column=1, window_ns=30.0)
+    if path != "native":
         # A step small enough to land in the band, and a budget that some
         # devices run out of.
-        s = replace(s, step_ns=0.05, tol=2e-3, max_iters=300)
+        s = replace(s, path="digital", step_ns=0.05, tol=2e-3, max_iters=300)
+    if path == "vernier":
+        s = replace(s, quantizer=QuantizerSpec("vernier", t_clk=1.0, t_fine=0.1))
     return s
 
 
 class TestEngineEqualsLayers:
     @pytest.mark.parametrize("scale_cap, c_line", SCALES)
     @pytest.mark.parametrize("rows", ROWS)
-    @pytest.mark.parametrize("path", ["native", "digital"])
+    @pytest.mark.parametrize("path", ["native", "digital", "vernier"])
     @hsettings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            d2d=st.sampled_from([0.0, 0.01, 0.2]),

@@ -483,7 +483,7 @@ class TestKernelsMatchScalarLaw:
                                 pulse_noise=lambda d: d[:-1])
         with pytest.raises(ValueError, match="one duration per pulse"):
             capture_native(new_array(cfg, P), cfg, P, 0, Wavefront((0.0, 5.0)),
-                           pulse_noise=lambda d: d[:1])
+                           pulse_noise=lambda d: d[..., :1])
 
     @pytest.mark.parametrize("r_off_max", [1e6] + CLAMPS)
     def test_native_column(self, r_off_max):
