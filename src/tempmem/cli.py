@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import crossbar, device, recording, variability
+from .device import _fj
 from .scenario import Scenario, ScenarioError, load_scenario
 from .wavefront import (normalize, read_csv, read_wavefront_csv, write_csv,
                         write_wavefront_csv)
@@ -98,10 +99,9 @@ def _cmd_recall(args, scenario: Scenario, outdir: Path) -> int:
     write_wavefront_csv(outdir / "wavefront.csv", w)
     write_csv(outdir / "energy.csv",
               ["per_line_fj", "stored_fj", "dissipated_fj"],
-              [[energy.per_line / 1e-15, energy.stored / 1e-15,
-                energy.dissipated / 1e-15]])
+              [[_fj(energy.per_line), _fj(energy.stored), _fj(energy.dissipated)]])
     print(f"recalled column {scenario.run.column}: "
-          f"span {w.span:.3f} ns, {energy.per_line / 1e-15:.1f} fJ/line")
+          f"span {w.span:.3f} ns, {_fj(energy.per_line):.1f} fJ/line")
     return 0
 
 
@@ -111,14 +111,14 @@ def _cmd_capture(args, scenario: Scenario, outdir: Path) -> int:
     state, result = recording.capture(
         crossbar.new_array(cfg, scenario.device), cfg, scenario.device, w,
         scenario.run)
-    recording.write_capture_csv(outdir / "capture.csv", result)
-    crossbar.write_grid_csv(outdir / "grid.csv", state)
     report = [
         f"path:             {scenario.run.path}",
-        f"write energy:     {result.write_energy / 1e-15:.2f} fJ",
+        f"write energy:     {_fj(result.write_energy):.2f} fJ",
         f"window exceeded:  {result.window_exceeded}",
         f"all converged:    {all(result.converged)}",
     ]
+    recording.write_capture_csv(outdir / "capture.csv", result)
+    crossbar.write_grid_csv(outdir / "grid.csv", state)
     (outdir / "capture_report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
     return 0
@@ -135,7 +135,7 @@ def _cmd_roundtrip(args, scenario: Scenario, outdir: Path) -> int:
          "c_scale_pf", "write_energy_fj", "recall_per_line_fj",
          "window_exceeded", "all_converged"],
         [[rt.tau, rt.rms_ns, rt.max_abs_ns, rt.bits, w.span, rt.c_used / 1e-12,
-          rt.capture.write_energy / 1e-15, rt.recall_energy.per_line / 1e-15,
+          _fj(rt.capture.write_energy), _fj(rt.recall_energy.per_line),
           int(rt.capture.window_exceeded), int(all(rt.capture.converged))]])
     print(f"round trip ({scenario.run.path}): tau {rt.tau:.3f}, "
           f"rms {rt.rms_ns:.3f} ns, {rt.bits:.2f} bits")
@@ -147,9 +147,9 @@ def _cmd_sweep(args, scenario: Scenario, outdir: Path) -> int:
     report, rows = variability.monte_carlo(
         cfg, scenario.device, scenario.variation, scenario.run.trials,
         scenario.run, workers=scenario.run.workers)
+    text = variability.format_trial_report(report)
     variability.write_trial_report_csv(outdir / "trial_report.csv", report)
     variability.write_trials_csv(outdir / "trials.csv", rows)
-    text = variability.format_trial_report(report)
     (outdir / "trial_report.txt").write_text(text)
     print(text, end="")
     return 0

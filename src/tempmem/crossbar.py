@@ -134,9 +134,10 @@ def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, En
 
 def edge_times(r: np.ndarray, c_line, cfg: ArrayConfig) -> np.ndarray:
     """Recall edge times (ns) of devices of resistance r (ohm) on bit lines
-    of capacitance c_line (F), with cfg's threshold and shifter delay;
-    c_line is a float or an array broadcasting against r."""
-    return r * (c_line * ln_factor(cfg.theta) * 1e9) + cfg.t_shifter
+    of capacitance c_line (F, a float or an array broadcasting against r),
+    with cfg's threshold and shifter delay; inf where they overflow."""
+    with np.errstate(over="ignore"):
+        return r * (c_line * ln_factor(cfg.theta) * 1e9) + cfg.t_shifter
 
 
 def reset_lines(state: ArrayState) -> ArrayState:

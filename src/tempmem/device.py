@@ -201,3 +201,11 @@ def write_energy(s, r, r_on, v: float, rate: float,
         raise ValueError("the write energy is not finite: a write reaches R above "
                          "709.78 amp_a, where Ei(R / amp_a) overflows, or a vast stress")
     return energy
+
+
+def _fj(joules: float) -> float:
+    """joules in fJ, the unit reports use; ValueError where it overflows."""
+    fj = float(joules) / 1e-15
+    if not math.isfinite(fj):
+        raise ValueError(f"an energy of {joules!r} J overflows in fJ")
+    return fj

@@ -2,13 +2,12 @@
 
 `capture` records a wavefront into a column of ON devices by the route a
 `SweepSettings` names and flags `window_exceeded`; `capture_native` and
-`program_closed_loop` are its two routes, set by keywords.  The route
-switch is `_capture_rows`, which captures rows of input times (trials x
-channels) at once: `capture` passes it one row, and the Monte Carlo
-engine a block of trials.  It alone states the digital target rule and
-forms `converged` and `window_exceeded`.  Both routes take the law from
-`device.resistance` and `device.stress_at`, and integrate each
-device's write energy once from ON (`device.write_energy`).
+`program_closed_loop` are its two routes, set by keywords.  The one
+route switch is `_capture_rows`, on rows of input times (trials x
+channels), each route with its `PulseNoise`: `capture` passes one row,
+the Monte Carlo engine a block of trials.  Both routes take the law from
+`device.resistance` and `device.stress_at`, and integrate each device's
+write energy once from ON (`device.write_energy`).
 
 Native capture mimics timing-difference plasticity: the first arriving edge
 raises the source line, and every later channel sees a reverse write
@@ -20,8 +19,6 @@ Digital capture measures the wavefront with a counter (optionally
 refined by a vernier stage), converts counts to resistance targets on a
 fixed slope, and drives each device to its target with an iterative
 program/verify loop (`_closed_loop`).
-
-Cycle-to-cycle noise enters as a `PulseNoise` (see its comment).
 """
 
 from __future__ import annotations
@@ -259,9 +256,8 @@ def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DevicePara
                  settings: SweepSettings, pulse_noise: PulseNoise) -> tuple:
     """Drive each device of a column, ON at r_ons, to its target within a
     relative settings.tol by reverse pulses of settings.step_ns at
-    settings.v_write, each followed by a verify read.  Returns the pulses,
-    resistances, write energy, iterations and convergence, in
-    `CaptureResult`'s field order.
+    settings.v_write, each followed by a verify read.  Returns the first
+    five `CaptureResult` fields, as a tuple.
 
     The loop only moves resistance upward, so a target already below the
     verify band is flagged unreachable immediately; targets beyond what
@@ -448,12 +444,14 @@ class RoundTripResult:
 def matched_capacitance(span_ns, delta_r, cfg: ArrayConfig):
     """Line capacitance mapping a captured resistance spread back onto the
     recorded span; falls back to the configured value for a flat column.
-    Floats give a float; arrays give an array of their broadcast shape."""
+    Floats give a float; arrays give an array of their broadcast shape;
+    an overflow gives inf without a warning, as Python floats do."""
     span_ns, delta_r = np.asarray(span_ns, dtype=float), np.asarray(delta_r, dtype=float)
     # Written so that nan does not fall back.
     spread = ~((delta_r <= 0) | (span_ns <= 0))
-    c = np.divide(span_ns * 1e-9, delta_r * ln_factor(cfg.theta),
-                  out=np.full(spread.shape, cfg.c_line), where=spread)
+    with np.errstate(over="ignore"):
+        c = np.divide(span_ns * 1e-9, delta_r * ln_factor(cfg.theta),
+                      out=np.full(spread.shape, cfg.c_line), where=spread)
     return c if c.ndim else float(c)
 
 
@@ -477,21 +475,19 @@ def recall_and_score(times: np.ndarray, resistances: np.ndarray,
     was captured into.  The line capacitance follows `scale_cap` as in
     `round_trip`: each trial's matched value, or cfg.c_line for "none";
     the checks are those `ArrayConfig` and `Wavefront` make."""
-    # Python float arithmetic overflows to inf without a warning; so does this.
-    with np.errstate(over="ignore"):
-        if scale_cap == "matched":
-            c_used = matched_capacitance(
-                times.max(axis=-1) - times.min(axis=-1),
-                resistances.max(axis=-1) - resistances.min(axis=-1), cfg)
-        else:
-            c_used = np.full(len(times), cfg.c_line)
-        if not ((0 < c_used) & (c_used < math.inf)).all():
-            raise ValueError("c_line must be positive and finite")
-        recalled = edge_times(resistances, c_used[:, None], cfg)
-        if not np.isfinite(recalled).all():
-            raise ValueError("wavefront times must be finite and non-negative")
-        return Recalled(c_used, recalled, c_used * cfg.v_read ** 2,
-                        *fidelity(times, recalled))
+    if scale_cap == "matched":
+        c_used = matched_capacitance(
+            times.max(axis=-1) - times.min(axis=-1),
+            resistances.max(axis=-1) - resistances.min(axis=-1), cfg)
+    else:
+        c_used = np.full(len(times), cfg.c_line)
+    if not ((0 < c_used) & (c_used < math.inf)).all():
+        raise ValueError("c_line must be positive and finite")
+    recalled = edge_times(resistances, c_used[:, None], cfg)
+    if not np.isfinite(recalled).all():
+        raise ValueError("wavefront times must be finite and non-negative")
+    return Recalled(c_used, recalled, c_used * cfg.v_read ** 2,
+                    *fidelity(times, recalled))
 
 
 def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,

@@ -22,16 +22,14 @@ across worker processes, and whatever blocks they run in.
 `monte_carlo` runs trials in blocks of at most _BLOCK_CELLS devices
 (trials x rows x cols).  Within a block only the draws loop over trials;
 everything else works on arrays with a leading trials axis: the r_on
-grids and noise factors, capture, recall and scoring.  Capture is
-`recording._capture_rows`, the route switch `capture` makes its one-row
-call to, on the whole block at once; recall and scoring are
-`recording.recall_and_score`.  A capture writes one column, so on either
-route only that column's d2d draws are spread into r_on; the rest of the
-grid keeps its r_on check (`_check_spread`) from the block's extreme
-draws.  The native route's noise is one call on the block's c2c draws,
-trials x rows; a digital trial's closed loop draws from that trial's
-generator.  Each trial's row is bit-identical to a `round_trip` of the
-same draws.
+grids and noise factors, capture (`recording._capture_rows`, of which
+`capture` is the one-row case), recall and scoring
+(`recording.recall_and_score`).  A capture writes one column, so only
+that column's d2d draws are spread into r_on; the rest of the grid keeps
+its r_on check (`_check_spread`) from the block's extreme draws.  Native
+noise is one call on the block's c2c draws, trials x rows; a digital
+trial's closed loop draws from its own generator.  Each trial's row is
+bit-identical to a `round_trip` of the same draws.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .crossbar import ArrayConfig, r_on_grid
-from .device import DeviceParams, check_r_on, per_element
+from .device import DeviceParams, check_r_on, per_element, _fj
 from .recording import SweepSettings, recall_and_score, _capture_rows
 from .wavefront import Wavefront, write_csv
 
@@ -338,6 +336,6 @@ def format_trial_report(report: TrialReport) -> str:
         f"mean rms timing:      {report.rms_timing_ns:.4f} ns",
         f"mean effective bits:  {report.effective_bits_mean:.3f}",
         f"timing success rate:  {report.timing_success_rate:.4f}",
-        f"mean energy / trial:  {report.energy_mean_j / 1e-15:.2f} fJ",
+        f"mean energy / trial:  {_fj(report.energy_mean_j):.2f} fJ",
     ]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ from tempmem.device import DeviceParams
 from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
                                capture, capture_native, default_slope,
                                matched_capacitance, program_closed_loop,
-                               quantize, round_trip, write_capture_csv)
+                               quantize, recall_and_score, round_trip,
+                               write_capture_csv)
 from tempmem.variability import VariationSpec, perturb_pulse, sample_array
 
 from reference_law import (DeviceState, apply_pulse, pulse_energy, reset_energy,
@@ -675,6 +676,14 @@ class TestRoundTrip:
         delta_r = max(rt.capture.final_resistances) - min(rt.capture.final_resistances)
         assert rt.c_used == pytest.approx(
             matched_capacitance(w.span, delta_r, cfg), rel=1e-12)
+
+    def test_overflowing_matched_capacitance_raises_without_warning(self):
+        # A vast span over a spread of 1e-27 ohm matches no finite
+        # capacitance; warnings are errors under pytest.
+        assert matched_capacitance(1e300, 1e-27, cfg_for(2)) == math.inf
+        with pytest.raises(ValueError, match="c_line must be positive and finite"):
+            recall_and_score(np.array([[0.0, 1e300]]),
+                             np.array([[1e-12, 1e-12 + 1e-27]]), cfg_for(2), "matched")
 
     def test_digital_path_rms_below_spec_example(self):
         rng = np.random.default_rng(42)

@@ -567,6 +567,26 @@ class TestCliErrors:
         assert err.startswith("error: the write energy is not finite")
         assert len(err.splitlines()) == 1
 
+    def test_energy_overflowing_fj_exits_1(self, tmp_path, capsys):
+        # A write energy of about 2.9e293 J is finite; in fJ it is not.
+        write_wavefront_csv(tmp_path / "in.csv", Wavefront((0.0, 1.5e308)))
+        out = tmp_path / "o"
+        assert run_cli("capture", "--input", str(tmp_path / "in.csv"),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: an energy of ") and "overflows in fJ" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "capture_report.txt").exists()
+
+    def test_recall_time_overflow_exits_1(self, tmp_path, capsys):
+        # Edge times of 1e308 pF lines overflow; warnings are errors here.
+        scen = tmp_path / "s.txt"
+        scen.write_text("array.c_line_pf = 1e308\n")
+        assert run_cli("recall", "--scenario", str(scen),
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: wavefront times must be finite and non-negative\n"
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("roundtrip", "--input", str(tmp_path / "none.csv"),
                        "--out", str(tmp_path / "o")) == 2
