@@ -19,7 +19,7 @@ from . import crossbar, device, recording, variability
 from .device import _fj
 from .scenario import Scenario, ScenarioError, load_scenario
 from .wavefront import (normalize, read_csv, read_wavefront_csv, write_csv,
-                        write_wavefront_csv)
+                        write_wavefront_csv, _fixed)
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -86,12 +86,13 @@ def _read_input(args, scenario: Scenario):
 def _cmd_recall(args, scenario: Scenario, outdir: Path) -> int:
     cfg = scenario.array
     if args.grid:
-        # One array row per row index the grid names, as capture writes it;
-        # read_grid_csv then checks every cell against that array.
-        rows = set()
+        # Rows 0 up to the largest row index the grid names, as capture
+        # writes it; read_grid_csv then checks every cell against that array,
+        # so a gap in the indices reads as missing cells.
+        rows = {0}
         read_csv(args.grid, ["row", "col", "resistance_ohm"],
                  lambda fields: rows.add(int(fields[0])))
-        cfg = replace(cfg, rows=max(len(rows), 1))
+        cfg = replace(cfg, rows=max(rows) + 1)
         state = crossbar.read_grid_csv(args.grid, cfg, scenario.device)
     else:
         state = crossbar.new_array(cfg, scenario.device)
@@ -101,7 +102,7 @@ def _cmd_recall(args, scenario: Scenario, outdir: Path) -> int:
               ["per_line_fj", "stored_fj", "dissipated_fj"],
               [[_fj(energy.per_line), _fj(energy.stored), _fj(energy.dissipated)]])
     print(f"recalled column {scenario.run.column}: "
-          f"span {w.span:.3f} ns, {_fj(energy.per_line):.1f} fJ/line")
+          f"span {_fixed(w.span, 3)} ns, {_fixed(_fj(energy.per_line), 1)} fJ/line")
     return 0
 
 
@@ -113,7 +114,7 @@ def _cmd_capture(args, scenario: Scenario, outdir: Path) -> int:
         scenario.run)
     report = [
         f"path:             {scenario.run.path}",
-        f"write energy:     {_fj(result.write_energy):.2f} fJ",
+        f"write energy:     {_fixed(_fj(result.write_energy), 2)} fJ",
         f"window exceeded:  {result.window_exceeded}",
         f"all converged:    {all(result.converged)}",
     ]
@@ -138,7 +139,7 @@ def _cmd_roundtrip(args, scenario: Scenario, outdir: Path) -> int:
           _fj(rt.capture.write_energy), _fj(rt.recall_energy.per_line),
           int(rt.capture.window_exceeded), int(all(rt.capture.converged))]])
     print(f"round trip ({scenario.run.path}): tau {rt.tau:.3f}, "
-          f"rms {rt.rms_ns:.3f} ns, {rt.bits:.2f} bits")
+          f"rms {_fixed(rt.rms_ns, 3)} ns, {rt.bits:.2f} bits")
     return 0
 
 
@@ -172,7 +173,7 @@ def _cmd_calibrate(args, scenario: Scenario, outdir: Path) -> int:
          "energy_fj", "c_line_pf", "tau_w_ns"],
         [[amp_a, cfg.theta, cfg.v_read, cal.span_ns, cal.r_span_ohm, cal.energy_fj,
           cfg.c_line / 1e-12, dev.tau_w]])
-    print(f"amp_a = {amp_a:.2f} ohm, theta = {cfg.theta:.4f}, "
+    print(f"amp_a = {_fixed(amp_a, 2)} ohm, theta = {cfg.theta:.4f}, "
           f"v_read = {cfg.v_read:.4f} V")
     return 0
 

@@ -73,12 +73,11 @@ class EnergyReport:
 
 @dataclass(frozen=True)
 class ArrayState:
-    """The resistance (ohm) of every device, rows x cols, and whether a
-    capture has left the bit lines charged.  A device is ON when its
-    resistance is exactly its params' r_on; every write starts there."""
+    """The resistance (ohm) of every device, rows x cols.  A device is ON
+    when its resistance is exactly its params' r_on; every write starts
+    there."""
 
     resistance: np.ndarray
-    lines_charged: bool = False
 
 
 def base_params(params: DeviceParams) -> DeviceParams:
@@ -100,7 +99,7 @@ def r_on_grid(params: DeviceParams, cfg: ArrayConfig) -> np.ndarray:
 
 
 def new_array(cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
-    """Fresh array: every device in its ON state, all lines discharged."""
+    """Fresh array: every device in its ON state."""
     return ArrayState(np.array(r_on_grid(params, cfg), dtype=float))
 
 
@@ -121,12 +120,10 @@ def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, En
 
     Edge times are absolute ns from the input trigger edge (not
     normalized).  Device states are untouched: the read voltage sits
-    below the programming threshold.  Bit lines must be discharged
-    first; reset_lines clears them after a capture.
+    below the programming threshold.  Each bit line charges from a
+    discharged capacitor.
     """
     _check_col(state, cfg, col)
-    if state.lines_charged:
-        raise ValueError("bit lines are charged; call reset_lines before recall")
     times = edge_times(state.resistance[:, col], cfg.c_line, cfg)
     return Wavefront(tuple(times)), EnergyReport(cfg.c_line * cfg.v_read ** 2,
                                                  cfg.rows)
@@ -141,8 +138,10 @@ def edge_times(r: np.ndarray, c_line, cfg: ArrayConfig) -> np.ndarray:
 
 
 def reset_lines(state: ArrayState) -> ArrayState:
-    """Discharge every bit line; device states are returned bit-identical."""
-    return replace(state, lines_charged=False)
+    """`state` itself, under the name the benchmark's runners call between
+    capture and recall; it goes with the next change to the benchmark, as
+    `Scenario.sweep_settings` does."""
+    return state
 
 
 def write_grid_csv(path, state: ArrayState) -> None:
@@ -156,11 +155,12 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     """Load a `row,col,resistance_ohm` grid into a fresh array state.
 
     Resistances outside [r_on, r_off_max] are rejected; a column whose
-    resistances are all its devices' r_on is ON and can be written.
+    resistances are all its devices' r_on is ON and can be written.  The
+    grid is built only once the file has given every cell, so an array far
+    larger than the file allocates nothing.
     """
-    r_on = r_on_grid(params, cfg)
-    resistance = np.empty((cfg.rows, cfg.cols))
-    cells = set()
+    r_on = r_on_grid(params, cfg) if np.ndim(params.r_on) else None
+    cells = {}
 
     def row(fields):
         i, j, r = int(fields[0]), int(fields[1]), float(fields[2])
@@ -168,14 +168,15 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
             raise ValueError(f"cell ({i},{j}) outside {cfg.rows}x{cfg.cols} array")
         if (i, j) in cells:
             raise ValueError(f"duplicate cell ({i},{j})")
-        if not r_on[i, j] <= r <= params.r_off_max:
+        if not (params.r_on if r_on is None else r_on[i, j]) <= r <= params.r_off_max:
             raise ValueError(f"cell ({i},{j}): resistance {r} outside "
                              f"[r_on, r_off_max]")
-        cells.add((i, j))
-        resistance[i, j] = r
+        cells[i, j] = r
 
     read_csv(path, ["row", "col", "resistance_ohm"], row)
     missing = cfg.rows * cfg.cols - len(cells)
     if missing:
         raise ValueError(f"{path}: {missing} cells missing from the grid")
+    resistance = np.empty((cfg.rows, cfg.cols))
+    resistance[tuple(zip(*cells))] = list(cells.values())
     return ArrayState(resistance)

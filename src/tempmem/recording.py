@@ -204,8 +204,7 @@ def _on_column(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
 def _write_column(state: ArrayState, col: int, resistance) -> ArrayState:
     new = state.resistance.copy()
     new[:, col] = resistance
-    # Capture leaves the bit lines driven high; reset_lines discharges them.
-    return ArrayState(new, lines_charged=True)
+    return ArrayState(new)
 
 
 def _reset_rate(params: DeviceParams, v_write: float | None) -> tuple[float, float]:
@@ -470,11 +469,11 @@ class Recalled(NamedTuple):
 
 def recall_and_score(times: np.ndarray, resistances: np.ndarray,
                      cfg: ArrayConfig, scale_cap: str) -> Recalled:
-    """Reset lines, recall and score, batched over trials: row k of `times`
-    is trial k's input wavefront and row k of `resistances` the column it
-    was captured into.  The line capacitance follows `scale_cap` as in
-    `round_trip`: each trial's matched value, or cfg.c_line for "none";
-    the checks are those `ArrayConfig` and `Wavefront` make."""
+    """Recall and score, batched over trials: row k of `times` is trial k's
+    input wavefront and row k of `resistances` the column it was captured
+    into.  The line capacitance follows `scale_cap` as in `round_trip`:
+    each trial's matched value, or cfg.c_line for "none"; the checks are
+    those `ArrayConfig` and `Wavefront` make."""
     if scale_cap == "matched":
         c_used = matched_capacitance(
             times.max(axis=-1) - times.min(axis=-1),
@@ -491,10 +490,9 @@ def recall_and_score(times: np.ndarray, resistances: np.ndarray,
 
 
 def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
-               settings: SweepSettings = SweepSettings(), *,
-               pulse_noise: PulseNoise = None) -> RoundTripResult:
+               settings: SweepSettings = SweepSettings()) -> RoundTripResult:
     """Record a wavefront into column `settings.column` of a fresh array
-    by `capture`, reset, recall, and score it.
+    by `capture`, recall, and score it.
 
     `settings.scale_cap` chooses the recall line capacitance: "matched"
     derives it from the captured resistance spread so the recalled span
@@ -503,8 +501,7 @@ def round_trip(w: Wavefront, cfg: ArrayConfig, params: DeviceParams,
     `recall_and_score`, the batched engine of `variability.monte_carlo`.
     The recalled edges are absolute; `normalize` starts them at 0 ns.
     """
-    _, cap = capture(new_array(cfg, params), cfg, params, w, settings,
-                     pulse_noise=pulse_noise)
+    _, cap = capture(new_array(cfg, params), cfg, params, w, settings)
     rt = recall_and_score(np.array([w.times]), np.array([cap.final_resistances]),
                           cfg, settings.scale_cap)
     c_used, per_line, tau, rms, max_abs, bits = (

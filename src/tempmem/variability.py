@@ -47,7 +47,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .crossbar import ArrayConfig, r_on_grid
 from .device import DeviceParams, check_r_on, per_element, _fj
 from .recording import SweepSettings, recall_and_score, _capture_rows
-from .wavefront import Wavefront, write_csv
+from .wavefront import Wavefront, write_csv, _fixed
 
 # Success threshold for exact-timing codes: rms no worse than half an LSB
 # of a 5-bit code across the span, i.e. rms <= span / 64.
@@ -333,9 +333,9 @@ def format_trial_report(report: TrialReport) -> str:
         f"trials:               {report.n_trials}",
         f"rank exact rate:      {report.rank_exact_rate:.4f}",
         f"mean kendall tau:     {report.mean_tau:.4f}",
-        f"mean rms timing:      {report.rms_timing_ns:.4f} ns",
+        f"mean rms timing:      {_fixed(report.rms_timing_ns, 4)} ns",
         f"mean effective bits:  {report.effective_bits_mean:.3f}",
         f"timing success rate:  {report.timing_success_rate:.4f}",
-        f"mean energy / trial:  {_fj(report.energy_mean_j):.2f} fJ",
+        f"mean energy / trial:  {_fixed(_fj(report.energy_mean_j), 2)} fJ",
     ]
     return "\n".join(lines) + "\n"

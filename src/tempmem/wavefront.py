@@ -40,41 +40,24 @@ class Wavefront:
         return max(self.times) - min(self.times)
 
 
-@dataclass(frozen=True)
-class RankOrder:
-    """Channel indices sorted by ascending event time (ties by channel)."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        if sorted(order) != list(range(len(order))):
-            raise ValueError("order must be a permutation of 0..n-1")
-        object.__setattr__(self, "order", order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
 def normalize(w: Wavefront) -> Wavefront:
     """Shift all times so the first event sits at 0 ns."""
     t0 = min(w.times)
     return Wavefront(tuple(t - t0 for t in w.times))
 
 
-def rank_of(w: Wavefront) -> RankOrder:
-    """Arrival order of the channels; simultaneous edges break ties by
-    ascending channel index."""
-    order = np.argsort(np.asarray(w.times), kind="stable")
-    return RankOrder(tuple(int(i) for i in order))
+def rank_of(w: Wavefront) -> tuple[int, ...]:
+    """Arrival order of the channels, as channel indices sorted by event
+    time; simultaneous edges break ties by ascending channel index."""
+    return tuple(np.argsort(w.times, kind="stable").tolist())
 
 
-def kendall_tau(a: RankOrder, b: RankOrder) -> float:
-    """Kendall rank correlation of two arrival orders, in [-1, 1]: the
-    one-row case of `_taus`."""
+def kendall_tau(a: tuple[int, ...], b: tuple[int, ...]) -> float:
+    """Kendall rank correlation of two arrival orders (`rank_of`s), in
+    [-1, 1]: the one-row case of `_taus`."""
     if len(a) != len(b):
         raise ValueError("rank orders must have the same channel count")
-    return float(_taus(np.array([a.order]), np.array([b.order]))[0])
+    return float(_taus(np.array([a]), np.array([b]))[0])
 
 
 def timing_error(a: Wavefront, b: Wavefront) -> tuple[float, float]:
@@ -145,6 +128,13 @@ def fidelity(inputs: np.ndarray, recalled: np.ndarray):
     bits = np.array([effective_bits(a, r) if a > 0 else EFFECTIVE_BITS_CAP
                      for a, r in zip(span.tolist(), rms.tolist())])
     return tau, rms, max_abs, bits
+
+
+def _fixed(x: float, digits: int) -> str:
+    """A report figure with `digits` decimals; from 1e16 up, where a float's
+    integer digits stop being exact, in exponent notation, so that a figure
+    with no upper bound still prints in a short form."""
+    return f"{x:.{digits}{'f' if abs(x) < 1e16 else 'e'}}"
 
 
 def write_csv(path, header, rows) -> None:

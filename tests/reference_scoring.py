@@ -2,8 +2,9 @@
 scorer `tempmem.wavefront.fidelity` is tested against.
 
 `kendall_tau_of` counts concordant and discordant channel pairs of two
-arrival orders in a pair loop, and `timing_error_of` takes the rms and
-max abs difference of two normalized wavefronts.  The simulator scores
+arrival orders (tuples of channel indices, as `rank_of` gives them) in a
+pair loop, and `timing_error_of` takes the rms and max abs difference of
+two normalized wavefronts.  The simulator scores
 whole trial blocks at once (`wavefront._taus` and `fidelity`, whose
 one-row cases are `kendall_tau` and `timing_error`), bit for bit; these
 functions are kept here, outside the package, as the tests' oracle.
@@ -11,10 +12,10 @@ functions are kept here, outside the package, as the tests' oracle.
 
 import numpy as np
 
-from tempmem.wavefront import RankOrder, Wavefront, normalize
+from tempmem.wavefront import Wavefront, normalize
 
 
-def kendall_tau_of(a: RankOrder, b: RankOrder) -> float:
+def kendall_tau_of(a: tuple[int, ...], b: tuple[int, ...]) -> float:
     """Kendall rank correlation of two arrival orders, in [-1, 1], from
     the O(n^2) count of concordant and discordant channel pairs."""
     if len(a) != len(b):
@@ -24,9 +25,9 @@ def kendall_tau_of(a: RankOrder, b: RankOrder) -> float:
         return 1.0
     pos_a = [0] * n
     pos_b = [0] * n
-    for pos, ch in enumerate(a.order):
+    for pos, ch in enumerate(a):
         pos_a[ch] = pos
-    for pos, ch in enumerate(b.order):
+    for pos, ch in enumerate(b):
         pos_b[ch] = pos
     concordant = discordant = 0
     for i in range(n):

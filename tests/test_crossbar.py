@@ -78,11 +78,16 @@ class TestRecall:
         with pytest.raises(ValueError, match="dimensions"):
             recall(state, ArrayConfig(rows=3, cols=1), 0)
 
-    def test_rejects_charged_lines(self):
-        state = column_state([10e3, 20e3])
-        charged = replace(state, lines_charged=True)
-        with pytest.raises(ValueError, match="discharged|reset"):
-            recall(charged, ArrayConfig(rows=2, cols=1), 0)
+    def test_recall_repeats(self):
+        cfg = ArrayConfig(rows=3, cols=1)
+        state = column_state([10e3, 22e3, 37e3])
+        assert recall(state, cfg, 0) == recall(state, cfg, 0)
+
+    def test_leaves_devices_untouched(self):
+        state = new_array(ArrayConfig(rows=2, cols=2), P)
+        before = state.resistance.copy()
+        recall(state, ArrayConfig(rows=2, cols=2), 1)
+        assert np.array_equal(state.resistance, before)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=400.0), min_size=2,
                     max_size=8, unique=True))
@@ -92,7 +97,7 @@ class TestRecall:
         cfg = ArrayConfig(rows=len(stresses), cols=1)
         w, _ = recall(state, cfg, 0)
         by_resistance = tuple(int(i) for i in np.argsort(resistances, kind="stable"))
-        assert rank_of(w).order == by_resistance
+        assert rank_of(w) == by_resistance
 
 
 class TestEnergy:
@@ -149,25 +154,11 @@ class TestRecallScaled:
 
 
 class TestResetLines:
+    """`reset_lines` stays only while the benchmark's runners call it."""
+
     def test_devices_bit_identical(self):
         state = column_state([10e3, 20e3])
-        charged = replace(state, lines_charged=True)
-        cleared = reset_lines(charged)
-        assert cleared.resistance is charged.resistance
-        assert not cleared.lines_charged
-
-    def test_recall_reset_recall_repeats(self):
-        cfg = ArrayConfig(rows=3, cols=1)
-        state = column_state([10e3, 22e3, 37e3])
-        w1, _ = recall(state, cfg, 0)
-        state = reset_lines(state)
-        w2, _ = recall(state, cfg, 0)
-        assert w1 == w2
-
-    def test_noop_on_fresh_array(self):
-        state = new_array(ArrayConfig(rows=2, cols=2), P)
-        cleared = reset_lines(state)
-        assert cleared.resistance is state.resistance
+        assert reset_lines(state) is state
 
 
 class TestDynamicRange:
@@ -232,7 +223,6 @@ class TestNewArray:
         state = new_array(cfg, P)
         assert np.all(state.resistance == P.r_on)
         assert state.resistance.shape == (3, 2)
-        assert not state.lines_charged
 
     def test_per_device_params_grid(self):
         cfg = ArrayConfig(rows=2, cols=1)

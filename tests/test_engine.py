@@ -15,7 +15,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from tempmem import variability
 from tempmem.crossbar import (ArrayConfig, base_params, ln_factor, new_array,
-                              recall, reset_lines)
+                              recall)
 from tempmem.device import DeviceParams
 from tempmem.recording import (QuantizerSpec, SweepSettings, capture_native,
                                default_slope, program_closed_loop, quantize,
@@ -56,7 +56,6 @@ def reference_rows(cfg, base, spec, n_trials, s):
             state, cap = program_closed_loop(
                 state, cfg, grid, s.column, targets, tol=s.tol, v_write=s.v_write,
                 step=s.step_ns, max_iters=s.max_iters, pulse_noise=noise)
-        state = reset_lines(state)
         delta_r = max(cap.final_resistances) - min(cap.final_resistances)
         if s.scale_cap == "matched" and delta_r > 0 and w.span > 0:
             c_line = w.span * 1e-9 / (delta_r * ln_factor(cfg.theta))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from tempmem import device
-from tempmem.crossbar import ArrayConfig, ln_factor, new_array, recall, reset_lines
+from tempmem.crossbar import ArrayConfig, ln_factor, new_array, recall
 from tempmem.device import DeviceParams
 from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
                                capture, capture_native, default_slope,
@@ -101,17 +101,10 @@ class TestCaptureNative:
         assert result.pulses == (0.0,) * 4
         assert all(r == P.r_on for r in result.final_resistances)
 
-    def test_capture_charges_lines_and_sets_enable(self):
-        cfg = cfg_for(2)
-        state, _ = capture_native(new_array(cfg, P), cfg, P, 0,
-                                  Wavefront((0.0, 10.0)))
-        assert state.lines_charged
-
     def test_requires_initialized_column(self):
         cfg = cfg_for(2)
         state, _ = capture_native(new_array(cfg, P), cfg, P, 0,
                                   Wavefront((0.0, 10.0)))
-        state = reset_lines(state)
         with pytest.raises(ValueError, match="ON state"):
             capture_native(state, cfg, P, 0, Wavefront((0.0, 10.0)))
         with pytest.raises(ValueError, match="ON state"):
@@ -707,7 +700,7 @@ class TestRoundTrip:
         rt = round_trip(w, cfg, P, SweepSettings(scale_cap="none"))
         assert rt.c_used == 0.7e-12
         state, _ = capture_native(new_array(cfg, P), cfg, P, 0, w)
-        recalled, energy = recall(reset_lines(state), cfg, 0)
+        recalled, energy = recall(state, cfg, 0)
         assert rt.recalled == recalled
         assert rt.recall_energy == energy
 
@@ -715,14 +708,6 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="path"):
             round_trip(Wavefront((0.0, 1.0)), cfg_for(2), P,
                        SweepSettings(path="analog"))
-
-    def test_recall_without_reset_is_rejected(self):
-        # the round trip inserts the reset; doing it by hand without one fails
-        cfg = cfg_for(2)
-        state, _ = capture_native(new_array(cfg, P), cfg, P, 0,
-                                  Wavefront((0.0, 10.0)))
-        with pytest.raises(ValueError, match="reset"):
-            recall(state, cfg, 0)
 
 
 class TestSweepSettings:

@@ -315,6 +315,22 @@ class TestCliCapture:
         assert run_cli("recall", "--grid", str(grid), "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err == f"error: {grid}: line 2: {message}\n"
 
+    # recall --grid takes rows 0 up to the largest row index, so a gap in
+    # the indices is missing cells, counted without building the array.
+    @pytest.mark.parametrize("rows, missing", [
+        ("0,0,10000.0\n2,0,10000.0\n", 1),
+        ("0,0,10000.0\n1000000000000,0,10000.0\n", 999999999999)],
+        ids=["gap", "far_row"])
+    def test_gap_in_grid_rows_is_missing_cells(self, tmp_path, capsys, rows, missing):
+        scen = tmp_path / "s.txt"
+        scen.write_text("array.cols = 1\n")
+        grid = tmp_path / "g.csv"
+        grid.write_text("row,col,resistance_ohm\n" + rows)
+        assert run_cli("recall", "--scenario", str(scen), "--grid", str(grid),
+                       "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {grid}: {missing} cells missing from the grid\n")
+
 
 class TestCliSweep:
     def test_sweep_outputs_and_byte_stability(self, tmp_path):
@@ -586,6 +602,33 @@ class TestCliErrors:
                        "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err == "error: wavefront times must be finite and non-negative\n"
+
+    # Finite figures with no upper bound print in exponent notation from
+    # 1e16 up; in fixed point they ran to some 300 digits.
+    @pytest.mark.parametrize("command, lines, times, text", [
+        ("capture", "", (0.0, 1e300), "write energy:     1.96e+300 fJ"),
+        ("recall", "array.c_line_pf = 1e290\n", None,
+         "recalled column 0: span 0.000 ns, 6.0e+292 fJ/line")],
+        ids=["capture", "recall"])
+    def test_vast_figures_print_short(self, tmp_path, capsys, command, lines,
+                                      times, text):
+        scen = tmp_path / "s.txt"
+        scen.write_text(lines)
+        extra = []
+        if times:
+            write_wavefront_csv(tmp_path / "in.csv", Wavefront(times))
+            extra = ["--input", str(tmp_path / "in.csv")]
+        assert run_cli(command, "--scenario", str(scen), *extra,
+                       "--out", str(tmp_path / "o")) == 0
+        assert text in capsys.readouterr().out.splitlines()
+        assert command != "capture" or len(text) < 40
+
+    def test_header_only_input_exits_1(self, tmp_path, capsys):
+        wf_path = tmp_path / "in.csv"
+        wf_path.write_text("channel,time_ns\n")
+        assert run_cli("capture", "--input", str(wf_path),
+                       "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {wf_path}: no channels\n"
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("roundtrip", "--input", str(tmp_path / "none.csv"),

@@ -142,6 +142,10 @@ class TestRandomWavefront:
         w = random_wavefront(np.random.default_rng(7), 1, 40.0)
         assert w.times == (0.0,)
 
+    def test_rejects_no_channels(self):
+        with pytest.raises(ValueError, match="need at least one channel"):
+            random_wavefront(np.random.default_rng(7), 0, 40.0)
+
     def test_deterministic(self):
         a = random_wavefront(np.random.default_rng(11), 6, 40.0)
         b = random_wavefront(np.random.default_rng(11), 6, 40.0)
