@@ -27,13 +27,13 @@ other code restates them.  The tests state the law one device at a time
 
 `resistance`, `stress_at` and `write_energy` work on arrays of any shape
 (trials x rows for the batched Monte Carlo engine, a block of pulses for
-the closed loop's law, a column of devices for the write energy of
-either capture) and give the scalar reference's bits.  Only `+ - * /`,
-`min`/`max`, comparisons, `cumsum` along the last axis and
-`scipy.special.expi` are vectorised, as numpy gives the same bits for
-them; `exp`, `expm1` and `log1p` stay `math.*`, applied per element by
-`per_element`, because numpy's SIMD versions differ in the last bit for
-some inputs.
+the closed loop's law, a column of devices for either capture's write
+energy) and give the scalar reference's bits.  Only `+ - * /`, `min`/`max`,
+comparisons, `cumsum` along the last axis and `scipy.special.expi` are
+vectorised, as numpy gives the same bits for them; `exp`, `expm1` and
+`log1p` stay `math.*`, applied per element by `per_element`, because
+numpy's SIMD versions differ in the last bit for some inputs.
+`Generator.lognormal` calls the same scalar libm `exp`, in C.
 """
 
 from __future__ import annotations

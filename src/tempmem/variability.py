@@ -1,10 +1,10 @@
 """Stochastic device spreads and the Monte Carlo round-trip harness.
 
 Device-to-device variation multiplies each device's ON resistance by a
-mean-one lognormal factor; cycle-to-cycle variation multiplies each
-programming pulse's effective duration the same way.  Both are positive
-quantities, so multiplicative lognormal noise is the natural choice for
-percentage-level spreads.
+mean-one lognormal factor, cycle-to-cycle variation each pulse's duration:
+positive quantities with percentage-level spreads.  With s2 = log1p(sigma**2)
+and z standard normal, a factor is libm's exp(-s2/2 + sqrt(s2) z): `_spread`'s
+bits, which `sample_array` and `perturb_pulse` draw by `Generator.lognormal`.
 
 Trial k of a sweep draws from the PCG64 stream of
 `SeedSequence(seed).spawn(n)[k]`, in this order: the input wavefront
@@ -27,9 +27,9 @@ grids and noise factors, capture (`recording._capture_rows`, of which
 (`recording.recall_and_score`).  A capture writes one column, so only
 that column's d2d draws are spread into r_on; the rest of the grid keeps
 its r_on check (`_check_spread`) from the block's extreme draws.  Native
-noise is one call on the block's c2c draws, trials x rows; a digital
-trial's closed loop draws from its own generator.  Each trial's row is
-bit-identical to a `round_trip` of the same draws.
+noise is one `_spread` of the block's c2c draws, trials x rows; a digital
+trial's closed loop draws from its own generator (`perturb_pulse`).  Each
+trial's row is bit-identical to a `round_trip` of the same draws.
 """
 
 from __future__ import annotations
@@ -189,24 +189,28 @@ def _check_spread(base: DeviceParams, sigma_rel: float, z: np.ndarray) -> None:
 
 def sample_array(base: DeviceParams, spec: VariationSpec, rows: int, cols: int,
                  rng: np.random.Generator) -> DeviceParams:
-    """`base` with a rows x cols r_on grid, lognormally spread per device by
-    draws from `rng`."""
-    return replace(base, r_on=_spread(base.r_on, spec.d2d_sigma,
-                                      rng.standard_normal((rows, cols))))
+    """`base` with a rows x cols r_on grid, each r_on times a `_spread`
+    factor that `Generator.lognormal` draws from `rng` in C, bit for bit."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"need rows >= 1 and cols >= 1, got {rows} x {cols}")
+    s2 = math.log1p(spec.d2d_sigma * spec.d2d_sigma)
+    r_on = base.r_on * rng.lognormal(-0.5 * s2, math.sqrt(s2), (rows, cols))
+    return replace(base, r_on=r_on)
 
 
 def perturb_pulse(duration: float | np.ndarray, spec: VariationSpec,
                   rng: np.random.Generator) -> float | np.ndarray:
-    """Non-negative pulse durations after cycle-to-cycle noise, one lognormal
-    draw from `rng` per duration in order: a float for a float, an array of
-    its shape for an array.  One call on n durations takes the same draws,
-    and gives the same values, as n calls on one each.  A draw is taken even
-    at sigma 0, so the stream position is independent of sigma.  With `spec`
-    and `rng` bound (`functools.partial`) it is a `PulseNoise`."""
+    """Non-negative pulse durations times `_spread`'s cycle-to-cycle factors,
+    drawn in order from `rng` by `Generator.lognormal`: a float for a float,
+    an array of its shape for an array.  One call on n durations takes the
+    same draws, and gives the same values, as n calls on one each.  Sigma 0
+    still takes a draw, so the stream position is independent of sigma.  With
+    `spec` and `rng` bound (`functools.partial`) it is a `PulseNoise`."""
     durations = np.asarray(duration, dtype=float)
-    if (durations < 0).any():
+    if not (durations >= 0).all():  # written so that nan fails it
         raise ValueError("duration must be non-negative")
-    out = _spread(durations, spec.c2c_sigma, rng.standard_normal(durations.shape))
+    s2 = math.log1p(spec.c2c_sigma * spec.c2c_sigma)
+    out = durations * rng.lognormal(-0.5 * s2, math.sqrt(s2), durations.shape)
     return out if durations.ndim else float(out)
 
 

@@ -1,9 +1,10 @@
 """Fingerprints of the numeric primitives the golden outputs rest on.
 
 The goldens (tests/test_golden.py) and the acceptance pins compare exact
-bits.  Those bits come from numpy's PCG64 draws, from libm's exp, log1p
-and expm1 (called through `math`), from `scipy.special.expi` and from
-numpy's `cumsum` and `mean`.  Each case runs fixed inputs through one
+bits.  Those bits come from numpy's PCG64 draws (`random`, `shuffle`,
+`standard_normal` and `lognormal`), from libm's exp, log1p and expm1
+(called through `math`), from `scipy.special.expi` and from numpy's
+`cumsum` and `mean`.  Each case runs fixed inputs through one
 primitive and compares a digest of the results with the one recorded
 under Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and glibc 2.36 on x86-64.
 So when a golden fails on another platform, the case failing here names
@@ -54,6 +55,8 @@ PRIMITIVES = {
     "PCG64.shuffle": shuffled,
     "PCG64.standard_normal":
         lambda: np.random.default_rng(SEED).standard_normal(N),
+    "PCG64.lognormal":
+        lambda: np.random.default_rng(SEED).lognormal(-0.125, 0.5, N),
     "math.exp": lambda: through(math.exp, 0.5, -16.0),
     "math.log1p": lambda: through(math.log1p, 1.0, -0.75),
     "math.expm1": lambda: through(math.expm1, 10.0, -5.0),
@@ -68,6 +71,7 @@ DIGESTS = {
     "PCG64.random": "59aa00983d72d80f",
     "PCG64.shuffle": "a39d5cd452b6ed6f",
     "PCG64.standard_normal": "2f37e712edf0b2e2",
+    "PCG64.lognormal": "37ffcd5435c98ff8",
     "math.exp": "d79633a57d50ce12",
     "math.log1p": "3acd03d9b3f13828",
     "math.expm1": "0f92a316a3fb8bab",
@@ -89,6 +93,21 @@ def test_primitive_gives_the_recorded_bits(name):
     assert digest(PRIMITIVES[name]()) == DIGESTS[name], (
         f"{name} gives other bits than where the goldens were recorded; "
         f"goldens that depend on it may differ here for that reason")
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-6, 0.042, 0.3, 2.0, 1e3])
+def test_lognormal_is_libm_exp_of_mean_plus_sigma_times_normal(sigma):
+    """`variability.sample_array` and `perturb_pulse` draw their factors with
+    `Generator.lognormal` and rely on it computing, per standard normal z,
+    exactly `math.exp(mean + sigma * z)` as the engine's `_spread` does."""
+    s2 = math.log1p(sigma * sigma)
+    mean, scale = -0.5 * s2, math.sqrt(s2)
+    z = np.random.default_rng(SEED).standard_normal(N).tolist()
+    assert np.random.default_rng(SEED).lognormal(mean, scale, N).tolist() == \
+        [math.exp(mean + scale * x) for x in z], (
+        "Generator.lognormal is not libm's exp of mean + sigma * z, rounded "
+        "step by step (a build may fuse them into one FMA); sample_array and "
+        "perturb_pulse then differ from the engine's spread")
 
 
 if __name__ == "__main__":

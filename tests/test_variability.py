@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from tempmem import variability
 from tempmem.crossbar import ArrayConfig
@@ -51,6 +52,13 @@ class TestSampleArray:
         r_on = sample_array(P, spec, 100, 100, _rng(4)).r_on
         assert r_on.mean() == pytest.approx(P.r_on, rel=2e-3)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0), (0, 0), (-1, 2)])
+    def test_empty_grid_rejected_before_any_draw(self, rows, cols):
+        rng = _rng(5)
+        with pytest.raises(ValueError, match="rows >= 1 and cols >= 1"):
+            sample_array(P, VariationSpec(), rows, cols, rng)
+        assert rng.bit_generator.state == _rng(5).bit_generator.state
+
 
 class TestPerturbPulse:
     def test_zero_sigma_is_identity(self):
@@ -73,6 +81,15 @@ class TestPerturbPulse:
         draws = np.array([perturb_pulse(10.0, spec, rng) for _ in range(20_000)])
         rel_std = draws.std() / draws.mean()
         assert rel_std == pytest.approx(0.042, rel=0.05)
+
+    def test_nan_duration_rejected(self):
+        for bad in (float("nan"), np.array([1.0, float("nan")])):
+            with pytest.raises(ValueError, match="non-negative"):
+                perturb_pulse(bad, VariationSpec(), np.random.default_rng(0))
+
+    def test_infinite_duration_passes(self):
+        # `recording._effective` rejects infinite durations downstream.
+        assert perturb_pulse(math.inf, VariationSpec(), _rng(0)) == math.inf
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
@@ -121,6 +138,61 @@ class TestPerturbPulse:
         noise = partial(perturb_pulse, spec=spec, rng=np.random.default_rng(9))
         parts = [noise(durations[i:j]) for i, j in ((0, 1), (1, 400), (400, 1000))]
         assert np.concatenate(parts).tolist() == singles
+
+
+# From no spread through the default c2c sigma to extremes whose factors
+# span many orders of magnitude.
+SIGMAS = (0.0, 1e-6, 0.042, 0.3, 2.0, 1e3)
+
+
+def _per_element(x, sigma, z):
+    """Each x times a mean-one lognormal factor of relative std-dev sigma,
+    one scalar `math.exp` per standard normal in z."""
+    s2 = math.log1p(sigma * sigma)
+    return [xi * math.exp(-0.5 * s2 + math.sqrt(s2) * zi) for xi, zi in zip(x, z)]
+
+
+class TestPerElementReference:
+    """Both noise functions equal a per-element Python reference on a fresh
+    same-seed generator's standard normals, bit for bit, and leave the
+    stream where that generator is: one draw per element, even at sigma 0."""
+
+    # Room above r_on for the widest spreads' factors.
+    WIDE = replace(P, r_off_max=1e30)
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @hsettings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), rows=st.integers(1, 9),
+           cols=st.integers(1, 9))
+    def test_sample_array(self, seed, rows, cols, sigma):
+        rng, ref = _rng(seed), _rng(seed)
+        spec = VariationSpec(d2d_sigma=sigma)
+        r_on = sample_array(self.WIDE, spec, rows, cols, rng).r_on
+        z = ref.standard_normal((rows, cols))
+        assert r_on.shape == (rows, cols)
+        expected = _per_element([self.WIDE.r_on] * z.size, sigma, z.ravel().tolist())
+        assert r_on.ravel().tolist() == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @hsettings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           shape=st.lists(st.integers(0, 5), max_size=3).map(tuple), data=st.data())
+    def test_perturb_pulse(self, seed, shape, sigma, data):
+        size = math.prod(shape)
+        durations = data.draw(st.lists(st.floats(0.0, 1e6), min_size=size,
+                                       max_size=size))
+        rng, ref = _rng(seed), _rng(seed)
+        arg = np.array(durations).reshape(shape) if shape else durations[0]
+        out = perturb_pulse(arg, VariationSpec(c2c_sigma=sigma), rng)
+        z = ref.standard_normal(shape)
+        expected = _per_element(durations, sigma, np.ravel(z).tolist())
+        if shape:
+            assert out.shape == shape
+            assert out.ravel().tolist() == expected
+        else:
+            assert type(out) is float and [out] == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _advanced(seed, n):
