@@ -155,15 +155,20 @@ def calibrate_amp(r_span: float, t_span: float, params: DeviceParams) -> DeviceP
     return replace(params, amp_a=r_span / math.log1p(t_span / params.tau_w))
 
 
-def _reset_constants(r_on: float | np.ndarray, params: DeviceParams):
+def _reset_constants(r_on: float | np.ndarray, params: DeviceParams, near=True):
     """Of devices whose ON resistances are r_on: the stress at which
     resistance reaches r_off_max, the resistance the law gives there, and
     the prefactor (tau/A) e^(-r_on/A) of the Ei antiderivative, as arrays
-    of r_on's shape (0-d for a float), with `math.*` per element."""
+    of r_on's shape (0-d for a float), with `math.*` per element.  The
+    first two are computed only where `near` (a mask of r_on's shape)
+    holds, and are inf and 0 elsewhere."""
     a, tau = params.amp_a, params.tau_w
-    s_clamp = stress_at(params.r_off_max, r_on, params)
-    return (s_clamp, resistance(s_clamp, r_on, params),
-            (tau / a) * per_element(math.exp, -r_on / a))
+    r_on = np.asarray(r_on)
+    near = np.broadcast_to(near, r_on.shape)
+    s_clamp, r_clamp = np.full(r_on.shape, math.inf), np.zeros(r_on.shape)
+    s_clamp[near] = stress_at(params.r_off_max, r_on[near], params)
+    r_clamp[near] = resistance(s_clamp[near], r_on[near], params)
+    return s_clamp, r_clamp, (tau / a) * per_element(math.exp, -r_on / a)
 
 
 def ei_on(r_on, params: DeviceParams, moved=True) -> np.ndarray:
@@ -185,8 +190,13 @@ def write_energy(s, r, r_on, v: float, rate: float,
     (tau/A) e^(-r_on/A) Ei(R(s)/A) below the clamp, s / r_off_max beyond.
     ValueError where an energy is not finite: Ei(R/A) overflows for R/A
     beyond about 709.78, and so may the product for a vast stress."""
-    s_clamp, r_clamp, pref = _reset_constants(r_on, params)
     a, shape = params.amp_a, np.broadcast(s, r_on).shape
+    r_on = np.broadcast_to(r_on, shape)
+    # The clamp stress falls as r_on rises, so a device whose stress is
+    # below the largest r_on's, less a relative 1e-9 for the few ulps the
+    # law rounds by, is short of its own clamp: only the others need it.
+    near = s >= stress_at(params.r_off_max, r_on.max(), params) * (1 - 1e-9)
+    s_clamp, r_clamp, pref = _reset_constants(r_on, params, near)
     moved = np.minimum(s, s_clamp) > 0
     # Subtracted only where the write moves below the clamp, so that no
     # inf - inf is ever formed

@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cache, partial, reduce
 from itertools import chain
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -142,8 +143,7 @@ class TrialReport:
     energy_mean_j: float
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(NamedTuple):
     """Per-trial record behind a TrialReport."""
 
     trial: int
@@ -264,10 +264,11 @@ def _run_block(args) -> list[TrialRow]:
     _, resistances, write_energy, _, converged, window_exceeded = _capture_rows(
         times, r_on, r_base, base, s, noise)
     rt = recall_and_score(times, resistances, cfg, s.scale_cap)
-    return [TrialRow(first + k, *fields) for k, fields in enumerate(zip(
-        rt.tau.tolist(), rt.rms_ns.tolist(), rt.max_abs_ns.tolist(),
-        rt.bits.tolist(), write_energy.tolist(), (rt.per_line * cfg.rows).tolist(),
-        converged.all(axis=-1).tolist(), window_exceeded.tolist()))]
+    return list(map(TrialRow._make, zip(
+        range(first, first + count), rt.tau.tolist(), rt.rms_ns.tolist(),
+        rt.max_abs_ns.tolist(), rt.bits.tolist(), write_energy.tolist(),
+        (rt.per_line * cfg.rows).tolist(), converged.all(axis=-1).tolist(),
+        window_exceeded.tolist())))
 
 
 def _mean(values, n: int) -> float:
@@ -325,10 +326,9 @@ def write_trial_report_csv(path, report: TrialReport) -> None:
 
 
 def write_trials_csv(path, rows) -> None:
-    write_csv(path, [f.name for f in fields(TrialRow)],
-              ([r.trial, r.tau, r.rms_ns, r.max_abs_ns, r.bits, r.write_energy_j,
-                r.recall_energy_j, int(r.converged), int(r.window_exceeded)]
-               for r in rows))
+    """Write the rows under `TrialRow`'s field names, each flag as 0 or 1."""
+    write_csv(path, TrialRow._fields,
+              ((*r[:-2], int(r.converged), int(r.window_exceeded)) for r in rows))
 
 
 def format_trial_report(report: TrialReport) -> str:

@@ -137,11 +137,24 @@ def _fixed(x: float, digits: int) -> str:
     return f"{x:.{digits}{'f' if abs(x) < 1e16 else 'e'}}"
 
 
+def _csv_line(row) -> str:
+    """A sequence of cells as one CSV line, their str()s joined by commas:
+    csv.writer's bytes for the program's ints, floats (a float's str is its
+    repr) and bools, which need no quoting.  ValueError for a cell that
+    would (a comma, quote or line break in it, or a one-cell row's empty
+    cell), rather than writing it unquoted."""
+    line = ",".join(map(str, row))
+    if ('"' in line or "\r" in line or "\n" in line
+            or (line.count(",") != len(row) - 1 if line else len(row) == 1)):
+        raise ValueError(f"a CSV cell would need quoting: {line!r}")
+    return line + "\r\n"
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a CSV file, the header row and then each of `rows`, streamed
-    through the file's buffer."""
+    """Write a CSV file, the header row and then each of `rows` (sequences
+    of cells) by `_csv_line`, streamed through the file's buffer."""
     with open(path, "w", newline="") as f:
-        csv.writer(f).writerows(chain([header], rows))
+        f.writelines(map(_csv_line, chain([header], rows)))
 
 
 def write_wavefront_csv(path, w: Wavefront) -> None:

@@ -446,6 +446,49 @@ class TestWriteEnergy:
         assert np.asarray(got).tolist() == want.tolist()
 
 
+class TestClampConstantsNearTheClamp:
+    """`write_energy` takes the clamp constants of only the devices whose
+    stress reaches the largest r_on's clamp stress, less a relative 1e-9,
+    and equals the formula with every device's constants, bit for bit."""
+
+    # At r_off_max = 35011.01752498446 the law gives one ulp less than
+    # r_off_max at the clamp stress, so a device past it needs its own
+    # constants.
+    @pytest.mark.parametrize("r_off_max", [1e6, 20e3, 35011.01752498446])
+    @pytest.mark.parametrize("reach", ["none", "some", "all", "bound"])
+    def test_equals_every_devices_constants(self, r_off_max, reach):
+        params = DeviceParams(r_off_max=r_off_max)
+        rng = np.random.default_rng(6)
+        shape = (4, 8)
+        r_on = 10e3 * rng.lognormal(0.0, 0.1, shape)
+        s_clamp = _reset_constants(r_on, params)[0]
+        top = np.unravel_index(r_on.argmax(), shape)
+        bound = s_clamp[top]
+        assert bound == s_clamp.min()  # the largest r_on sets the bound
+        below = bound * rng.uniform(0.0, 0.999, shape)
+        past = np.nextafter(s_clamp, math.inf) * rng.uniform(1.0, 1.5, shape)
+        if reach == "bound":
+            # Exactly at the bound, at its slack and an ulp under that; the
+            # largest r_on's device past its own clamp by a relative 5e-10.
+            cut = bound * (1 - 1e-9)
+            stress = rng.choice([bound, cut, np.nextafter(cut, 0.0)], shape)
+            stress[top] = bound * (1 + 5e-10)
+        else:
+            stress = {"none": below, "all": past,
+                      "some": np.where(np.arange(32).reshape(shape) % 2, below,
+                                       past)}[reach]
+        beyond = stress > s_clamp
+        assert {"none": not beyond.any(), "all": beyond.all(),
+                "some": 0 < beyond.sum() < beyond.size,
+                "bound": beyond.sum() == 1 and beyond[top]}[reach]
+        r = resistance(stress, r_on, params)
+        rate = programming_rate(-1.4, params)
+        want = reset_energy(np.stack((np.zeros(shape), stress), -1),
+                            np.stack((r_on, r), -1), -1.4, rate, r_on, params)
+        got = write_energy(stress, r, r_on, -1.4, rate, params)
+        assert got.tolist() == want[..., 0].tolist()
+
+
 class TestEiOverflow:
     """Where Ei(r_on / amp_a) overflows (r_on / amp_a beyond about 709.78)
     the write energy of a moved device would be inf - inf."""

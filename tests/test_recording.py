@@ -2,7 +2,8 @@ import csv
 import itertools
 import math
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tempmem.recording import (CaptureResult, QuantizerSpec, SweepSettings,
                                capture, capture_native, default_slope,
                                matched_capacitance, program_closed_loop,
                                quantize, recall_and_score, round_trip,
-                               write_capture_csv)
+                               write_capture_csv, _BLOCK_MAX, _block_size)
 from tempmem.variability import VariationSpec, perturb_pulse, sample_array
 
 from reference_law import (DeviceState, apply_pulse, pulse_energy, reset_energy,
@@ -298,12 +299,13 @@ class LoggedNoise:
     has handed out, in order."""
 
     def __init__(self, noise):
-        self.noise, self.calls, self.drawn = noise, 0, []
+        self.noise, self.calls, self.drawn, self.sizes = noise, 0, [], []
 
     def __call__(self, durations):
         out = self.noise(durations)
         self.calls += 1
         self.drawn.extend(out.tolist())
+        self.sizes.append(durations.size)
         return out
 
 
@@ -429,11 +431,47 @@ class TestKernelsMatchScalarLaw:
             c2c = partial(perturb_pulse, spec=VariationSpec(c2c_sigma=0.2),
                           rng=np.random.default_rng(8))
             return lambda d: 0.5 * c2c(d)
-        got, noise = self.run_both(P, [15e3, 30e3, 16e3], make_noise=make_noise,
-                                   tol=1e-3, step=0.05, max_iters=600)
+        targets = [15e3, 30e3, 16e3]
+        got, _ = self.run_both(P, targets, make_noise=make_noise, tol=1e-3,
+                               step=0.05, max_iters=600)
         assert got.iterations[1] == 600
         assert got.converged == (True, False, True)
-        assert noise.calls > 3
+        # Each device applies more pulses than its first, noiseless, block.
+        firsts = [_block_size(float(device.stress_at(t * (1 - 1e-3), P.r_on, P))
+                              / 0.05, 600) for t in targets]
+        assert all(n > first for n, first in zip(got.iterations, firsts))
+
+    def test_one_noise_call_per_column(self):
+        # Noiseless pulses take every device into its band within its first
+        # block, so the column draws exactly its first blocks, in one call.
+        targets = [12e3, 15e3, 20e3, 25e3, 30e3, 35e3, 38e3, 40e3]
+        make_noise = lambda: partial(perturb_pulse, spec=VariationSpec(c2c_sigma=0.0),
+                                     rng=np.random.default_rng(2))
+        got, noise = self.run_both(P, targets, make_noise=make_noise, tol=1e-3,
+                                   step=0.01, max_iters=8000)
+        assert got.converged == (True,) * 8
+        firsts = [_block_size(float(device.stress_at(t * (1 - 1e-3), P.r_on, P))
+                              / 0.01, 8000) for t in targets]
+        assert all(n <= first for n, first in zip(got.iterations, firsts))
+        assert noise.sizes == [sum(firsts)]
+
+    def test_no_call_asks_for_more_than_block_max(self):
+        # 64 devices with targets beyond the clamp: each first block is
+        # max_iters pulses, 512000 in all, so the read-ahead is capped.
+        cfg = cfg_for(64)
+        noise = LoggedNoise(partial(perturb_pulse, spec=VariationSpec(),
+                                    rng=np.random.default_rng(9)))
+        _, got = program_closed_loop(new_array(cfg, P), cfg, P, 0,
+                                     [2 * P.r_off_max] * 64, tol=1e-3, step=0.01,
+                                     max_iters=8000, pulse_noise=noise)
+        assert got.iterations == (8000,) * 64 and not any(got.converged)
+        # Every first block is all pulses, so the calls draw no more.
+        assert max(noise.sizes) == _BLOCK_MAX and sum(noise.sizes) == 64 * 8000
+        # Device k applies the stream's draws 8000 k to 8000 k + 7999, in
+        # order; at the nominal write level its stress is their sum.
+        for k, (applied, r) in enumerate(zip(got.pulses, got.final_resistances)):
+            assert applied == reduce(add, noise.drawn[8000 * k:8000 * (k + 1)], 0.0)
+            assert r == resistance_of(applied, P)
 
     def test_negative_duration_raises_before_the_law_runs(self, monkeypatch):
         # The negative duration sits in the block's margin, past the pulse

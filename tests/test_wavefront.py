@@ -1,8 +1,10 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import stats
 
 from tempmem.wavefront import (Wavefront, effective_bits, kendall_tau,
@@ -186,14 +188,53 @@ class TestCsvRoundTrip:
         write_csv(path, ["a", "b"], ([i, repr(i / 4)] for i in range(2)))
         assert path.read_bytes() == b"a,b\r\n0,0.0\r\n1,0.25\r\n"
 
-    # The writers hand floats to the csv module as they are: a cell must
-    # read as repr of the float, on every supported Python.
+    # A float cell must read as repr of the float, as the csv module writes
+    # it, on every supported Python.
     @pytest.mark.parametrize("x", [0.1, 1 / 3, 1e-20, 5e300, -0.0, math.inf,
                                    np.float64(0.1)])
     def test_float_cells_are_their_repr(self, tmp_path, x):
         path = tmp_path / "t.csv"
         write_csv(path, ["x"], [[x]])
         assert path.read_text() == f"x\n{float(x)!r}\n"
+
+    # The cells the program writes: ints, floats (the extremes among them),
+    # numpy floats and bools; header names need no quoting.
+    CELLS = st.one_of(
+        st.integers(), st.booleans(), st.floats(),
+        st.floats().map(np.float64),
+        st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e-320, 5e300,
+                         np.float64(-0.0), np.float64(1e-320)]))
+    NAMES = st.text(st.sampled_from([chr(c) for c in range(32, 127)
+                                     if chr(c) not in ',"']), min_size=1)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.lists(NAMES, min_size=1, max_size=5),
+           rows=st.lists(st.lists(CELLS, min_size=1, max_size=9), max_size=6))
+    def test_bytes_are_csv_writers(self, tmp_path, header, rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        want = io.StringIO(newline="")
+        csv.writer(want).writerows([header] + rows)
+        assert path.read_bytes() == want.getvalue().encode()
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "a\rb", "a\nb", "\r\n"])
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_cell_needing_quotes_raises(self, tmp_path, cell, where):
+        path = tmp_path / "t.csv"
+        header, rows = ["a", "b"], [[1, 2.5], ["x", 3]]
+        if where == "header":
+            header[1] = cell
+        else:
+            rows[1][0] = cell
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(path, header, rows)
+        # Nothing from the bad line on is written, quoted or not.
+        assert path.read_bytes() == (b"" if where == "header" else b"a,b\r\n1,2.5\r\n")
+
+    def test_one_empty_cell_raises(self, tmp_path):
+        # csv.writer quotes a row of one empty cell, so that it reads back.
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(tmp_path / "t.csv", ["a"], [[""]])
 
     def test_write_read_identity(self, tmp_path):
         w = wf(0.0, 9.700000000000001, 20.3, 1e-3)
