@@ -39,8 +39,7 @@ from .wavefront import Wavefront, fidelity, write_csv
 # Cycle-to-cycle noise: effective pulse durations for an array of nominal
 # ones, of its shape, one draw per element in order.  The native route
 # calls it once on trials x channels (1 x channels for `capture`); the
-# closed loop once per block short of draws, reading ahead (see
-# `_closed_loop`).
+# closed loop once per block of pulses, reading ahead (see `_closed_loop`).
 PulseNoise = Optional[Callable[[np.ndarray], np.ndarray]]
 
 # Most pulses one closed-loop block evaluates at once: a memory bound for
@@ -264,29 +263,24 @@ def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DevicePara
     max_iters steps can reach are flagged after the budget runs out.
 
     The loop runs in blocks of pulses.  For each block it takes that many
-    effective durations, folds the stresses and the applied duration from
-    the device's current ones, evaluates the law from its guard stress on
-    (no pulse below it can reach the band) and applies the pulses up to
+    effective durations in one `pulse_noise` call, sums the stresses from
+    the device's current stress, evaluates the law from its guard stress
+    on (no pulse below it can reach the band) and applies the pulses up to
     the first one that lands in the band or beyond it, or that uses up
     max_iters; the block size is the noiseless pulse count to the band
     plus a small margin.  Durations drawn but not applied go to the next
     device of the column, so each device gets the draws one call per pulse
-    would give it.  Read-ahead: a block short of draws takes them in one
-    `pulse_noise` call together with the noiseless first blocks of the
-    column's remaining devices, at most _BLOCK_MAX durations a call, so a
-    column whose devices all stop within their first blocks, and whose
-    first blocks fit in one call, calls the noise once.  When the function
-    returns, the noise may have drawn up to one block, and the first
-    blocks of the devices after the last one to call it, more than the
-    pulses applied, and those draws are discarded; a caller that draws
-    from the same stream afterwards sees it further on than pulse-by-pulse
-    calls would leave it.  Pulses, resistances, iterations and convergence
-    are those of the scalar reference law's `apply_pulse`
-    (`tests/reference_law.py`), bit for bit; the write energy, one
-    integral per device from ON summed in row order, is the sum of its
-    `pulse_energy` up to rounding.  A zero-length pulse adds exactly 0.0
-    stress and still counts as an iteration.  A negative, infinite or nan
-    duration anywhere in a drawn block raises ValueError.
+    would give it.  Read-ahead: when the function returns, the noise may
+    have drawn up to one block more than the pulses applied, and those
+    draws are discarded; a caller that draws from the same stream
+    afterwards sees it further on than pulse-by-pulse calls would leave
+    it.  Pulses, resistances, iterations and convergence are those of the
+    scalar reference law's `apply_pulse` (`tests/reference_law.py`), bit
+    for bit; the write energy, one integral per device from ON summed in
+    row order, is the sum of its `pulse_energy` up to rounding.  A
+    zero-length pulse adds exactly 0.0 stress and still counts as an
+    iteration.  A negative, infinite or nan duration anywhere in a drawn
+    block raises ValueError.
     """
     if len(targets) != len(r_ons):
         raise ValueError(f"{len(targets)} targets for {len(r_ons)} rows")
@@ -305,48 +299,33 @@ def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DevicePara
     guards = np.where(guard_r > r_ons, device.stress_at(guard_r, r_ons, params),
                       -math.inf)
     step_stress = step * rate
-    targets = [float(t) for t in targets]
-
-    def going(r, target):
-        """Not yet in the band, nor above it (overshot, or started there: a
-        reverse pulse can't come back)."""
-        return abs(r - target) / target > tol and not r > target * (1.0 + tol)
-
-    # Each device's noiseless first block, and those of the devices after it
-    firsts = [_block_size(s_low / step_stress if step_stress > 0 else math.inf,
-                          max_iters) if going(r_on, target) else 0
-              for r_on, target, s_low in zip(r_ons.tolist(), targets, s_lows.tolist())]
-    ahead = np.cumsum([0] + firsts[:0:-1])[::-1].tolist()
     spare = np.empty(0)  # durations drawn and not applied yet, in draw order
     pulses, stresses, resistances, iterations, converged = [], [], [], [], []
-    for r_on, target, s_low, guard, later in zip(r_ons.tolist(), targets,
-                                                 s_lows.tolist(), guards.tolist(),
-                                                 ahead):
+    for r_on, target, s_low, guard in zip(r_ons.tolist(), targets,
+                                          s_lows.tolist(), guards.tolist()):
+        target = float(target)
         band_top = target * (1.0 + tol)
         s, r = 0.0, r_on
         applied = 0.0
         iters = 0
-        # Stop in or above the band, or when the budget is spent.
-        while going(r, target) and iters < max_iters:
+        # Stop in the band, above it (overshot, or started there: a reverse
+        # pulse can't come back) or when the budget is spent.
+        while (abs(r - target) / target > tol and not r > band_top
+               and iters < max_iters):
             gap = (s_low - s) / step_stress if step_stress > 0 else math.inf
             n = _block_size(gap, max_iters - iters)
             if spare.size < n:
-                more = _effective(np.full(min(n - spare.size + later, _BLOCK_MAX),
-                                          step), pulse_noise)
+                more = _effective(np.full(n - spare.size, step), pulse_noise)
                 spare = np.concatenate((spare, more))
-            # Stress and applied duration, each a left fold from its start
-            run = np.empty((2, n + 1))
-            run[:, 0] = s, applied
-            run[0, 1:] = spare[:n] * rate
-            run[1, 1:] = spare[:n]
-            stress, total = run.cumsum(axis=1)[:, 1:]
+            dur = spare[:n]
+            stress = np.cumsum(np.concatenate(([s], dur * rate)))[1:]
             # Stress only rises; the last pulse always gets a resistance.
             lo = min(int(np.searchsorted(stress, guard)), n - 1)
             res = device.resistance(stress[lo:], r_on, params)
             done = ~(np.abs(res - target) / target > tol) | (res > band_top)
             m = lo + int(done.argmax()) + 1 if done.any() else n
+            applied = float(_add(applied, dur[:m]))
             s, r = float(stress[m - 1]), float(res[m - 1 - lo])
-            applied = float(total[m - 1])
             iters += m
             spare = spare[m:]
         pulses.append(applied)

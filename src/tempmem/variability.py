@@ -288,7 +288,8 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
 
     Fully reproducible from spec.seed (see the module docstring); workers
     > 1 fans blocks of trials, as (first, count) ranges, out to a process
-    pool without changing any result.
+    pool of at most one process per block, and none for a single block,
+    without changing any result.
     """
     settings = replace(settings, trials=n_trials, workers=workers)
     if settings.channels != cfg.rows:
@@ -301,8 +302,9 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
         size = min(size, max(1, n_trials // (workers * 4)))
     jobs = [(i, min(size, n_trials - i), cfg, base, spec, settings)
             for i in range(0, n_trials, size)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Fork starts every worker on the first submit: no more than the jobs.
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = tuple(chain.from_iterable(pool.map(_run_block, jobs)))
     else:
         rows = tuple(chain.from_iterable(map(_run_block, jobs)))

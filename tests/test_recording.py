@@ -441,37 +441,45 @@ class TestKernelsMatchScalarLaw:
                               / 0.05, 600) for t in targets]
         assert all(n > first for n, first in zip(got.iterations, firsts))
 
-    def test_one_noise_call_per_column(self):
-        # Noiseless pulses take every device into its band within its first
-        # block, so the column draws exactly its first blocks, in one call.
-        targets = [12e3, 15e3, 20e3, 25e3, 30e3, 35e3, 38e3, 40e3]
-        make_noise = lambda: partial(perturb_pulse, spec=VariationSpec(c2c_sigma=0.0),
-                                     rng=np.random.default_rng(2))
-        got, noise = self.run_both(P, targets, make_noise=make_noise, tol=1e-3,
-                                   step=0.01, max_iters=8000)
-        assert got.converged == (True,) * 8
-        firsts = [_block_size(float(device.stress_at(t * (1 - 1e-3), P.r_on, P))
-                              / 0.01, 8000) for t in targets]
-        assert all(n <= first for n, first in zip(got.iterations, firsts))
-        assert noise.sizes == [sum(firsts)]
-
     def test_no_call_asks_for_more_than_block_max(self):
-        # 64 devices with targets beyond the clamp: each first block is
-        # max_iters pulses, 512000 in all, so the read-ahead is capped.
-        cfg = cfg_for(64)
+        # Two devices with targets beyond the clamp and budgets past
+        # _BLOCK_MAX: each block is all the pulses its budget has left, up
+        # to _BLOCK_MAX, so the calls draw no more than the pulses.
+        budget = _BLOCK_MAX + 1000
+        cfg = cfg_for(2)
         noise = LoggedNoise(partial(perturb_pulse, spec=VariationSpec(),
                                     rng=np.random.default_rng(9)))
         _, got = program_closed_loop(new_array(cfg, P), cfg, P, 0,
-                                     [2 * P.r_off_max] * 64, tol=1e-3, step=0.01,
-                                     max_iters=8000, pulse_noise=noise)
-        assert got.iterations == (8000,) * 64 and not any(got.converged)
-        # Every first block is all pulses, so the calls draw no more.
-        assert max(noise.sizes) == _BLOCK_MAX and sum(noise.sizes) == 64 * 8000
-        # Device k applies the stream's draws 8000 k to 8000 k + 7999, in
-        # order; at the nominal write level its stress is their sum.
+                                     [2 * P.r_off_max] * 2, tol=1e-3, step=0.01,
+                                     max_iters=budget, pulse_noise=noise)
+        assert got.iterations == (budget,) * 2 and not any(got.converged)
+        assert max(noise.sizes) <= _BLOCK_MAX and sum(noise.sizes) == 2 * budget
+        # Device k applies the stream's draws budget k to budget (k + 1) - 1,
+        # in order; at the nominal write level its stress is their sum.
         for k, (applied, r) in enumerate(zip(got.pulses, got.final_resistances)):
-            assert applied == reduce(add, noise.drawn[8000 * k:8000 * (k + 1)], 0.0)
+            assert applied == reduce(add, noise.drawn[budget * k:budget * (k + 1)],
+                                     0.0)
             assert r == resistance_of(applied, P)
+
+    def test_draws_past_the_pulses_stay_within_one_block(self):
+        # Converging, above-band and unreachable devices share one stream.
+        # The unreachable device's block is its whole budget, all applied,
+        # so it leaves no draw; a block of a later device is at most its
+        # noiseless first one, and its last pulse is applied.
+        grid = replace(P, r_on=np.array([[10e3], [10e3], [13e3], [10e3], [10e3]]))
+        targets = [20e3, 2 * P.r_off_max, 12e3, 25e3, 15e3]
+        kw = dict(noise_seed=6, tol=3e-3, step=0.05, max_iters=3000)
+        got, noise = self.run_both(grid, targets, **kw)
+        assert got.converged == (True, False, False, True, True)
+        assert got.iterations[1:3] == (3000, 0)
+        firsts = [_block_size(float(device.stress_at(t * (1 - 3e-3), 10e3, P))
+                              / 0.05, 3000) for t in targets[3:]]
+        assert 0 < len(noise.drawn) - sum(got.iterations) < max(firsts)
+        # A column that ends on the unreachable device leaves the stream
+        # where pulse-by-pulse calls would.
+        got, noise = self.run_both(replace(grid, r_on=grid.r_on[:2]),
+                                   targets[:2], **kw)
+        assert len(noise.drawn) == sum(got.iterations)
 
     def test_negative_duration_raises_before_the_law_runs(self, monkeypatch):
         # The negative duration sits in the block's margin, past the pulse

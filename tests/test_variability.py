@@ -255,6 +255,31 @@ class TestMonteCarlo:
         assert serial == parallel
         assert rows_s == rows_p
 
+    @pytest.mark.parametrize("trials, pools", [(1, []), (2, [2]), (100, [64])])
+    def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch, trials,
+                                                     pools):
+        # Fork starts every max_workers process on the first submit, so the
+        # pool is sized by the blocks; a stand-in records it and maps here.
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(variability, "ProcessPoolExecutor", Pool)
+        spec = VariationSpec(seed=77)
+        assert monte_carlo(CFG8, P, spec, trials, workers=64) == \
+            monte_carlo(CFG8, P, spec, trials)
+        assert started == pools
+
     def test_mean_tau_degrades_with_c2c_noise(self):
         means = []
         for sigma in (0.0, 0.042, 0.15, 0.4):
