@@ -71,15 +71,6 @@ class EnergyReport:
     dissipated = stored  # J of joule heating in the devices, all lines
 
 
-@dataclass(frozen=True)
-class ArrayState:
-    """The resistance (ohm) of every device, rows x cols.  A device is ON
-    when its resistance is exactly its params' r_on; every write starts
-    there."""
-
-    resistance: np.ndarray
-
-
 def base_params(params: DeviceParams) -> DeviceParams:
     """Scalar params of device (0, 0)."""
     if np.ndim(params.r_on):
@@ -98,9 +89,9 @@ def r_on_grid(params: DeviceParams, cfg: ArrayConfig) -> np.ndarray:
     return np.full(shape, params.r_on, dtype=float)
 
 
-def new_array(cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
-    """Fresh array: every device in its ON state."""
-    return ArrayState(np.array(r_on_grid(params, cfg), dtype=float))
+def new_array(cfg: ArrayConfig, params: DeviceParams) -> np.ndarray:
+    """Fresh array state, every device ON: a rows x cols grid of ohms."""
+    return np.array(r_on_grid(params, cfg), dtype=float)
 
 
 def ln_factor(theta: float) -> float:
@@ -108,14 +99,14 @@ def ln_factor(theta: float) -> float:
     return math.log(1.0 / (1.0 - theta))
 
 
-def _check_col(state: ArrayState, cfg: ArrayConfig, col: int) -> None:
-    if state.resistance.shape != (cfg.rows, cfg.cols):
+def _check_col(state: np.ndarray, cfg: ArrayConfig, col: int) -> None:
+    if state.shape != (cfg.rows, cfg.cols):
         raise ValueError("array state dimensions do not match config")
     if not 0 <= col < cfg.cols:
         raise ValueError(f"column {col} out of range 0..{cfg.cols - 1}")
 
 
-def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, EnergyReport]:
+def recall(state: np.ndarray, cfg: ArrayConfig, col: int) -> tuple[Wavefront, EnergyReport]:
     """Read one stored column back out as a wavefront of edge times.
 
     Edge times are absolute ns from the input trigger edge (not
@@ -124,7 +115,7 @@ def recall(state: ArrayState, cfg: ArrayConfig, col: int) -> tuple[Wavefront, En
     discharged capacitor.
     """
     _check_col(state, cfg, col)
-    times = edge_times(state.resistance[:, col], cfg.c_line, cfg)
+    times = edge_times(state[:, col], cfg.c_line, cfg)
     return Wavefront(tuple(times)), EnergyReport(cfg.c_line * cfg.v_read ** 2,
                                                  cfg.rows)
 
@@ -137,21 +128,21 @@ def edge_times(r: np.ndarray, c_line, cfg: ArrayConfig) -> np.ndarray:
         return r * (c_line * ln_factor(cfg.theta) * 1e9) + cfg.t_shifter
 
 
-def reset_lines(state: ArrayState) -> ArrayState:
+def reset_lines(state: np.ndarray) -> np.ndarray:
     """`state` itself, under the name the benchmark's runners call between
     capture and recall; it goes with the next change to the benchmark, as
     `Scenario.sweep_settings` does."""
     return state
 
 
-def write_grid_csv(path, state: ArrayState) -> None:
+def write_grid_csv(path, state: np.ndarray) -> None:
     """Export the resistance grid as `row,col,resistance_ohm`."""
     write_csv(path, ["row", "col", "resistance_ohm"],
-              ([i, j, r] for i, row in enumerate(state.resistance)
+              ([i, j, r] for i, row in enumerate(state)
                for j, r in enumerate(row.tolist())))
 
 
-def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
+def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> np.ndarray:
     """Load a `row,col,resistance_ohm` grid into a fresh array state.
 
     Resistances outside [r_on, r_off_max] are rejected; a column whose
@@ -177,6 +168,6 @@ def read_grid_csv(path, cfg: ArrayConfig, params: DeviceParams) -> ArrayState:
     missing = cfg.rows * cfg.cols - len(cells)
     if missing:
         raise ValueError(f"{path}: {missing} cells missing from the grid")
-    resistance = np.empty((cfg.rows, cfg.cols))
-    resistance[tuple(zip(*cells))] = list(cells.values())
-    return ArrayState(resistance)
+    state = np.empty((cfg.rows, cfg.cols))
+    state[tuple(zip(*cells))] = list(cells.values())
+    return state

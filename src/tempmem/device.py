@@ -14,9 +14,9 @@ back to the ON state); a negative one accumulates stress at a
 sinh-shaped, voltage-dependent rate normalized to 1 at the nominal
 write voltage.
 
-The law is stated in stress, but an array stores resistance only
-(`crossbar.ArrayState`): every write starts from the ON state, exactly
-r_on at stress 0, so a grid is read without the law.
+The law is stated in stress, but an array stores resistance only (its
+rows x cols grid, see `crossbar`): every write starts from the ON state,
+exactly r_on at stress 0, so a grid is read without the law.
 
 The law is written once, here: `resistance` is R(s) and `stress_at` its
 inverse below the clamp.  Native capture, the closed loop and

@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import device
-from .crossbar import (ArrayConfig, ArrayState, EnergyReport, base_params,
-                       edge_times, new_array, ln_factor, r_on_grid, _check_col)
+from .crossbar import (ArrayConfig, EnergyReport, base_params, edge_times,
+                       new_array, ln_factor, r_on_grid, _check_col)
 from .device import DeviceParams
 from .wavefront import Wavefront, fidelity, write_csv
 
@@ -190,21 +190,21 @@ def quantize(w: Wavefront, q: QuantizerSpec) -> QuantizedWavefront:
     return QuantizedWavefront(coarse=tuple(coarse), fine=tuple(fine))
 
 
-def _on_column(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+def _on_column(state: np.ndarray, cfg: ArrayConfig, params: DeviceParams,
                col: int) -> np.ndarray:
     """The ON resistances of column `col` (not to be written to), which its
     devices must hold exactly for the column to be written."""
     _check_col(state, cfg, col)
     r_on = r_on_grid(params, cfg)[:, col]
-    if not np.array_equal(state.resistance[:, col], r_on):
+    if not np.array_equal(state[:, col], r_on):
         raise ValueError(f"column {col} is not initialized to the ON state")
     return r_on
 
 
-def _write_column(state: ArrayState, col: int, resistance) -> ArrayState:
-    new = state.resistance.copy()
+def _write_column(state: np.ndarray, col: int, resistance) -> np.ndarray:
+    new = state.astype(float)  # a copy: the caller's grid stays as it was
     new[:, col] = resistance
-    return ArrayState(new)
+    return new
 
 
 def _reset_rate(params: DeviceParams, v_write: float | None) -> tuple[float, float]:
@@ -375,9 +375,9 @@ def _capture_rows(times: np.ndarray, r_on: np.ndarray, r_base: Sequence[float],
     return (*rows, times.max(axis=-1) - times.min(axis=-1) > s.window_ns)
 
 
-def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+def capture(state: np.ndarray, cfg: ArrayConfig, params: DeviceParams,
             w: Wavefront, settings: SweepSettings, *,
-            pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
+            pulse_noise: PulseNoise = None) -> tuple[np.ndarray, CaptureResult]:
     """Record a wavefront into the ON column `settings.column` by
     `_capture_rows` on one row, digital targets starting from device
     (0, 0)'s r_on.  A span beyond settings.window_ns is flagged in
@@ -396,10 +396,10 @@ def capture(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
     return _write_column(state, col, result.final_resistances), result
 
 
-def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+def capture_native(state: np.ndarray, cfg: ArrayConfig, params: DeviceParams,
                    col: int, w: Wavefront, v_write: float | None = None, *,
                    window_ns: float = SweepSettings.window_ns,
-                   pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
+                   pulse_noise: PulseNoise = None) -> tuple[np.ndarray, CaptureResult]:
     """Record a wavefront into column `col` by timing-difference writes:
     `capture` on the native route, its arguments checked as the
     `SweepSettings` fields they fill.  Channel i receives a reverse pulse
@@ -409,12 +409,12 @@ def capture_native(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
         column=col, v_write=v_write, window_ns=window_ns), pulse_noise=pulse_noise)
 
 
-def program_closed_loop(state: ArrayState, cfg: ArrayConfig, params: DeviceParams,
+def program_closed_loop(state: np.ndarray, cfg: ArrayConfig, params: DeviceParams,
                         col: int, targets: Sequence[float], *,
                         tol: float = SweepSettings.tol, v_write: float | None = None,
                         step: float = SweepSettings.step_ns,
                         max_iters: int = SweepSettings.max_iters,
-                        pulse_noise: PulseNoise = None) -> tuple[ArrayState, CaptureResult]:
+                        pulse_noise: PulseNoise = None) -> tuple[np.ndarray, CaptureResult]:
     """Drive each device in the ON column `col` to a resistance target by
     `_closed_loop`, the digital route's program/verify loop, its arguments
     checked as the `SweepSettings` fields they fill and defaulting to them

@@ -35,6 +35,7 @@ trial's row is bit-identical to a `round_trip` of the same draws.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial, reduce
@@ -288,8 +289,8 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
 
     Fully reproducible from spec.seed (see the module docstring); workers
     > 1 fans blocks of trials, as (first, count) ranges, out to a process
-    pool of at most one process per block, and none for a single block,
-    without changing any result.
+    pool of at most one process per usable CPU and per block, and none for
+    a single block, without changing any result.
     """
     settings = replace(settings, trials=n_trials, workers=workers)
     if settings.channels != cfg.rows:
@@ -297,6 +298,9 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
                          f"has {cfg.rows} rows")
     if not settings.column < cfg.cols:
         raise ValueError(f"column {settings.column} out of range 0..{cfg.cols - 1}")
+    if workers > 1:  # at most one process per CPU this process may use
+        workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(
+            os, "sched_getaffinity") else os.cpu_count() or 1)
     size = max(1, _BLOCK_CELLS // (cfg.rows * cfg.cols))
     if workers > 1:
         size = min(size, max(1, n_trials // (workers * 4)))

@@ -25,7 +25,7 @@ class DeviceState:
     """One memristor's state: stress in ns and the resistance derived from it.
 
     The device law passes this scalar value around; an array keeps its
-    devices' states as stress and resistance arrays (crossbar.ArrayState).
+    devices' resistances only, as a rows x cols grid (see crossbar).
     """
 
     stress: float = 0.0

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import tempmem as tm
-from tempmem.crossbar import ArrayState
 
 from reference_law import resistance_of
 
@@ -18,7 +17,7 @@ P = tm.DeviceParams()
 
 
 def column_state(resistances):
-    return ArrayState(np.array(resistances, dtype=float).reshape(-1, 1))
+    return np.array(resistances, dtype=float).reshape(-1, 1)
 
 
 def report(num, name, t0, budget):
@@ -79,7 +78,7 @@ def test_criterion_4_first_edge_invariance():
         state, result = tm.capture_native(tm.new_array(cfg, P), cfg, P, 0, w)
         first = int(np.argmin(w.times))
         assert result.final_resistances[first] == P.r_on
-        assert state.resistance[first, 0] == P.r_on
+        assert state[first, 0] == P.r_on
     report(4, "first-arriving channel stays exactly at r_on, 1000/1000", t0, 5.0)
 
 

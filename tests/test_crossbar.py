@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tempmem.crossbar import (ArrayConfig, ArrayState, edge_times, ln_factor,
-                              new_array, read_grid_csv, recall, reset_lines,
-                              write_grid_csv)
+from tempmem.crossbar import (ArrayConfig, edge_times, ln_factor, new_array,
+                              read_grid_csv, recall, reset_lines, write_grid_csv)
 from tempmem.device import DeviceParams
 from tempmem.wavefront import rank_of
 
@@ -17,7 +16,7 @@ P = DeviceParams()
 
 def column_state(resistances):
     """Single-column array with the given resistances."""
-    return ArrayState(np.array(resistances, dtype=float).reshape(-1, 1))
+    return np.array(resistances, dtype=float).reshape(-1, 1)
 
 
 def rc_threshold_oracle(r, c, theta, dt=1e-4):
@@ -85,9 +84,9 @@ class TestRecall:
 
     def test_leaves_devices_untouched(self):
         state = new_array(ArrayConfig(rows=2, cols=2), P)
-        before = state.resistance.copy()
+        before = state.copy()
         recall(state, ArrayConfig(rows=2, cols=2), 1)
-        assert np.array_equal(state.resistance, before)
+        assert np.array_equal(state, before)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=400.0), min_size=2,
                     max_size=8, unique=True))
@@ -206,7 +205,7 @@ class TestConfigValidation:
 
     def test_numpy_integer_geometry_accepted(self):
         cfg = ArrayConfig(rows=np.int64(3), cols=np.int32(2))
-        assert new_array(cfg, P).resistance.shape == (3, 2)
+        assert new_array(cfg, P).shape == (3, 2)
 
     def test_rejects_read_voltage_above_rail(self):
         with pytest.raises(ValueError):
@@ -221,37 +220,46 @@ class TestNewArray:
     def test_all_devices_on(self):
         cfg = ArrayConfig(rows=3, cols=2)
         state = new_array(cfg, P)
-        assert np.all(state.resistance == P.r_on)
-        assert state.resistance.shape == (3, 2)
+        assert np.all(state == P.r_on)
+        assert type(state) is np.ndarray
+        assert (state.dtype, state.shape) == (np.float64, (3, 2))
 
     def test_per_device_params_grid(self):
         cfg = ArrayConfig(rows=2, cols=1)
         grid = replace(P, r_on=np.array([[10.1e3], [9.9e3]]))
         state = new_array(cfg, grid)
-        assert state.resistance[:, 0].tolist() == [10.1e3, 9.9e3]
+        assert state[:, 0].tolist() == [10.1e3, 9.9e3]
 
     def test_rejects_mismatched_params_grid(self):
         grid = replace(P, r_on=np.full((2, 2), 1e4))
         with pytest.raises(ValueError, match="dimensions"):
             new_array(ArrayConfig(rows=2, cols=1), grid)
 
+    def test_does_not_share_the_params_grid(self):
+        grid = replace(P, r_on=np.array([[10.1e3], [9.9e3]]))
+        state = new_array(ArrayConfig(rows=2, cols=1), grid)
+        state[0, 0] = 2e4
+        assert grid.r_on[0, 0] == 10.1e3
+
 
 class TestGridCsv:
     def test_round_trip(self, tmp_path):
         cfg = ArrayConfig(rows=2, cols=2)
-        state = ArrayState(np.array([[resistance_of(float(i + j), P)
-                                      for j in range(2)] for i in range(2)]))
+        state = np.array([[resistance_of(float(i + j), P) for j in range(2)]
+                          for i in range(2)])
         path = tmp_path / "grid.csv"
         write_grid_csv(path, state)
         loaded = read_grid_csv(path, cfg, P)
-        assert np.allclose(loaded.resistance, state.resistance)
+        assert np.allclose(loaded, state)
+        assert type(loaded) is np.ndarray
+        assert (loaded.dtype, loaded.shape) == (np.float64, (2, 2))
 
     def test_writes_row_major_reprs(self, tmp_path):
         # Each resistance is written as its shortest round-trip repr.
         r = np.array([[0.1 + 0.2, 1e4], [12345.678901234567, 1e-5],
                       [2.0**0.5 * 1e4, 99999.99999999999]])
         path = tmp_path / "grid.csv"
-        write_grid_csv(path, ArrayState(r))
+        write_grid_csv(path, r)
         assert path.read_bytes() == (
             "row,col,resistance_ohm\r\n0,0,0.30000000000000004\r\n"
             "0,1,10000.0\r\n1,0,12345.678901234567\r\n1,1,1e-05\r\n"

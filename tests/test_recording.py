@@ -93,7 +93,7 @@ class TestCaptureNative:
         cfg = cfg_for(3)
         fresh = new_array(cfg, P)
         state, _ = capture_native(fresh, cfg, P, 0, Wavefront((5.0, 25.0, 45.0)))
-        assert state.resistance[0, 0] == fresh.resistance[0, 0] == P.r_on
+        assert state[0, 0] == fresh[0, 0] == P.r_on
 
     def test_simultaneous_wavefront_leaves_column_on(self):
         cfg = cfg_for(4)
@@ -338,7 +338,7 @@ class TestKernelsMatchScalarLaw:
         want = reference_closed_loop(params, col, targets,
                                      pulse_noise=noises[1], **kw)
         assert_same_capture(got, want)
-        assert state.resistance[:, col].tolist() == list(want.final_resistances)
+        assert state[:, col].tolist() == list(want.final_resistances)
         if make_noise is not None:
             block, single = noises
             assert single.calls == sum(want.iterations)
@@ -541,7 +541,7 @@ class TestKernelsMatchScalarLaw:
         assert got.pulses == tuple(pulses)
         assert got.final_resistances == tuple(finals)
         assert got.write_energy == energy
-        assert state.resistance[:, 1].tolist() == finals
+        assert state[:, 1].tolist() == finals
         if r_off_max < 1e6:
             assert finals.count(r_off_max) >= 2
 
@@ -798,9 +798,45 @@ class TestSweepSettings:
         for path in ("native", "digital"):
             state, result = capture(new_array(cfg, P), cfg, P, w,
                                     SweepSettings(path=path, column=2))
-            assert state.resistance[1, 2] == result.final_resistances[1] > P.r_on
-            assert (state.resistance[:, :2] == P.r_on).all()
+            assert state[1, 2] == result.final_resistances[1] > P.r_on
+            assert (state[:, :2] == P.r_on).all()
         assert result.iterations[1] > 1  # the closed loop ran
+
+
+class TestCaptureLeavesItsInputGrid:
+    """A capture returns a new grid and leaves the one it was given as it
+    was, other columns included."""
+
+    CFG = ArrayConfig(rows=3, cols=2)
+    W = Wavefront((0.0, 10.0, 4.0))
+
+    def check(self, write):
+        first, _ = write(new_array(self.CFG, P), 0)
+        before = first.copy()
+        second, result = write(first, 1)
+        assert np.array_equal(first, before)
+        assert np.array_equal(second[:, 0], first[:, 0])
+        assert second[:, 1].tolist() == list(result.final_resistances)
+        assert (second[:, 1] > P.r_on).any()
+
+    @pytest.mark.parametrize("path", ["native", "digital"])
+    def test_capture(self, path):
+        self.check(lambda state, col: capture(
+            state, self.CFG, P, self.W, SweepSettings(path=path, column=col)))
+
+    def test_capture_native(self):
+        self.check(lambda state, col: capture_native(state, self.CFG, P, col, self.W))
+
+    def test_program_closed_loop(self):
+        self.check(lambda state, col: program_closed_loop(
+            state, self.CFG, P, col, [12e3, 15e3, 11e3], step=0.01, max_iters=8000))
+
+    def test_integer_grid_is_written_in_float(self):
+        grid = np.full((3, 2), int(P.r_on))
+        state, result = capture_native(grid, self.CFG, P, 0, self.W)
+        assert state.dtype == np.float64
+        assert state[:, 0].tolist() == list(result.final_resistances)
+        assert (grid == int(P.r_on)).all()
 
 
 class TestCaptureCsv:

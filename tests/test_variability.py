@@ -255,16 +255,15 @@ class TestMonteCarlo:
         assert serial == parallel
         assert rows_s == rows_p
 
-    @pytest.mark.parametrize("trials, pools", [(1, []), (2, [2]), (100, [64])])
-    def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch, trials,
-                                                     pools):
-        # Fork starts every max_workers process on the first submit, so the
-        # pool is sized by the blocks; a stand-in records it and maps here.
+    @staticmethod
+    def stub_pool(monkeypatch):
+        """Stand in for the process pool: record each pool's size and its
+        number of blocks, and map here."""
         started = []
 
         class Pool:
             def __init__(self, max_workers):
-                started.append(max_workers)
+                started.append([max_workers])
 
             def __enter__(self):
                 return self
@@ -272,13 +271,46 @@ class TestMonteCarlo:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                started[-1].append(len(jobs))
+                return map(fn, jobs)
 
         monkeypatch.setattr(variability, "ProcessPoolExecutor", Pool)
+        return started
+
+    @pytest.mark.parametrize("cpus, trials, pools", [
+        (2, 1, []), (2, 2, [[2, 2]]), (2, 100, [[2, 9]]), (1, 100, []),
+        (64, 2, [[2, 2]]), (64, 100, [[64, 100]])])
+    def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch, cpus,
+                                                     trials, pools):
+        # Fork starts every max_workers process on the first submit, so the
+        # pool is sized by the usable CPUs and the blocks, and the blocks by
+        # the capped worker count: workers=64 on 2 CPUs runs 100 trials as
+        # 9 blocks of at most 12 trials, not 100 one-trial blocks.
+        started = self.stub_pool(monkeypatch)
+        monkeypatch.setattr(variability.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
         spec = VariationSpec(seed=77)
         assert monte_carlo(CFG8, P, spec, trials, workers=64) == \
             monte_carlo(CFG8, P, spec, trials)
         assert started == pools
+
+    @pytest.mark.parametrize("count, pools", [(2, [[2, 9]]), (None, [])])
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch, count, pools):
+        started = self.stub_pool(monkeypatch)
+        monkeypatch.delattr(variability.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(variability.os, "cpu_count", lambda: count)
+        monte_carlo(CFG8, P, VariationSpec(seed=77), 100, workers=64)
+        assert started == pools
+
+    def test_serial_sweep_does_not_ask_for_cpus(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("CPU count queried")
+
+        monkeypatch.setattr(variability.os, "sched_getaffinity", fail, raising=False)
+        monkeypatch.setattr(variability.os, "cpu_count", fail)
+        monte_carlo(CFG8, P, VariationSpec(seed=77), 3)
 
     def test_mean_tau_degrades_with_c2c_noise(self):
         means = []
