@@ -19,7 +19,7 @@ from . import crossbar, device, recording, variability
 from .device import _fj
 from .scenario import Scenario, ScenarioError, load_scenario
 from .wavefront import (normalize, read_csv, read_wavefront_csv, write_csv,
-                        write_wavefront_csv, _fixed)
+                        write_wavefront_csv, _fixed, _write_lines)
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -120,7 +120,7 @@ def _cmd_capture(args, scenario: Scenario, outdir: Path) -> int:
     ]
     recording.write_capture_csv(outdir / "capture.csv", result)
     crossbar.write_grid_csv(outdir / "grid.csv", state)
-    (outdir / "capture_report.txt").write_text("\n".join(report) + "\n")
+    _write_lines(outdir / "capture_report.txt", ["\n".join(report) + "\n"])
     print("\n".join(report))
     return 0
 
@@ -151,7 +151,7 @@ def _cmd_sweep(args, scenario: Scenario, outdir: Path) -> int:
     text = variability.format_trial_report(report)
     variability.write_trial_report_csv(outdir / "trial_report.csv", report)
     variability.write_trials_csv(outdir / "trials.csv", rows)
-    (outdir / "trial_report.txt").write_text(text)
+    _write_lines(outdir / "trial_report.txt", [text])
     print(text, end="")
     return 0
 

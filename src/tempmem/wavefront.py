@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 from dataclasses import dataclass
 from itertools import chain
 
@@ -150,11 +152,24 @@ def _csv_line(row) -> str:
     return line + "\r\n"
 
 
+def _write_lines(path, lines, newline=None) -> None:
+    """Write `lines` to `path` as open(path, "w", newline=newline) would, but
+    over the old bytes, then cut a regular file at the new end: the file keeps
+    its inode and is never truncated to zero, which on ext4 writes out the old
+    data.  A line that raises leaves exactly the lines before it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline=newline) as f:
+        try:
+            f.writelines(lines)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a FIFO
+                f.truncate()
+
+
 def write_csv(path, header, rows) -> None:
     """Write a CSV file, the header row and then each of `rows` (sequences
     of cells) by `_csv_line`, streamed through the file's buffer."""
-    with open(path, "w", newline="") as f:
-        f.writelines(map(_csv_line, chain([header], rows)))
+    _write_lines(path, map(_csv_line, chain([header], rows)), newline="")
 
 
 def write_wavefront_csv(path, w: Wavefront) -> None:

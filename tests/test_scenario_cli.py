@@ -361,6 +361,44 @@ class TestCliSweep:
         assert int(report["n_trials"]) == 5
 
 
+class TestRepeatedOutDir:
+    """A command run into an --out that an earlier, larger run filled
+    leaves the bytes of a fresh run: each file is rewritten in place and cut
+    at its new end."""
+
+    SWEEP_FILES = ("trial_report.csv", "trials.csv", "trial_report.txt")
+
+    def test_sweep_over_a_larger_sweep(self, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run_cli("sweep", "--trials", "12", "--seed", "4",
+                       "--out", str(reused)) == 0
+        before = (reused / "trials.csv").stat().st_size
+        for out in (reused, fresh):
+            assert run_cli("sweep", "--trials", "3", "--seed", "4",
+                           "--out", str(out)) == 0
+        assert (reused / "trials.csv").stat().st_size < before
+        for name in self.SWEEP_FILES:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_capture_over_a_larger_capture(self, tmp_path):
+        wave4, wave3 = tmp_path / "wave.csv", tmp_path / "wave3.csv"
+        write_wavefront_csv(wave4, Wavefront((0.0, 12.5, 30.0, 40.0)))
+        write_wavefront_csv(wave3, Wavefront((0.0, 12.5, 30.0)))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run_cli("capture", "--input", str(wave4), "--out", str(reused)) == 0
+        assert run_cli("capture", "--input", str(wave3), "--out", str(reused)) == 0
+        assert run_cli("capture", "--input", str(wave3), "--out", str(fresh)) == 0
+        for name in ("grid.csv", "capture.csv", "capture_report.txt"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_directory_in_place_of_an_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "trials.csv").mkdir(parents=True)
+        assert run_cli("sweep", "--trials", "2", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "trials.csv") in err
+
+
 class TestSharedParser:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 from dataclasses import replace
 from functools import partial
 
@@ -258,12 +259,14 @@ class TestMonteCarlo:
     @staticmethod
     def stub_pool(monkeypatch):
         """Stand in for the process pool: record each pool's size and its
-        number of blocks, and map here."""
-        started = []
+        number of blocks, and the multiprocessing context it was given, and
+        map here."""
+        started, contexts = [], []
 
         class Pool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 started.append([max_workers])
+                contexts.append(mp_context)
 
             def __enter__(self):
                 return self
@@ -277,7 +280,7 @@ class TestMonteCarlo:
                 return map(fn, jobs)
 
         monkeypatch.setattr(variability, "ProcessPoolExecutor", Pool)
-        return started
+        return started, contexts
 
     @pytest.mark.parametrize("cpus, trials, pools", [
         (2, 1, []), (2, 2, [[2, 2]]), (2, 100, [[2, 9]]), (1, 100, []),
@@ -288,17 +291,39 @@ class TestMonteCarlo:
         # pool is sized by the usable CPUs and the blocks, and the blocks by
         # the capped worker count: workers=64 on 2 CPUs runs 100 trials as
         # 9 blocks of at most 12 trials, not 100 one-trial blocks.
-        started = self.stub_pool(monkeypatch)
+        started, contexts = self.stub_pool(monkeypatch)
         monkeypatch.setattr(variability.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         spec = VariationSpec(seed=77)
         assert monte_carlo(CFG8, P, spec, trials, workers=64) == \
             monte_carlo(CFG8, P, spec, trials)
         assert started == pools
+        # Each pool is given its context (the next test pins which).
+        assert len(contexts) == len(pools) and None not in contexts
+
+    @pytest.mark.parametrize("methods", [
+        pytest.param(["fork", "spawn", "forkserver"], marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="the platform has no fork")),
+        ["spawn", "forkserver"], ["spawn"]])
+    def test_pool_context_is_fork_where_the_platform_has_it(self, monkeypatch,
+                                                            methods):
+        # A forkserver or spawn worker re-imports tempmem (about 0.5 s), so
+        # the pool forks wherever it can, and takes the default elsewhere,
+        # whatever Python's default start method is.
+        _, contexts = self.stub_pool(monkeypatch)
+        monkeypatch.setattr(variability.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(variability.multiprocessing,
+                            "get_all_start_methods", lambda: methods)
+        monte_carlo(CFG8, P, VariationSpec(seed=77), 100, workers=2)
+        want = (multiprocessing.get_context("fork") if "fork" in methods
+                else multiprocessing.get_context())
+        assert contexts == [want]
 
     @pytest.mark.parametrize("count, pools", [(2, [[2, 9]]), (None, [])])
     def test_cpu_count_where_affinity_is_unknown(self, monkeypatch, count, pools):
-        started = self.stub_pool(monkeypatch)
+        started, _ = self.stub_pool(monkeypatch)
         monkeypatch.delattr(variability.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(variability.os, "cpu_count", lambda: count)
         monte_carlo(CFG8, P, VariationSpec(seed=77), 100, workers=64)

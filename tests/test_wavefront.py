@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy import stats
 from tempmem.wavefront import (Wavefront, effective_bits, kendall_tau,
                                normalize, rank_of, read_wavefront_csv,
                                timing_error, write_csv, write_wavefront_csv,
-                               _fixed)
+                               _fixed, _write_lines)
 
 from reference_scoring import kendall_tau_of
 
@@ -180,6 +181,77 @@ class TestEffectiveBits:
     def test_rejects_nonpositive_span(self):
         with pytest.raises(ValueError):
             effective_bits(0.0, 1.0)
+
+
+class TestWriteInPlace:
+    """Output files are written over their old bytes and cut at the new
+    end, never truncated to zero first: the same file, as a hard link or an
+    open reader sees it, with the bytes of a fresh write."""
+
+    ROWS = [[i, i / 7] for i in range(40)]
+
+    def test_shorter_over_longer_equals_fresh_write(self, tmp_path):
+        old, fresh = tmp_path / "old.csv", tmp_path / "fresh.csv"
+        write_csv(old, ["a", "b"], self.ROWS)
+        write_csv(old, ["a", "b"], self.ROWS[:3])
+        write_csv(fresh, ["a", "b"], self.ROWS[:3])
+        assert old.read_bytes() == fresh.read_bytes() == \
+            b"a,b\r\n0,0.0\r\n1,0.14285714285714285\r\n2,0.2857142857142857\r\n"
+
+    def test_report_text_equals_write_text(self, tmp_path):
+        # The text reports keep open(path, "w")'s newline translation.
+        old, fresh = tmp_path / "old.txt", tmp_path / "fresh.txt"
+        old.write_text("a much longer earlier report\n" * 9)
+        _write_lines(old, ["trials: 2\nmean tau: 1.000\n"])
+        fresh.write_text("trials: 2\nmean tau: 1.000\n")
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_hard_link_and_open_reader_see_the_new_bytes(self, tmp_path):
+        path, link = tmp_path / "t.csv", tmp_path / "link.csv"
+        write_csv(path, ["a", "b"], self.ROWS)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        with open(path, "rb") as reader:
+            write_csv(path, ["a", "b"], self.ROWS[:2])
+            new = path.read_bytes()
+            assert reader.read() == new
+        assert link.read_bytes() == new == b"a,b\r\n0,0.0\r\n1,0.14285714285714285\r\n"
+        assert path.stat().st_ino == inode
+
+    def test_raise_mid_stream_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], self.ROWS)
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(path, ["a", "b"], [[1, 2.5], ["x,y", 3]] + self.ROWS)
+        assert path.read_bytes() == b"a,b\r\n1,2.5\r\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null(self):
+        # A character device cannot be cut: it is written and left as it is.
+        write_csv("/dev/null", ["a", "b"], self.ROWS)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_csv(fifo, ["a", "b"], self.ROWS[:2])
+            assert os.read(reader, 4096) == b"a,b\r\n0,0.0\r\n1,0.14285714285714285\r\n"
+        finally:
+            os.close(reader)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_is_open_w(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_csv(tmp_path / "new.csv", ["a"], [[1]])
+            with open(tmp_path / "open_w.csv", "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.csv").stat().st_mode == \
+            (tmp_path / "open_w.csv").stat().st_mode
 
 
 class TestCsvRoundTrip:
