@@ -39,6 +39,9 @@ SWEEP_NATIVE = ("array.rows = 8\narray.cols = 4\nrun.channels = 8\n"
 SCENARIOS = {
     "column1": "run.column = 1\n",
     "digital": DIGITAL,
+    # Below nominal (rate about 0.564): pulse_ns sums the durations apart
+    # from the stress.
+    "digital_v_write": DIGITAL + "run.v_write = 1.2\n",
     # WAVEFRONT's 27.8 ns leaves a 0.8 ns residue, on a 0.1 ns bin edge.
     "vernier": "quantizer.kind = vernier\nquantizer.t_fine_ns = 0.1\n" + DIGITAL,
     "fixed_scale": "run.scale_cap = none\n",
@@ -60,6 +63,8 @@ CASES = {
     "capture_digital": ["capture", "--input", "{wf}", "--path", "digital"],
     "capture_digital_converging": ["capture", "--input", "{wf}", "--path",
                                    "digital", "--scenario", "{digital}"],
+    "capture_digital_v_write": ["capture", "--input", "{wf}", "--path",
+                                "digital", "--scenario", "{digital_v_write}"],
     "capture_vernier": ["capture", "--input", "{wf}", "--path", "digital",
                         "--scenario", "{vernier}"],
     "roundtrip_native": ["roundtrip", "--input", "{wf}"],
