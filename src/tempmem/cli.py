@@ -73,7 +73,7 @@ def _load(args) -> Scenario:
                            variation=replace(scenario.variation, seed=args.seed))
     flags = {name: getattr(args, name) for name in ("path", "trials")
              if getattr(args, name, None) is not None}
-    return replace(scenario, run=replace(scenario.run, **flags))
+    return replace(scenario, run=replace(scenario.run, **flags)) if flags else scenario
 
 
 def _read_input(args, scenario: Scenario):
@@ -183,7 +183,8 @@ def main(argv=None) -> int:
     try:
         scenario = _load(args)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        if not outdir.is_dir():
+            outdir.mkdir(parents=True, exist_ok=True)
         return args.run(args, scenario, outdir)
     except (ScenarioError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -251,6 +251,12 @@ def _block_size(gap: float, left: int) -> int:
     return min(want + 8 + want // 64, left, _BLOCK_MAX)
 
 
+def _short(r: float, target: float, tol: float, band_top: float) -> bool:
+    """Whether a device at r takes another pulse: outside its band and not
+    above it (overshot, or started there: a reverse pulse can't come back)."""
+    return abs(r - target) / target > tol and not r > band_top
+
+
 def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DeviceParams,
                  settings: SweepSettings, pulse_noise: PulseNoise) -> tuple:
     """Drive each device of a column, ON at r_ons, to its target within a
@@ -262,25 +268,25 @@ def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DevicePara
     verify band is flagged unreachable immediately; targets beyond what
     max_iters steps can reach are flagged after the budget runs out.
 
-    The loop runs in blocks of pulses.  For each block it takes that many
-    effective durations in one `pulse_noise` call, sums the stresses from
-    the device's current stress, evaluates the law from its guard stress
-    on (no pulse below it can reach the band) and applies the pulses up to
-    the first one that lands in the band or beyond it, or that uses up
-    max_iters; the block size is the noiseless pulse count to the band
-    plus a small margin.  Durations drawn but not applied go to the next
-    device of the column, so each device gets the draws one call per pulse
-    would give it.  Read-ahead: when the function returns, the noise may
-    have drawn up to one block more than the pulses applied, and those
-    draws are discarded; a caller that draws from the same stream
-    afterwards sees it further on than pulse-by-pulse calls would leave
-    it.  Pulses, resistances, iterations and convergence are those of the
-    scalar reference law's `apply_pulse` (`tests/reference_law.py`), bit
-    for bit; the write energy, one integral per device from ON summed in
-    row order, is the sum of its `pulse_energy` up to rounding.  A
-    zero-length pulse adds exactly 0.0 stress and still counts as an
-    iteration.  A negative, infinite or nan duration anywhere in a drawn
-    block raises ValueError.
+    The loop runs in blocks of pulses, each the noiseless pulse count to the
+    band plus a small margin.  For a block it takes that many effective
+    durations in one `pulse_noise` call, folds their stresses once from the
+    device's current stress, evaluates the law from its guard stress on (no
+    pulse below it can reach the band) and applies the pulses up to the first
+    that the loop condition's own test, `_short`, stops (in the band or beyond
+    it), or that uses up max_iters.  The pulse total is the stress fold at
+    rate 1 (the nominal level), `_add` of the applied durations at others.
+    Durations drawn but not applied go to the next device of the column, so
+    each device gets the draws one call per pulse would give it.  Read-ahead:
+    the noise may have drawn up to one block more than the pulses applied,
+    and those draws are discarded; a caller that draws from the same stream
+    afterwards sees it further on than pulse-by-pulse calls would leave it.
+    Pulses, resistances, iterations and convergence are those of the scalar
+    reference law's `apply_pulse` (`tests/reference_law.py`), bit for bit;
+    the write energy, one integral per device from ON summed in row order, is
+    the sum of its `pulse_energy` up to rounding.  A zero-length pulse adds
+    exactly 0.0 stress and still counts as an iteration.  A negative,
+    infinite or nan duration anywhere in a drawn block raises ValueError.
     """
     if len(targets) != len(r_ons):
         raise ValueError(f"{len(targets)} targets for {len(r_ons)} rows")
@@ -305,27 +311,24 @@ def _closed_loop(r_ons: np.ndarray, targets: Sequence[float], params: DevicePara
                                           s_lows.tolist(), guards.tolist()):
         target = float(target)
         band_top = target * (1.0 + tol)
-        s, r = 0.0, r_on
-        applied = 0.0
-        iters = 0
-        # Stop in the band, above it (overshot, or started there: a reverse
-        # pulse can't come back) or when the budget is spent.
-        while (abs(r - target) / target > tol and not r > band_top
-               and iters < max_iters):
+        s, r, applied, iters = 0.0, r_on, 0.0, 0
+        while _short(r, target, tol, band_top) and iters < max_iters:
             gap = (s_low - s) / step_stress if step_stress > 0 else math.inf
             n = _block_size(gap, max_iters - iters)
             if spare.size < n:
                 more = _effective(np.full(n - spare.size, step), pulse_noise)
                 spare = np.concatenate((spare, more))
             dur = spare[:n]
-            stress = np.cumsum(np.concatenate(([s], dur * rate)))[1:]
+            stress = dur * rate  # a new array, folded in place from s on
+            stress[0] += s
+            np.cumsum(stress, out=stress)
             # Stress only rises; the last pulse always gets a resistance.
             lo = min(int(np.searchsorted(stress, guard)), n - 1)
-            res = device.resistance(stress[lo:], r_on, params)
-            done = ~(np.abs(res - target) / target > tol) | (res > band_top)
-            m = lo + int(done.argmax()) + 1 if done.any() else n
-            applied = float(_add(applied, dur[:m]))
-            s, r = float(stress[m - 1]), float(res[m - 1 - lo])
+            res = device.resistance(stress[lo:], r_on, params).tolist()
+            m = next((k for k, x in enumerate(res, lo + 1)
+                      if not _short(x, target, tol, band_top)), n)
+            s, r = float(stress[m - 1]), res[m - 1 - lo]
+            applied = s if rate == 1.0 else float(_add(applied, dur[:m]))
             iters += m
             spare = spare[m:]
         pulses.append(applied)

@@ -241,13 +241,14 @@ def one_pulse(pulse_noise, duration):
 
 
 def reference_closed_loop(params, col, targets, *, tol, step, max_iters,
-                          pulse_noise=None, pulse_by_pulse=False):
-    """The closed loop pulse by pulse through the scalar device law, one
-    noise call per pulse.  The write energy integrates each device's RESET
-    energy once, over its trajectory from (0, r_on) to its final stress and
-    resistance, summed in device order; with `pulse_by_pulse` it is instead
-    the sum of every pulse's `pulse_energy` in pulse order."""
-    v = -params.v_write_nominal
+                          v_write=None, pulse_noise=None, pulse_by_pulse=False):
+    """The closed loop pulse by pulse through the scalar device law at
+    v_write (nominal by default), one noise call per pulse.  The write
+    energy integrates each device's RESET energy once, over its trajectory
+    from (0, r_on) to its final stress and resistance, summed in device
+    order; with `pulse_by_pulse` it is instead the sum of every pulse's
+    `pulse_energy` in pulse order."""
+    v = -(params.v_write_nominal if v_write is None else v_write)
     rate = device.programming_rate(v, params)
     pulses, finals, iterations, converged = [], [], [], []
     energy = 0.0
@@ -321,9 +322,10 @@ class TestKernelsMatchScalarLaw:
     """The array kernels give exactly what the scalar law gives."""
 
     def run_both(self, params, targets, col=0, cols=1, noise_seed=None,
-                 make_noise=None, **kw):
-        """The block kernel against the reference; with noise, also the
-        durations each drew.  Returns the kernel's result and noise."""
+                 make_noise=None, v_write=None, **kw):
+        """The block kernel against the reference, both at v_write; with
+        noise, also the durations each drew.  Returns the kernel's result
+        and noise."""
         cfg = ArrayConfig(rows=len(targets), cols=cols)
         if noise_seed is not None:
             spec = VariationSpec(c2c_sigma=0.2)
@@ -334,8 +336,8 @@ class TestKernelsMatchScalarLaw:
             noises = [LoggedNoise(make_noise()), LoggedNoise(make_noise())]
         state, got = program_closed_loop(new_array(cfg, params), cfg, params,
                                          col, targets, pulse_noise=noises[0],
-                                         **kw)
-        want = reference_closed_loop(params, col, targets,
+                                         v_write=v_write, **kw)
+        want = reference_closed_loop(params, col, targets, v_write=v_write,
                                      pulse_noise=noises[1], **kw)
         assert_same_capture(got, want)
         assert state[:, col].tolist() == list(want.final_resistances)
@@ -392,6 +394,16 @@ class TestKernelsMatchScalarLaw:
             return lambda d: np.array([next(lengths) for _ in range(d.size)])
         self.run_both(P, [20e3, 15e3], make_noise=make_noise, tol=1e-3,
                       step=1.0, max_iters=400)
+
+    # Steps of about 0.03 ns of stress at each level.
+    @pytest.mark.parametrize("v_write, step", [(1.0, 0.1), (1.2, 0.05), (2.0, 0.005)])
+    def test_write_level_off_nominal(self, v_write, step):
+        # Off rate 1 a pulse total is not its device's stress: it is
+        # folded from the applied durations apart.
+        got, _ = self.run_both(P, [15e3, 25e3, 2 * P.r_off_max], noise_seed=5,
+                               tol=1e-3, step=step, max_iters=2000, v_write=v_write)
+        assert got.converged == (True, True, False)
+        assert got.iterations[2] == 2000
 
     def test_column_off_the_params_r_on_is_not_on(self):
         # The column holds P's 10 kohm, but these params put r_on at
@@ -594,8 +606,13 @@ class TestKernelsMatchScalarLaw:
                  for _ in range(rows)]
         params = replace(P, r_off_max=r_off_max, r_on=np.array([r_ons]).T)
         targets = [self.draw_target(data, r_on, r_off_max, tol) for r_on in r_ons]
+        # Rate 1 folds each pulse total with the stress; other rates apart.
+        v_write = data.draw(st.one_of(
+            st.sampled_from([None, P.v_write_nominal]),
+            st.floats(P.v_prog_threshold, P.v_write_nominal, exclude_max=True),
+            st.floats(P.v_write_nominal, 2 * P.v_write_nominal, exclude_min=True)))
         self.run_both(params, targets, make_noise=self.draw_noise(data), tol=tol,
-                      step=step, max_iters=max_iters)
+                      step=step, max_iters=max_iters, v_write=v_write)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.042])
     def test_energy_near_the_pulse_by_pulse_sum(self, sigma):

@@ -398,6 +398,13 @@ class TestRepeatedOutDir:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out / "trials.csv") in err
 
+    def test_out_naming_a_regular_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert run_cli("sweep", "--trials", "2", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "not a directory\n"
+
 
 class TestSharedParser:
     def test_parser_is_built_once(self):

@@ -11,7 +11,7 @@ from scipy import stats
 from tempmem.wavefront import (Wavefront, effective_bits, kendall_tau,
                                normalize, rank_of, read_wavefront_csv,
                                timing_error, write_csv, write_wavefront_csv,
-                               _fixed, _write_lines)
+                               _csv_line, _fixed, _write_lines)
 
 from reference_scoring import kendall_tau_of
 
@@ -224,6 +224,34 @@ class TestWriteInPlace:
         with pytest.raises(ValueError, match="quoting"):
             write_csv(path, ["a", "b"], [[1, 2.5], ["x,y", 3]] + self.ROWS)
         assert path.read_bytes() == b"a,b\r\n1,2.5\r\n"
+
+    # About 560 kB of lines: several of the writer's 64 KiB chunks.
+    MANY = [[i, i / 7, -i / 3] for i in range(12000)]
+
+    def test_several_chunks_equal_open_w_writelines(self, tmp_path):
+        old, fresh = tmp_path / "old.csv", tmp_path / "fresh.csv"
+        write_csv(old, ["a", "b", "c"], self.MANY + self.MANY)
+        write_csv(old, ["a", "b", "c"], self.MANY)
+        with open(fresh, "w", newline="") as f:
+            f.writelines(map(_csv_line, [["a", "b", "c"]] + self.MANY))
+        assert old.stat().st_size > 4 * (1 << 16)
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_raise_after_the_first_chunk_leaves_the_lines_before_it(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], self.MANY + self.MANY)
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(path, ["a", "b", "c"], self.MANY + [["x,y", 3, 4]] + self.MANY)
+        assert path.read_bytes() == "".join(
+            map(_csv_line, [["a", "b", "c"]] + self.MANY)).encode()
+
+    def test_non_ascii_report_equals_write_text(self, tmp_path):
+        old, fresh = tmp_path / "old.txt", tmp_path / "fresh.txt"
+        text = "span: 40 µs — τ ≥ 0.5\nÅngström, naïve\n"
+        old.write_text("a much longer earlier report\n" * 9)
+        _write_lines(old, [text])
+        fresh.write_text(text)
+        assert old.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     def test_dev_null(self):
