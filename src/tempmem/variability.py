@@ -289,9 +289,9 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
     settings.trials and settings.workers, and are checked as they are.
 
     Fully reproducible from spec.seed (see the module docstring); workers
-    > 1 fans blocks of trials, as (first, count) ranges, out to a process
-    pool of at most one process per usable CPU and per block, and none for
-    a single block, without changing any result.
+    > 1 runs one (first, count) block of trials per process, more if a
+    block would pass _BLOCK_CELLS devices, in a pool of at most one process
+    per usable CPU and per block, and none for one block; no result changes.
     """
     settings = replace(settings, trials=n_trials, workers=workers)
     if settings.channels != cfg.rows:
@@ -302,9 +302,8 @@ def monte_carlo(cfg: ArrayConfig, base: DeviceParams, spec: VariationSpec,
     if workers > 1:  # at most one process per CPU this process may use
         workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(
             os, "sched_getaffinity") else os.cpu_count() or 1)
-    size = max(1, _BLOCK_CELLS // (cfg.rows * cfg.cols))
-    if workers > 1:
-        size = min(size, max(1, n_trials // (workers * 4)))
+    # One block per worker, as far as the memory bound allows.
+    size = max(1, min(_BLOCK_CELLS // (cfg.rows * cfg.cols), -(-n_trials // workers)))
     jobs = [(i, min(size, n_trials - i), cfg, base, spec, settings)
             for i in range(0, n_trials, size)]
     # Fork starts every worker on the first submit: no more than the jobs.

@@ -9,7 +9,6 @@ arrival, which survives any monotone distortion of the timings.
 from __future__ import annotations
 
 import csv
-import locale
 import math
 import os
 import stat
@@ -157,31 +156,19 @@ def _write_lines(path, lines, newline=None) -> None:
     """Write `lines` to `path` as open(path, "w", newline=newline) would, but
     over the old bytes, then cut a regular file at the new end: the file keeps
     its inode and is never truncated to zero, which on ext4 writes out the old
-    data.  A line that raises leaves exactly the lines before it.  Calls:
-    os.open (no O_TRUNC), os.write per 64 KiB or so of lines in open's
-    encoding, os.fstat, os.lseek and os.ftruncate if regular, os.close."""
-    encoding = locale.getpreferredencoding(False)  # open(path, "w")'s
-    sep = os.linesep if newline is None else newline or "\n"
+    data.  A line that raises leaves exactly the lines before it."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    chunk = bytearray()
-    try:
+    with open(fd, "w", newline=newline) as f:
         try:
-            for line in lines:
-                chunk += (line if sep == "\n" else line.replace("\n", sep)).encode(encoding)
-                if len(chunk) >= 1 << 16:  # a part a FIFO leaves waits
-                    del chunk[:os.write(fd, chunk)]
+            f.writelines(lines)
         finally:
-            while chunk:
-                del chunk[:os.write(fd, chunk)]
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-    finally:
-        os.close(fd)
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a FIFO
+                f.truncate()
 
 
 def write_csv(path, header, rows) -> None:
     """Write a CSV file, the header row and then each of `rows` (sequences
-    of cells) by `_csv_line`, streamed in chunks by `_write_lines`."""
+    of cells) by `_csv_line`, streamed through the file's buffer."""
     _write_lines(path, map(_csv_line, chain([header], rows)), newline="")
 
 

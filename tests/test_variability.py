@@ -283,14 +283,14 @@ class TestMonteCarlo:
         return started, contexts
 
     @pytest.mark.parametrize("cpus, trials, pools", [
-        (2, 1, []), (2, 2, [[2, 2]]), (2, 100, [[2, 9]]), (1, 100, []),
-        (64, 2, [[2, 2]]), (64, 100, [[64, 100]])])
+        (2, 1, []), (2, 2, [[2, 2]]), (2, 100, [[2, 2]]), (1, 100, []),
+        (64, 2, [[2, 2]]), (64, 100, [[50, 50]])])
     def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch, cpus,
                                                      trials, pools):
         # Fork starts every max_workers process on the first submit, so the
         # pool is sized by the usable CPUs and the blocks, and the blocks by
-        # the capped worker count: workers=64 on 2 CPUs runs 100 trials as
-        # 9 blocks of at most 12 trials, not 100 one-trial blocks.
+        # the capped worker count: one block per worker, so workers=64 runs
+        # 100 trials as 2 blocks of 50 on 2 CPUs and 50 blocks of 2 on 64.
         started, contexts = self.stub_pool(monkeypatch)
         monkeypatch.setattr(variability.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
@@ -300,6 +300,31 @@ class TestMonteCarlo:
         assert started == pools
         # Each pool is given its context (the next test pins which).
         assert len(contexts) == len(pools) and None not in contexts
+
+    def test_block_holds_at_most_block_cells_devices(self, monkeypatch):
+        # 8 x 4096 devices a trial: a block of 2 trials is 2**16 devices,
+        # so 10 trials on 2 CPUs run as 5 blocks, not as 2 of 5.
+        started, _ = self.stub_pool(monkeypatch)
+        monkeypatch.setattr(variability.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        cfg, spec = ArrayConfig(rows=8, cols=4096), VariationSpec(seed=77)
+        assert monte_carlo(cfg, P, spec, 10, workers=2) == \
+            monte_carlo(cfg, P, spec, 10)
+        assert started == [[2, 5]]
+
+    # Any split of n trials into consecutive (first, count) blocks, here as
+    # its block sizes, gives the rows of one (0, n) block, in order.
+    @hsettings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), path=st.sampled_from(["native", "digital"]),
+           counts=st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    def test_any_block_plan_gives_the_rows_of_one_block(self, seed, path, counts):
+        cfg, spec = ArrayConfig(rows=4, cols=2), VariationSpec(seed=seed)
+        n = sum(counts)
+        settings = SweepSettings(channels=4, path=path, step_ns=1.0, trials=n)
+        firsts = np.cumsum([0] + counts[:-1]).tolist()
+        split = [row for first, count in zip(firsts, counts) for row in
+                 variability._run_block((first, count, cfg, P, spec, settings))]
+        assert split == variability._run_block((0, n, cfg, P, spec, settings))
 
     @pytest.mark.parametrize("methods", [
         pytest.param(["fork", "spawn", "forkserver"], marks=pytest.mark.skipif(
@@ -321,7 +346,7 @@ class TestMonteCarlo:
                 else multiprocessing.get_context())
         assert contexts == [want]
 
-    @pytest.mark.parametrize("count, pools", [(2, [[2, 9]]), (None, [])])
+    @pytest.mark.parametrize("count, pools", [(2, [[2, 2]]), (None, [])])
     def test_cpu_count_where_affinity_is_unknown(self, monkeypatch, count, pools):
         started, _ = self.stub_pool(monkeypatch)
         monkeypatch.delattr(variability.os, "sched_getaffinity", raising=False)

@@ -225,7 +225,7 @@ class TestWriteInPlace:
             write_csv(path, ["a", "b"], [[1, 2.5], ["x,y", 3]] + self.ROWS)
         assert path.read_bytes() == b"a,b\r\n1,2.5\r\n"
 
-    # About 560 kB of lines: several of the writer's 64 KiB chunks.
+    # About 560 kB of lines: many times the text layer's buffer.
     MANY = [[i, i / 7, -i / 3] for i in range(12000)]
 
     def test_several_chunks_equal_open_w_writelines(self, tmp_path):
@@ -252,6 +252,17 @@ class TestWriteInPlace:
         _write_lines(old, [text])
         fresh.write_text(text)
         assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_no_descriptor_left_open(self, tmp_path):
+        # os.open's descriptor is closed by the file object that wraps it,
+        # after a normal write and after a line that raises alike.
+        path, before = tmp_path / "t.csv", len(os.listdir("/proc/self/fd"))
+        write_csv(path, ["a", "b"], self.ROWS)
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(path, ["a", "b"], [[1, 2.5], ["x,y", 3]])
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     def test_dev_null(self):
