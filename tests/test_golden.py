@@ -26,6 +26,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 WAVEFRONT = "channel,time_ns\n0,3.25\n1,0.0\n2,27.8\n3,14.05\n"
 
+# Channel 3 writes far past the knee, to the law's r_off_max clamp: the
+# clamp constants and the write energy's beyond-clamp term.
+WAVEFRONT_CLAMP = "channel,time_ns\n0,3.25\n1,0.0\n2,27.8\n3,1000000.0\n"
+
 GRID = "row,col,resistance_ohm\n" + "".join(
     f"{i},{j},{10e3 + 2345.678 * i + 789.125 * j!r}\n"
     for i in range(4) for j in range(4))
@@ -55,11 +59,13 @@ SCENARIOS = {
                   "calibrate.energy_fj = 450.0\ndevice.tau_w_ns = 150.0\n"),
 }
 
-# case -> argv, with {wf}, {grid} and {name} (a scenario file) filled in
+# case -> argv, with {wf}, {wf_clamp}, {grid} and {name} (a scenario file)
+# filled in
 CASES = {
     "recall_fresh": ["recall"],
     "recall_grid": ["recall", "--grid", "{grid}", "--scenario", "{column1}"],
     "capture_native": ["capture", "--input", "{wf}"],
+    "capture_native_clamp": ["capture", "--input", "{wf_clamp}"],
     "capture_digital": ["capture", "--input", "{wf}", "--path", "digital"],
     "capture_digital_converging": ["capture", "--input", "{wf}", "--path",
                                    "digital", "--scenario", "{digital}"],
@@ -81,8 +87,10 @@ CASES = {
 
 def run_case(case: str, workdir: Path, out: Path) -> None:
     """Run one case's command; its files and stdout.txt land in `out`."""
-    inputs = {"wf": workdir / "wavefront.csv", "grid": workdir / "grid.csv"}
+    inputs = {"wf": workdir / "wavefront.csv", "grid": workdir / "grid.csv",
+              "wf_clamp": workdir / "wavefront_clamp.csv"}
     inputs["wf"].write_text(WAVEFRONT)
+    inputs["wf_clamp"].write_text(WAVEFRONT_CLAMP)
     inputs["grid"].write_text(GRID)
     for name, text in SCENARIOS.items():
         inputs[name] = workdir / f"{name}.txt"
