@@ -28,12 +28,18 @@ other code restates them.  The tests state the law one device at a time
 `resistance`, `stress_at` and `write_energy` work on arrays of any shape
 (trials x rows for the batched Monte Carlo engine, a block of pulses for
 the closed loop's law, a column of devices for either capture's write
-energy) and give the scalar reference's bits.  Only `+ - * /`, `min`/`max`,
-comparisons, `cumsum` along the last axis and `scipy.special.expi` are
-vectorised, as numpy gives the same bits for them; `exp`, `expm1` and
-`log1p` stay `math.*`, applied per element by `per_element`, because
-numpy's SIMD versions differ in the last bit for some inputs.
-`Generator.lognormal` calls the same scalar libm `exp`, in C.
+energy) and give the scalar reference's bits.  numpy gives those bits for
+`+ - * /`, `min`/`max`, comparisons and `cumsum` along the last axis, but
+its SIMD exp, expm1 and log1p differ from libm's, which `math` calls, in
+the last bit for some inputs.  So the law, like `variability._spread`,
+calls libm's through scipy's Box-Cox ufuncs at lambda 0 (`inv_boxcox` is
+exp, `boxcox1p` log1p, `inv_boxcox1p` expm1), in their float64 loop for
+any input dtype.  Unlike `math.exp` they give inf without an error where
+the result overflows, at inputs the law never reaches: `stress_at` caps
+its expm1 argument at 700, `_reset_constants`' exponent is never
+positive, `_spread`'s passes 709 only for a normal draw beyond 37, and
+`check_r_on` rejects an inf r_on.  `Generator.lognormal` calls the same
+libm `exp`, and `expi` is scipy's.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expi
+from scipy.special import boxcox1p, expi, inv_boxcox, inv_boxcox1p
 
 R_ON_DEFAULT = 10e3       # ohm, ON state
 R_OFF_MAX_DEFAULT = 1e6   # ohm, hard ceiling of the state
@@ -105,19 +111,11 @@ def check_r_on(r_on: float | np.ndarray, r_off_max: float) -> None:
         raise ValueError("need 0 < r_on < r_off_max < inf")
 
 
-def per_element(f, x) -> np.ndarray:
-    """f applied to each element of x (a float or an array), as a float
-    array of x's shape: the way to apply the `math.*` functions whose
-    numpy versions differ from them in the last bit."""
-    x = np.asarray(x)
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def resistance(stress, r_on, params: DeviceParams) -> np.ndarray:
     """The device law: resistance (ohm) at each stress (ns) of devices ON
     at r_on, R = r_on + amp_a ln(1 + s / tau_w) clamped at r_off_max.
     stress and r_on are floats or arrays that broadcast together."""
-    log_term = per_element(math.log1p, stress / params.tau_w)
+    log_term = boxcox1p(stress / params.tau_w, 0.0, dtype=float)
     return np.minimum(r_on + params.amp_a * log_term, params.r_off_max)
 
 
@@ -127,7 +125,7 @@ def stress_at(r, r_on, params: DeviceParams) -> np.ndarray:
     argument beyond 700) the stress is inf: out of reach."""
     x = (r - r_on) / params.amp_a
     return np.where(x > 700.0, math.inf,
-                    params.tau_w * per_element(math.expm1, np.minimum(x, 700.0)))
+                    params.tau_w * inv_boxcox1p(np.minimum(x, 700.0), 0.0, dtype=float))
 
 
 def programming_rate(v: float, params: DeviceParams) -> float:
@@ -159,16 +157,15 @@ def _reset_constants(r_on: float | np.ndarray, params: DeviceParams, near=True):
     """Of devices whose ON resistances are r_on: the stress at which
     resistance reaches r_off_max, the resistance the law gives there, and
     the prefactor (tau/A) e^(-r_on/A) of the Ei antiderivative, as arrays
-    of r_on's shape (0-d for a float), with `math.*` per element.  The
-    first two are computed only where `near` (a mask of r_on's shape)
-    holds, and are inf and 0 elsewhere."""
+    of r_on's shape (0-d for a float).  The first two are computed only
+    where `near` (a mask of r_on's shape) holds, and are inf and 0 elsewhere."""
     a, tau = params.amp_a, params.tau_w
     r_on = np.asarray(r_on)
     near = np.broadcast_to(near, r_on.shape)
     s_clamp, r_clamp = np.full(r_on.shape, math.inf), np.zeros(r_on.shape)
     s_clamp[near] = stress_at(params.r_off_max, r_on[near], params)
     r_clamp[near] = resistance(s_clamp[near], r_on[near], params)
-    return s_clamp, r_clamp, (tau / a) * per_element(math.exp, -r_on / a)
+    return s_clamp, r_clamp, (tau / a) * inv_boxcox(-r_on / a, 0.0, dtype=float)
 
 
 def ei_on(r_on, params: DeviceParams, moved=True) -> np.ndarray:

@@ -3,8 +3,10 @@
 Device-to-device variation multiplies each device's ON resistance by a
 mean-one lognormal factor, cycle-to-cycle variation each pulse's duration:
 positive quantities with percentage-level spreads.  With s2 = log1p(sigma**2)
-and z standard normal, a factor is libm's exp(-s2/2 + sqrt(s2) z): `_spread`'s
-bits, which `sample_array` and `perturb_pulse` draw by `Generator.lognormal`.
+and z standard normal, a factor is libm's exp(-s2/2 + sqrt(s2) z), not numpy's
+exp, which differs in the last bit: `_spread` calls libm's through scipy's
+`inv_boxcox` at lambda 0, as `device` states, and `sample_array` and
+`perturb_pulse` draw it by `Generator.lognormal`.
 
 Trial k of a sweep draws from the PCG64 stream of
 `SeedSequence(seed).spawn(n)[k]`, in this order: the input wavefront
@@ -48,7 +50,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .crossbar import ArrayConfig, r_on_grid
-from .device import DeviceParams, check_r_on, per_element, _fj
+from .device import DeviceParams, check_r_on, inv_boxcox, _fj
 from .recording import SweepSettings, recall_and_score, _capture_rows
 from .wavefront import Wavefront, write_csv, _fixed
 
@@ -164,7 +166,7 @@ def _spread(nominal, sigma_rel: float, z: np.ndarray) -> np.ndarray:
     sigma_rel, one per standard normal draw in z; sigma 0 gives factors of
     exactly 1."""
     s2 = math.log1p(sigma_rel * sigma_rel)
-    return nominal * per_element(math.exp, -0.5 * s2 + math.sqrt(s2) * z)
+    return nominal * inv_boxcox(-0.5 * s2 + math.sqrt(s2) * z, 0.0, dtype=float)
 
 
 # Relative slack of `_check_spread`'s bounds, far above the few ulps of

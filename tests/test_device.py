@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from scipy.special import expi
 
 from tempmem.crossbar import base_params
 from tempmem.device import (AMP_A_DEFAULT, DeviceParams, _reset_constants,
-                            calibrate_amp, per_element, programming_rate,
-                            resistance, stress_at, write_energy)
+                            calibrate_amp, programming_rate, resistance,
+                            stress_at, write_energy)
+from tempmem.variability import _spread
 
 from reference_law import (DeviceState, apply_pulse, pulse_energy, reset_energy,
                            resistance_of, stress_of)
@@ -375,14 +377,8 @@ class TestPulseEnergy:
         # float r_on gives 0-d arrays.
         got = _reset_constants(r_on, params)
         assert all(np.shape(c) == np.shape(r_on) for c in got)
-        r_on = np.asarray(r_on)
-        a, tau = params.amp_a, params.tau_w
-        for k, x in enumerate(r_on.ravel().tolist()):
-            y = (params.r_off_max - x) / a
-            s_clamp = math.inf if y > 700.0 else tau * math.expm1(y)
-            want = (s_clamp, min(x + a * math.log1p(s_clamp / tau), params.r_off_max),
-                    (tau / a) * math.exp(-x / a))
-            assert tuple(c.ravel()[k] for c in got) == want
+        for k, x in enumerate(np.ravel(r_on).tolist()):
+            assert tuple(np.ravel(c)[k] for c in got) == _reset_reference(x, params)
 
     def test_reset_energy_per_trial_and_device_r_on(self):
         # A trials x rows block of two-point trajectories, as the batched
@@ -401,6 +397,14 @@ class TestPulseEnergy:
             [self.scalar_formula(0.0, -1.4, d, replace(params, r_on=x))
              for d, x in zip(row_d, row_r)]
             for row_d, row_r in zip(durations.tolist(), r_on.tolist())]
+
+
+def _reset_reference(x: float, params: DeviceParams) -> tuple[float, float, float]:
+    """`_reset_constants` of one device ON at x, with `math.*`."""
+    a, tau = params.amp_a, params.tau_w
+    s_clamp = stress_of(params.r_off_max, replace(params, r_on=x))
+    return (s_clamp, min(x + a * math.log1p(s_clamp / tau), params.r_off_max),
+            (tau / a) * math.exp(-x / a))
 
 
 class TestWriteEnergy:
@@ -537,9 +541,72 @@ class TestNumpyFacts:
             total += v
         assert np.cumsum(np.concatenate(([1.0], y)))[-1] == total
 
-    def test_per_element_is_math_per_element(self):
-        x = np.random.default_rng(1).standard_normal((4, 6)) * 3
-        got = per_element(math.exp, x)
-        assert got.shape == (4, 6)
-        assert got.ravel().tolist() == [math.exp(v) for v in x.ravel().tolist()]
-        assert per_element(math.log1p, np.zeros(0)).shape == (0,)
+
+# Arguments of every class the law admits: zeros of both signs,
+# subnormals, the knee's scale, the clamp and beyond, inf and nan.
+EDGES = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 0.3, 40.0, 1e6, 3e6, 1e300,
+         math.inf, math.nan]
+# Those classes in float32 and int, where the law's arithmetic before
+# its libm call is exact under POW2's power-of-two constants, so that
+# float64 arithmetic on the same values is the reference.
+EDGES_OF = {np.float64: EDGES,
+            np.float32: [0.0, -0.0, 2.0**-130, 2.0**-127, 0.25, 40.0, 2.0**20,
+                         3e6, math.inf, math.nan],
+            np.int64: [0, 1, 40, 4096, 10**6, 3 * 10**6]}
+POW2 = DeviceParams(amp_a=4096.0, tau_w=256.0, r_off_max=2.0**20)
+# log1p(SIGMA**2) is exactly 0.25, so _spread's exponent -0.125 + 0.5 z is
+# exact in float32 too.
+SIGMA = 0.5329403500277883
+
+
+def _arrays(values, dtype):
+    """values as a 1-D and a 2-D array of dtype, an empty one, and each
+    value as a 0-d one."""
+    a = np.array(values, dtype)
+    return [a, np.stack((a, a[::-1])), a[:0]] + [np.array(v, dtype) for v in values]
+
+
+def _assert_is_reference(got, x, reference):
+    """got is float64 of x's shape and, element by element, reference of
+    x's values, bit for bit: signed zeros apart, any nan as any nan."""
+    assert np.result_type(got) == np.float64 and np.shape(got) == x.shape
+    key = lambda v: "nan" if v != v else float.hex(v)
+    assert [key(v) for v in np.ravel(got).tolist()] == \
+        [key(reference(v)) for v in x.ravel().tolist()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", list(EDGES_OF), ids=lambda d: d.__name__)
+class TestLibmRoute:
+    """The law's exp, log1p and expm1 (scipy's Box-Cox ufuncs at lambda 0)
+    give `math.*`'s bits, as float64 whatever the input's dtype, shape or
+    class of value, and warn of nothing."""
+
+    def test_resistance(self, dtype):
+        for x in _arrays(EDGES_OF[dtype], dtype):
+            _assert_is_reference(resistance(x, POW2.r_on, POW2), x,
+                                 lambda s: resistance_of(s, POW2))
+
+    def test_stress_at(self, dtype):
+        # From ON at 0 ohm, expm1's argument is r / amp_a: every class of
+        # value, and both sides of the cap at 700.  DeviceParams rejects
+        # that r_on, so the reference reads it from a stand-in.
+        on_at_zero = SimpleNamespace(r_on=0.0, amp_a=POW2.amp_a, tau_w=POW2.tau_w)
+        for x in _arrays(EDGES_OF[dtype], dtype):
+            _assert_is_reference(stress_at(x, 0.0, POW2), x,
+                                 lambda r: stress_of(r, on_at_zero))
+
+    def test_reset_constants(self, dtype):
+        values = [v for v in EDGES_OF[dtype] if 0 < v < POW2.r_off_max]
+        for x in _arrays(values, dtype):
+            got = _reset_constants(x, POW2)
+            for k in range(3):
+                _assert_is_reference(got[k], x,
+                                     lambda r_on: _reset_reference(r_on, POW2)[k])
+
+    def test_spread(self, dtype):
+        z = [v for v in EDGES_OF[dtype] if math.isfinite(v) and v < 1e3]
+        z += [-v for v in z]
+        for x in _arrays(z, dtype):
+            _assert_is_reference(_spread(1e4, SIGMA, x), x,
+                                 lambda zi: 1e4 * math.exp(-0.125 + 0.5 * zi))
