@@ -3,12 +3,15 @@
 The goldens (tests/test_golden.py) and the acceptance pins compare exact
 bits.  Those bits come from numpy's PCG64 draws (`random`, `shuffle`,
 `standard_normal` and `lognormal`), from libm's exp, log1p and expm1
-(called through `math`), from `scipy.special.expi` and from numpy's
-`cumsum` and `mean`.  Each case runs fixed inputs through one
+(called through `math`, and through scipy's Box-Cox ufuncs at lambda 0:
+`inv_boxcox`, `boxcox1p` and `inv_boxcox1p`), from `scipy.special.expi`
+and from numpy's `cumsum` and `mean`.  Each case runs fixed inputs through one
 primitive and compares a digest of the results with the one recorded
 under Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and glibc 2.36 on x86-64.
 So when a golden fails on another platform, the case failing here names
-the primitive whose bits moved.
+the primitive whose bits moved.  Each Box-Cox route is also checked
+against `math` on the running platform, wherever the goldens were
+recorded.
 
 The inputs are built with Python's correctly rounded float arithmetic
 (`math.sqrt`, `*`, `+`, `/`), so they are the same bits everywhere.
@@ -22,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expi
+from scipy.special import boxcox1p, expi, inv_boxcox, inv_boxcox1p
 
 SEED = 20200316
 N = 4096
@@ -60,6 +63,12 @@ PRIMITIVES = {
     "math.exp": lambda: through(math.exp, 0.5, -16.0),
     "math.log1p": lambda: through(math.log1p, 1.0, -0.75),
     "math.expm1": lambda: through(math.expm1, 10.0, -5.0),
+    "scipy.special.inv_boxcox":
+        lambda: inv_boxcox(np.array(grid(0.5, -16.0)), 0.0, dtype=float),
+    "scipy.special.boxcox1p":
+        lambda: boxcox1p(np.array(grid(1.0, -0.75)), 0.0, dtype=float),
+    "scipy.special.inv_boxcox1p":
+        lambda: inv_boxcox1p(np.array(grid(10.0, -5.0)), 0.0, dtype=float),
     "scipy.special.expi": lambda: expi(np.array(grid(0.25, 0.01))),
     "numpy.cumsum": lambda: np.cumsum(RECIPROCALS),
     # One long mean and one per row of eight, as a sweep's rms takes them.
@@ -75,6 +84,9 @@ DIGESTS = {
     "math.exp": "d79633a57d50ce12",
     "math.log1p": "3acd03d9b3f13828",
     "math.expm1": "0f92a316a3fb8bab",
+    "scipy.special.inv_boxcox": "d79633a57d50ce12",
+    "scipy.special.boxcox1p": "3acd03d9b3f13828",
+    "scipy.special.inv_boxcox1p": "0f92a316a3fb8bab",
     "scipy.special.expi": "914e9015bee68deb",
     "numpy.cumsum": "eba388143a8abafd",
     "numpy.mean": "c3974c6a835b385c",
@@ -93,6 +105,21 @@ def test_primitive_gives_the_recorded_bits(name):
     assert digest(PRIMITIVES[name]()) == DIGESTS[name], (
         f"{name} gives other bits than where the goldens were recorded; "
         f"goldens that depend on it may differ here for that reason")
+
+
+# The route by which tempmem.device and variability call each libm function
+# (see the device module docstring), and `math`'s call of it, on one grid.
+BOX_COX = {"scipy.special.inv_boxcox": "math.exp",
+           "scipy.special.boxcox1p": "math.log1p",
+           "scipy.special.inv_boxcox1p": "math.expm1"}
+
+
+@pytest.mark.parametrize("route", sorted(BOX_COX))
+def test_box_cox_at_lambda_0_is_libm_as_math_calls_it(route):
+    assert PRIMITIVES[route]().tolist() == PRIMITIVES[BOX_COX[route]]().tolist(), (
+        f"{route} at lambda 0 gives other bits than {BOX_COX[route]} here: with "
+        f"this scipy the device law and the variability spreads no longer give "
+        f"libm's bits, and the goldens differ")
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-6, 0.042, 0.3, 2.0, 1e3])
